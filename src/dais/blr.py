@@ -186,19 +186,26 @@ def blr_target(model: BlrModel) -> GeometricTarget:
 
     The likelihood keeps its normalization constant so that the weight at
     beta = 1 estimates the marginal likelihood itself.
+
+    The gradient X^T (y - X theta) / sigma2 comes from the cached sufficient
+    statistics X^T y / sigma2 and X^T X / sigma2 (O(d^2) per state, no n-row
+    residual).  The log-likelihood keeps the residual form: the expanded
+    quadratic y^T y - 2 theta^T X^T y + theta^T X^T X theta cancels badly
+    near the least-squares point.
     """
     prior = Gaussian(model.mu_p, precision=model.Lambda_p)
     if model.n == 0:
         return geometric_target(prior, None, None)
     const = -0.5 * model.n * np.log(2 * np.pi * model.sigma2)
+    Xty_over_s2 = model._Xty_over_s2
+    Lambda_lld = model.Lambda_lld
 
     def log_lik(theta):
         resid = model.y - np.asarray(theta, float) @ model.X.T
         return const - 0.5 * np.sum(resid * resid, axis=-1) / model.sigma2
 
     def grad_log_lik(theta):
-        resid = model.y - np.asarray(theta, float) @ model.X.T
-        return resid @ model.X / model.sigma2
+        return Xty_over_s2 - np.asarray(theta, float) @ Lambda_lld
 
     return geometric_target(prior, log_lik, grad_log_lik)
 

@@ -62,14 +62,20 @@ class ExperimentConfig:
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
         if self.n < 1 or self.d < 1:
             raise ConfigError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
-        if self.sigma2 <= 0:
+        if not self.sigma2 > 0:
             raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
         if not self.K_grid:
             raise ConfigError("K_grid must be non-empty")
         if any(k < 1 for k in self.K_grid) or list(self.K_grid) != sorted(self.K_grid):
             raise ConfigError("K_grid must be ascending positive integers")
-        if not self.c_list or any(c < 0 for c in self.c_list):
-            raise ConfigError("c_list must be non-empty with c >= 0")
+        if not self.c_list or not all(0.0 <= c < np.inf for c in self.c_list):
+            raise ConfigError("c_list must be non-empty with finite c >= 0")
+        seen = {}
+        for c in self.c_list:
+            key = _c_seed_key(c)
+            if key in seen:
+                raise ConfigError(f"c values {seen[key]!r} and {c!r} share a cell seed (same round(c * 2^20))")
+            seen[key] = c
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "mc" and self.mc_chains < 2:
@@ -78,8 +84,10 @@ class ExperimentConfig:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.batch_size is not None and not 1 <= self.batch_size <= self.n:
             raise ConfigError(f"batch_size must lie in [1, n={self.n}]")
-        if self.a is not None and self.a <= 0:
+        if self.a is not None and not self.a > 0:
             raise ConfigError(f"a must be positive, got {self.a}")
+        if self.sigma_eps is not None and not self.sigma_eps >= 0:
+            raise ConfigError(f"sigma_eps must be non-negative, got {self.sigma_eps}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -113,9 +121,13 @@ def _coerce_field(key, value):
     if key in _LIST_FIELDS:
         if not isinstance(value, list):
             raise ValueError(f"expected a list, got {value!r}")
+        if any(isinstance(v, bool) for v in value):
+            raise ValueError(f"expected numbers, got {value!r}")
         return tuple(value)
     if isinstance(value, list):
         raise ValueError("scalar field given a list")
+    if isinstance(value, bool) and key in _INT_FIELDS | _FLOAT_FIELDS:
+        raise ValueError(f"expected a number, got {value!r}")
     if key in _INT_FIELDS:
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"expected an integer, got {value!r}")
@@ -278,8 +290,12 @@ def resolve_noise(config: ExperimentConfig, model: BlrModel):
     return None
 
 
+def _c_seed_key(c):
+    return int(round(c * (1 << 20)))
+
+
 def _cell_seed_sequence(config, K, c):
-    return (config.seed, K, int(round(c * (1 << 20))), MODES.index(config.mode))
+    return (config.seed, K, _c_seed_key(c), MODES.index(config.mode))
 
 
 def _run_cell(config, model, log_z, sigma_eps, a, K, c, theory_base=None):

@@ -10,6 +10,7 @@ from dais import (
     blr_target,
     derive_posterior,
     exact_log_ml,
+    gen_blr_data,
     generator,
     leapfrog,
     update_matrices,
@@ -147,6 +148,39 @@ def test_grad_agrees_with_target_gradient(toy_model):
     theta = np.array([0.37])
     for beta in (0.0, 0.5, 1.0):
         assert np.allclose(blr_grad(toy_model, beta, theta), target.grad_log_f(beta, theta))
+
+
+def test_target_gradient_matches_residual_form_oracle():
+    # blr_target's likelihood gradient comes from the cached sufficient
+    # statistics X^T y / sigma2 and X^T X / sigma2; blr_grad keeps the
+    # residual form X^T (y - X theta) / sigma2.  Both are exact, so they may
+    # differ only by rounding: per state, at most
+    #   1e-10 * (||X^T y|| / sigma2 + (||X^T X|| / sigma2 + ||Lambda_p||) * (1 + ||theta||)).
+    rng = generator(29)
+    models = [
+        gen_blr_data(1000, 10, 3),
+        gen_blr_data(1000, 10, 4),
+        random_model(rng, n=40, d=4),
+        random_model(rng, n=3, d=6),  # X^T X singular
+    ]
+    for model in models:
+        target = blr_target(model)
+        xty_scale = np.linalg.norm(model.X.T @ model.y) / model.sigma2
+        mat_scale = np.linalg.norm(model.Lambda_lld, 2) + np.linalg.norm(model.Lambda_p, 2)
+        for beta in (0.0, 0.37, 1.0):
+            ann_mu = annealed_posterior(model, beta).mu
+            thetas = np.vstack([ann_mu, rng.standard_normal((5, model.d)), 3.0 * rng.standard_normal(model.d)])
+            tol = 1e-10 * (xty_scale + mat_scale * (1.0 + np.linalg.norm(thetas, axis=-1)))
+            batched = target.grad_log_f(beta, thetas)
+            assert batched.shape == thetas.shape
+            err = np.abs(batched - blr_grad(model, beta, thetas)).max(axis=-1)
+            assert np.all(err <= tol), (beta, err, tol)
+            for theta, t in zip(thetas, tol):
+                single = target.grad_log_f(beta, theta)
+                assert single.shape == (model.d,)
+                assert np.abs(single - blr_grad(model, beta, theta)).max() <= t
+            # at the annealed mean the gradient vanishes up to the same rounding
+            assert np.abs(target.grad_log_f(beta, ann_mu)).max() <= tol[0]
 
 
 # ----------------------------------------------------------- minibatch grad

@@ -12,7 +12,15 @@ from dais import (
     gen_blr_data,
     run_sweep,
 )
-from dais.harness import CSV_HEADER, parse_flat_config, resolve_noise, rows_to_csv
+from dais.harness import (
+    _FLOAT_FIELDS,
+    _INT_FIELDS,
+    CSV_HEADER,
+    _cell_seed_sequence,
+    parse_flat_config,
+    resolve_noise,
+    rows_to_csv,
+)
 from dais.cli import main as cli_main
 
 
@@ -93,6 +101,31 @@ def test_config_validation_rules():
         ExperimentConfig(batch_size=2000, n=1000)
     with pytest.raises(ConfigError):
         ExperimentConfig(gamma=1.5)
+    for bad in (dict(sigma_eps=-1.0), dict(sigma_eps=float("nan")), dict(a=float("nan")),
+                dict(sigma2=float("nan"))):
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must"):
+            ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, lit) for key in sorted(_INT_FIELDS | _FLOAT_FIELDS) for lit in ("true", "false")]
+    + [("K_grid", "[8, true]"), ("c_list", "[false]")],
+)
+def test_config_rejects_booleans_in_numeric_fields(key, value):
+    with pytest.raises(ConfigError, match=f"line 1: field '{key}'"):
+        ExperimentConfig.from_text(f"{key} = {value}\n")
+
+
+def test_config_rejects_c_values_sharing_a_cell_seed():
+    # round(c * 2^20) maps both to 262144, so both cells would draw one stream
+    with pytest.raises(ConfigError, match="share a cell seed"):
+        ExperimentConfig(c_list=(0.25, 0.25 + 2.0**-22))
+    with pytest.raises(ConfigError, match="share a cell seed"):
+        ExperimentConfig(c_list=(0.25, 0.5, 0.25))
+    cfg = ExperimentConfig(c_list=(0.25, 0.25 + 2.0**-20))
+    assert _cell_seed_sequence(cfg, 64, cfg.c_list[0]) == (0, 64, 262144, 0)
+    assert _cell_seed_sequence(cfg, 64, cfg.c_list[1]) == (0, 64, 262145, 0)
 
 
 def test_resolve_noise_precedence():
@@ -257,6 +290,15 @@ def test_cli_sweep_config_error(tmp_path, capsys):
     bad.write_text("nonsense = 5\n")
     assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_cli_sweep_negative_sigma_eps_exit_code(tmp_path, capsys):
+    bad = tmp_path / "neg.toml"
+    bad.write_text("n = 100\nd = 2\nK_grid = [8]\nc_list = [0.25]\na = 0.3\nsigma_eps = -1.0\n")
+    out_path = tmp_path / "x.csv"
+    assert cli_main(["sweep", "--config", str(bad), "--out", str(out_path)]) == 2
+    assert "sigma_eps must be non-negative" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_cli_sweep_missing_config(tmp_path):
