@@ -41,6 +41,7 @@ from .moments import (
     propagate_moments,
     rate_prediction_valid,
     stochastic_penalty,
+    sweep_gaps,
     theory_slope,
 )
 from .reversible import (

@@ -3,8 +3,8 @@
 Subcommands: ``sweep`` (config in, CSV out), ``chain`` (one chain with
 diagnostics), ``check-reversible`` (round-trip and buffer stats), and
 ``oracles`` (sampled-vs-exact consistency suite).  Exit codes: 0 success,
-2 config error, 3 numerical failure in every sweep cell, 4 oracle or
-reversibility failure.
+2 config error, 3 numerical failure (every sweep cell failed, or no stable
+step-size base was found), 4 oracle or reversibility failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .harness import ConfigError, ExperimentConfig, gen_blr_data, run_sweep, wri
 from .moments import expected_bound, gap_breakdown, propagate_moments
 from .reversible import float_to_fixed, reversible_backward, reversible_forward
 from .rng import MASK64, generator
-from .sampler import TransitionConfig, dais_bound_mc, dais_chain, sample_chains
+from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc, dais_chain, sample_chains
 from .schedules import make_linear_schedule, make_stepsize_scheme
 
 EXIT_OK = 0
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a (K, c) sweep from a config file")
     p_sweep.add_argument("--config", required=True, help="flat key = value config file")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=int, default=None, help="override worker count")
+    p_sweep.add_argument("--workers", type=int, default=None, help="override the mc-mode worker count")
 
     p_chain = sub.add_parser("chain", help="run one chain and print diagnostics")
     p_chain.add_argument("--K", type=int, default=64)
@@ -72,7 +72,11 @@ def _cmd_sweep(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = run_sweep(config)
+    try:
+        rows = run_sweep(config)
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     write_csv(rows, args.out)
     failed = sum(row.failed for row in rows)
     print(f"wrote {len(rows)} rows to {args.out} ({failed} failed cells)")

@@ -4,8 +4,10 @@ A sweep evaluates the bound gap over a grid of chain lengths K and step-size
 exponents c in one of three modes: ``exact`` (closed-form moment
 propagation), ``mc`` (sampled chains, with a standard error), or ``theory``
 (the exact gap at the smallest K extrapolated along the predicted power
-law).  Rows are deterministic given the config; every cell owns a substream
-derived from (seed, K, c, mode), so the worker pool never affects output.
+law).  Exact and theory gaps come from one batched ``sweep_gaps`` call per
+sweep.  Sampled cells run on a worker pool; every cell owns a substream
+derived from (seed, K, c, mode), so the pool never affects output.  Rows are
+deterministic given the config.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blr import BlrModel, additive_noise_cov, blr_target, exact_log_ml
-from .moments import gap_breakdown, propagate_moments, theory_slope
+from .moments import sweep_gaps, theory_slope
 from .rng import generator
 from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc
 from .schedules import make_linear_schedule, make_stepsize_scheme
@@ -221,18 +223,18 @@ class ResultRow:
         return not np.isfinite(self.gap)
 
 
-def gen_blr_data(n: int, d: int, seed: int) -> BlrModel:
+def gen_blr_data(n: int, d: int, seed: int, sigma2: float = 1.0) -> BlrModel:
     """Synthetic regression data: X entries N(0, 0.01), y entries N(0, 1).
 
-    sigma2 = 1, zero prior mean, identity prior precision; deterministic in
-    the seed.
+    Observation variance ``sigma2``, zero prior mean, identity prior
+    precision; X and y are deterministic in (seed, n, d).
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     g = generator((seed, n, d))
     X = 0.1 * g.standard_normal((n, d))
     y = g.standard_normal(n)
-    return BlrModel(X=X, y=y, sigma2=1.0, mu_p=np.zeros(d), Lambda_p=np.eye(d))
+    return BlrModel(X=X, y=y, sigma2=sigma2, mu_p=np.zeros(d), Lambda_p=np.eye(d))
 
 
 def stability_limit(model: BlrModel) -> float:
@@ -257,22 +259,19 @@ def tune_stepsize_base(model: BlrModel, gamma: float, K_min: int, c_list, grid=T
     Tuned once per (model, gamma) on the noise-free gap (tuning against the
     noisy gap would push a toward zero) and held fixed across the sweep.
     Candidates whose step size at K_min exceeds
-    ``TUNE_STABILITY_FRACTION`` of the stability limit are skipped.
+    ``TUNE_STABILITY_FRACTION`` of the stability limit are skipped, and so
+    are candidates with a failed cell.  All candidate cells go through one
+    ``sweep_gaps`` call.
     """
     eta_max = TUNE_STABILITY_FRACTION * stability_limit(model)
-    schedule = make_linear_schedule(K_min)
+    candidates = [a for a in grid if not max(a * K_min ** (-c) for c in c_list) > eta_max]
+    steps = [make_stepsize_scheme(a, c, K_min) for a in candidates for c in c_list]
+    gaps = sweep_gaps(model, gamma, steps).reshape(len(candidates), len(c_list))
     best_a, best_val = None, np.inf
-    for a in grid:
-        if max(a * K_min ** (-c) for c in c_list) > eta_max:
-            continue
+    for a, cell_gaps in zip(candidates, gaps):
         total = 0.0
-        try:
-            for c in c_list:
-                steps = make_stepsize_scheme(a, c, K_min)
-                moments = propagate_moments(model, schedule, steps, gamma)
-                total += gap_breakdown(model, moments, schedule).total
-        except NumericalFailure:
-            continue
+        for gap in cell_gaps:
+            total += gap  # a failed cell is nan, which skips the candidate
         if np.isfinite(total) and total < best_val:
             best_a, best_val = float(a), total
     if best_a is None:
@@ -298,18 +297,18 @@ def _cell_seed_sequence(config, K, c):
     return (config.seed, K, _c_seed_key(c), MODES.index(config.mode))
 
 
-def _run_cell(config, model, log_z, sigma_eps, a, K, c, theory_base=None):
+def _row(config, K, c, gap, stderr, elapsed_ms):
+    return ResultRow(
+        K=K, c=c, gamma=config.gamma, mode=config.mode, batch_size=config.batch_size,
+        gap=float(gap), stderr=float(stderr), elapsed_ms=elapsed_ms, seed=config.seed,
+    )
+
+
+def _run_mc_cell(config, model, log_z, sigma_eps, a, K, c):
     start = time.perf_counter()
     schedule = make_linear_schedule(K)
     steps = make_stepsize_scheme(a, c, K)
-    stderr = 0.0
-    if config.mode == "theory":
-        K_min = config.K_grid[0]
-        gap = theory_base * (K / K_min) ** theory_slope(c)
-    elif config.mode == "exact":
-        moments = propagate_moments(model, schedule, steps, config.gamma, noise=sigma_eps)
-        gap = gap_breakdown(model, moments, schedule).total
-    else:
+    try:
         cell_rng = generator(_cell_seed_sequence(config, K, c))
         target = blr_target(model)
         if sigma_eps is not None:
@@ -317,53 +316,48 @@ def _run_cell(config, model, log_z, sigma_eps, a, K, c, theory_base=None):
         mean, stderr = dais_bound_mc(
             target, schedule, steps, TransitionConfig(gamma=config.gamma), config.mc_chains, cell_rng
         )
-        gap = log_z - mean
-    elapsed_ms = 1000.0 * (time.perf_counter() - start)
-    return ResultRow(
-        K=K, c=c, gamma=config.gamma, mode=config.mode, batch_size=config.batch_size,
-        gap=float(gap), stderr=float(stderr), elapsed_ms=elapsed_ms, seed=config.seed,
-    )
+    except (NumericalFailure, np.linalg.LinAlgError, FloatingPointError, OverflowError):
+        return _row(config, K, c, float("nan"), 0.0, 0.0)
+    return _row(config, K, c, log_z - mean, stderr, 1000.0 * (time.perf_counter() - start))
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
-    """Evaluate the gap over the (c, K) grid; failed cells become NaN rows."""
-    model = gen_blr_data(config.n, config.d, config.seed)
+    """Evaluate the gap over the (c, K) grid; failed cells become NaN rows.
+
+    Exact and theory cells are computed together by one ``sweep_gaps`` call,
+    and each row's ``elapsed_ms`` is that call's time divided by the cell
+    count.  Sampled cells run on a pool of ``config.workers`` threads.
+    """
+    model = gen_blr_data(config.n, config.d, config.seed, sigma2=config.sigma2)
     sigma_eps = resolve_noise(config, model)
     a = config.a if config.a is not None else tune_stepsize_base(
         model, config.gamma, config.K_grid[0], config.c_list
     )
-    log_z = exact_log_ml(model) if config.mode == "mc" else None
-
-    theory_bases = {}
-    if config.mode == "theory":
-        K_min = config.K_grid[0]
-        schedule = make_linear_schedule(K_min)
-        for c in config.c_list:
-            try:
-                steps = make_stepsize_scheme(a, c, K_min)
-                moments = propagate_moments(model, schedule, steps, config.gamma, noise=sigma_eps)
-                theory_bases[c] = gap_breakdown(model, moments, schedule).total
-            except (NumericalFailure, np.linalg.LinAlgError):
-                theory_bases[c] = float("nan")
-
     cells = [(c, K) for c in config.c_list for K in config.K_grid]
 
-    def work(cell):
-        c, K = cell
-        try:
-            return _run_cell(config, model, log_z, sigma_eps, a, K, c, theory_bases.get(c))
-        except (NumericalFailure, np.linalg.LinAlgError, FloatingPointError, OverflowError):
-            return ResultRow(
-                K=K, c=c, gamma=config.gamma, mode=config.mode, batch_size=config.batch_size,
-                gap=float("nan"), stderr=0.0, elapsed_ms=0.0, seed=config.seed,
-            )
+    if config.mode == "mc":
+        log_z = exact_log_ml(model)
 
-    if config.workers == 1 or len(cells) == 1:
-        rows = [work(cell) for cell in cells]
-    else:
+        def work(cell):
+            c, K = cell
+            return _run_mc_cell(config, model, log_z, sigma_eps, a, K, c)
+
+        if config.workers == 1 or len(cells) == 1:
+            return [work(cell) for cell in cells]
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(work, cells))
-    return rows
+            return list(pool.map(work, cells))
+
+    start = time.perf_counter()
+    if config.mode == "exact":
+        steps = [make_stepsize_scheme(a, c, K) for c, K in cells]
+        gaps = sweep_gaps(model, config.gamma, steps, noise=sigma_eps)
+    else:
+        K_min = config.K_grid[0]
+        steps = [make_stepsize_scheme(a, c, K_min) for c in config.c_list]
+        bases = dict(zip(config.c_list, sweep_gaps(model, config.gamma, steps, noise=sigma_eps)))
+        gaps = [bases[c] * (K / K_min) ** theory_slope(c) for c, K in cells]
+    elapsed_ms = 1000.0 * (time.perf_counter() - start) / len(cells)
+    return [_row(config, K, c, gap, 0.0, elapsed_ms) for (c, K), gap in zip(cells, gaps)]
 
 
 def fit_loglog_slope(rows, K_min: int | None = None):

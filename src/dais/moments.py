@@ -16,7 +16,7 @@ import numpy as np
 
 from .blr import BlrModel, derive_posterior, update_matrices, _chol_logdet
 from .sampler import NumericalFailure
-from .schedules import StepSizeScheme
+from .schedules import StepSizeScheme, make_linear_schedule
 from .targets import as_noise_spec
 
 PSD_TOL = 1e-10
@@ -213,6 +213,165 @@ def gap_breakdown(model: BlrModel, moments, schedule) -> GapBreakdown:
     kinetic = expected_kinetic_sum(moments) if len(moments) > 1 else 0.0
     term3 = 0.5 * logdet_ratio - kinetic
     return GapBreakdown(term1=term1, term2=term2, term3=term3)
+
+
+def _dense_gap(model: BlrModel, gamma: float, steps: StepSizeScheme, noise) -> float:
+    schedule = make_linear_schedule(steps.K)
+    try:
+        moments = propagate_moments(model, schedule, steps, gamma, noise=noise)
+        return gap_breakdown(model, moments, schedule).total
+    except (NumericalFailure, np.linalg.LinAlgError):
+        return float("nan")
+
+
+@dataclass(frozen=True)
+class _RotatedChain:
+    """An isotropic-prior model and chain in the eigenbasis of X^T X / sigma2.
+
+    ``lam``: eigenvalues; ``prior_shift``, ``data_shift``: Lambda_p mu_p and
+    X^T y / sigma2 in that basis; ``noise``: diag(Q^T Sigma_eps Q);
+    ``gamma``: momentum damping.
+    """
+
+    p: float
+    lam: np.ndarray
+    prior_shift: np.ndarray
+    data_shift: np.ndarray
+    noise: np.ndarray
+    gamma: float
+
+    @property
+    def refresh(self) -> np.ndarray:
+        """Refreshment scale of (mu_theta, mu_v, S_tt, S_tv, S_vv); S_vv also gains 1 - gamma^2."""
+        return np.array([1.0, self.gamma, 1.0, self.gamma, self.gamma**2])
+
+    def step_maps(self, k0: int, Ks: np.ndarray, etas: np.ndarray):
+        """Per-mode affine maps of steps k0+1 .. k0+T for cells with lengths Ks.
+
+        Returns maps (T, 5, 5, cells, d) and shifts (T, 5, cells, d) taking the
+        pre-refreshment state after step k-1 to the one after step k: the
+        refreshment (v scaled by gamma, 1 - gamma^2 injected), then the
+        leapfrog map of ``update_matrices`` at beta = k / K, then the noise.
+        """
+        T = etas.shape[1]
+        beta = (np.arange(k0 + 1, k0 + T + 1)[:, None] / Ks)[:, :, None]
+        eta = etas.T[:, :, None]
+        ell = self.p + beta * self.lam  # annealed precision
+        shift = self.prior_shift + beta * self.data_shift  # annealed precision times mean
+        A = 1.0 - (0.5 * eta**2) * ell
+        B = eta - (0.25 * eta**3) * ell
+        C = -eta * ell
+        maps = np.zeros((T, 5, 5) + ell.shape[1:])
+        maps[:, 0, 0], maps[:, 0, 1], maps[:, 1, 0], maps[:, 1, 1] = A, B, C, A
+        maps[:, 2, 2], maps[:, 2, 3], maps[:, 2, 4] = A * A, 2.0 * A * B, B * B
+        maps[:, 3, 2], maps[:, 3, 3], maps[:, 3, 4] = A * C, A * A + B * C, A * B
+        maps[:, 4, 2], maps[:, 4, 3], maps[:, 4, 4] = C * C, 2.0 * A * C, A * A
+        shifts = np.empty((T, 5) + ell.shape[1:])
+        shifts[:, 0] = (0.5 * eta**2) * shift
+        shifts[:, 1] = eta * shift
+        shifts[:, 2] = (0.25 * eta**4) * self.noise
+        shifts[:, 3] = (0.5 * eta**3) * self.noise
+        shifts[:, 4] = eta**2 * self.noise
+        shifts += (1.0 - self.gamma**2) * maps[:, :, 4]
+        maps *= self.refresh[:, None, None]
+        return maps, shifts
+
+
+# mode-steps per block of precomputed step maps (bounds the engine's memory)
+_BLOCK_MODE_STEPS = 1 << 14
+
+
+def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndarray:
+    """Gaps of many chains with linear schedules, one per step-size scheme.
+
+    Entry i is ``gap_breakdown(model, propagate_moments(model, schedule, s,
+    gamma, noise), schedule).total`` for ``s = steps_list[i]`` and
+    ``schedule = make_linear_schedule(s.K)``; a cell whose propagation fails
+    (non-finite state, or a covariance below -PSD_TOL) is nan.
+
+    With an isotropic prior ``Lambda_p = p I`` every annealed precision
+    p I + beta X^T X / sigma2 shares the eigenbasis Q of X^T X / sigma2.  In
+    that basis each leapfrog step and refreshment acts on d independent
+    (theta_i, v_i) modes, each carrying two means and a 2 x 2 covariance
+    block; the blocks form a closed recursion even under a non-diagonal
+    noise covariance, which enters through diag(Q^T Sigma_eps Q).  The gap
+    needs only the per-mode means, tr(Lambda_post Sigma_theta) and
+    tr Sigma_v.  All cells advance together, sorted by K, so the step loop
+    runs max K times.  Any other prior takes the dense path cell by cell.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    steps_list = list(steps_list)
+    d = model.d
+    p = model.Lambda_p[0, 0]
+    if not np.array_equal(model.Lambda_p, p * np.eye(d)):
+        return np.array([_dense_gap(model, gamma, s, noise) for s in steps_list], dtype=float)
+    if any(s.K < 1 for s in steps_list):
+        raise ValueError("every step-size scheme needs K >= 1")
+    gaps = np.full(len(steps_list), np.nan)
+    if not steps_list:
+        return gaps
+    spec = as_noise_spec(noise)
+    lam, Q = np.linalg.eigh(model.Lambda_lld)
+    chain = _RotatedChain(
+        p=p,
+        lam=lam,
+        prior_shift=p * (model.mu_p @ Q),
+        data_shift=model._Xty_over_s2 @ Q,
+        noise=np.einsum("ji,jk,ki->i", Q, spec.matrix(d), Q) if spec is not None else np.zeros(d),
+        gamma=gamma,
+    )
+
+    # cells sorted by K: the cells still running at step k are a suffix
+    order = np.argsort([s.K for s in steps_list], kind="stable")
+    Ks = np.array([steps_list[i].K for i in order])
+    etas = np.zeros((Ks.size, Ks[-1]))
+    for row, i in enumerate(order):
+        etas[row, : Ks[row]] = steps_list[i].per_step
+    # Each cell's per-mode state (mu_theta, mu_v, S_tt, S_tv, S_vv) is kept
+    # before refreshment; step maps fold in the previous refreshment.  The
+    # start (mu_p, 0), blockdiag(Sigma_p, I) is its own refreshment.
+    state = np.zeros((5, Ks.size, d))
+    state[0] = model.mu_p @ Q
+    state[2] = 1.0 / p
+    state[4] = 1.0
+    energy = np.full(Ks.size, float(d))  # E|v|^2 of the refreshed momentum
+    kinetic = np.zeros(Ks.size)
+    ok = np.ones(Ks.size, dtype=bool)
+
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < Ks[-1]:
+            lo = int(np.searchsorted(Ks, k + 1))
+            stop = min(int(Ks[lo]), k + max(1, _BLOCK_MODE_STEPS // ((Ks.size - lo) * d)))
+            maps, shifts = chain.step_maps(k, Ks[lo:], etas[lo:, k:stop])
+            hats = np.empty_like(shifts)
+            x = state[:, lo:]
+            for t in range(stop - k):
+                x = np.einsum("ijcd,jcd->icd", maps[t], x, out=hats[t])
+                x += shifts[t]
+            state[:, lo:] = x
+            refreshed = hats * chain.refresh[:, None, None]
+            refreshed[:, 4] += 1.0 - gamma**2
+            energy_hat = np.sum(hats[:, 1] ** 2 + hats[:, 4], axis=2)
+            energy_refreshed = np.sum(refreshed[:, 1] ** 2 + refreshed[:, 4], axis=2)
+            prev = np.concatenate([energy[None, lo:], energy_refreshed[:-1]])
+            kinetic[lo:] += 0.5 * np.sum(prev - energy_hat, axis=0)
+            energy[lo:] = energy_refreshed[-1]
+            tt, tv, vv = refreshed[:, 2], refreshed[:, 3], refreshed[:, 4]
+            low = 0.5 * (tt + vv) - np.hypot(0.5 * (tt - vv), tv)  # smaller eigenvalue per mode
+            ok[lo:] &= np.all(low >= -PSD_TOL, axis=(0, 2))
+            k = stop
+
+        post = derive_posterior(model)
+        post_prec = p + lam
+        delta = state[0] - post.mu @ Q
+        term1 = 0.5 * np.sum(post_prec * delta * delta, axis=1)
+        term2 = 0.5 * np.sum(post_prec * state[2], axis=1) - 0.5 * d
+        term3 = 0.5 * (_chol_logdet(model.Lambda_p) - _chol_logdet(post.Lambda)) - kinetic
+        total = term1 + term2 + term3
+    gaps[order] = np.where(ok & np.isfinite(total), total, np.nan)
+    return gaps
 
 
 def stochastic_penalty(steps: StepSizeScheme, sigma_eps) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dais import BlrModel
+from dais import BlrModel, gap_breakdown, make_linear_schedule, propagate_moments
 
 
 @pytest.fixture
@@ -34,3 +34,9 @@ def random_model(rng, n, d):
         mu_p=rng.standard_normal(d) * 0.5,
         Lambda_p=random_spd(rng, d),
     )
+
+
+def dense_gap(model, gamma, steps, noise=None):
+    """Oracle: the dense 2d x 2d moment recursion and the closed-form gap."""
+    schedule = make_linear_schedule(steps.K)
+    return gap_breakdown(model, propagate_moments(model, schedule, steps, gamma, noise=noise), schedule).total

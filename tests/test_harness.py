@@ -1,3 +1,4 @@
+import functools
 import time
 
 import numpy as np
@@ -10,18 +11,26 @@ from dais import (
     ResultRow,
     fit_loglog_slope,
     gen_blr_data,
+    make_stepsize_scheme,
     run_sweep,
+    tune_stepsize_base,
 )
 from dais.harness import (
     _FLOAT_FIELDS,
     _INT_FIELDS,
     CSV_HEADER,
+    TUNE_GRID,
+    TUNE_STABILITY_FRACTION,
     _cell_seed_sequence,
     parse_flat_config,
     resolve_noise,
     rows_to_csv,
+    stability_limit,
 )
+from dais.sampler import NumericalFailure
 from dais.cli import main as cli_main
+
+from conftest import dense_gap
 
 
 # ------------------------------------------------------------------- data
@@ -205,10 +214,67 @@ def test_sweep_survives_divergent_cells():
 
 
 def test_sweep_parallel_matches_serial():
-    base = dict(n=150, d=3, seed=13, K_grid=(8, 16, 32), c_list=(0.25, 0.5), a=0.3)
+    # only sampled cells go through the worker pool
+    base = dict(n=150, d=3, seed=13, K_grid=(8, 16, 32), c_list=(0.25, 0.5), a=0.3, mode="mc", mc_chains=20)
     serial = run_sweep(ExperimentConfig(**base, workers=1))
     parallel = run_sweep(ExperimentConfig(**base, workers=4))
-    assert [(r.K, r.c, r.gap) for r in serial] == [(r.K, r.c, r.gap) for r in parallel]
+    assert [(r.K, r.c, r.gap, r.stderr) for r in serial] == [(r.K, r.c, r.gap, r.stderr) for r in parallel]
+
+
+@functools.lru_cache(maxsize=None)
+def dense_tuned_base(seed, gamma, K_min, c_list):
+    """Oracle: the step-size grid search as an explicit dense loop."""
+    model = gen_blr_data(1000, 10, seed)
+    eta_max = TUNE_STABILITY_FRACTION * stability_limit(model)
+    best_a, best_val = None, np.inf
+    for a in TUNE_GRID:
+        if max(a * K_min ** (-c) for c in c_list) > eta_max:
+            continue
+        total = 0.0
+        try:
+            for c in c_list:
+                total += dense_gap(model, gamma, make_stepsize_scheme(a, c, K_min))
+        except NumericalFailure:
+            continue
+        if np.isfinite(total) and total < best_val:
+            best_a, best_val = float(a), total
+    return best_a
+
+
+PANEL_C_LIST = (0.25, 1 / 3, 0.5)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("gamma,batch_size", [(0.0, None), (0.9, None), (0.0, 100)])
+def test_tuned_base_matches_dense_loop(seed, gamma, batch_size):
+    # the paper panels' settings; tuning ignores the gradient noise, so the
+    # batch panel also checks that its sweep runs at the dense-tuned base
+    cfg = ExperimentConfig(n=1000, d=10, seed=seed, K_grid=(64, 128), c_list=PANEL_C_LIST,
+                           gamma=gamma, batch_size=batch_size)
+    model = gen_blr_data(cfg.n, cfg.d, cfg.seed)
+    a = dense_tuned_base(seed, gamma, 64, PANEL_C_LIST)
+    assert a is not None
+    assert tune_stepsize_base(model, gamma, 64, PANEL_C_LIST) == a
+    noise = resolve_noise(cfg, model)
+    for row in run_sweep(cfg):
+        dense = dense_gap(model, gamma, make_stepsize_scheme(a, row.c, row.K), noise)
+        assert row.gap == pytest.approx(dense, rel=1e-9, abs=0.0)
+
+
+def test_sweep_sigma2_sets_observation_variance():
+    base = dict(n=200, d=4, seed=3, K_grid=(8, 32), c_list=(0.25,), a=0.4)
+    rows4 = run_sweep(ExperimentConfig(**base, sigma2=4.0))
+    rows1 = run_sweep(ExperimentConfig(**base))
+    model4 = gen_blr_data(200, 4, 3, sigma2=4.0)
+    model1 = gen_blr_data(200, 4, 3)
+    assert model4.sigma2 == 4.0 and model1.sigma2 == 1.0
+    np.testing.assert_array_equal(model4.X, model1.X)
+    np.testing.assert_array_equal(model4.y, model1.y)
+    for row4, row1 in zip(rows4, rows1):
+        steps = make_stepsize_scheme(0.4, 0.25, row4.K)
+        assert row4.gap == pytest.approx(dense_gap(model4, 0.0, steps), rel=1e-9, abs=0.0)
+        assert row1.gap == pytest.approx(dense_gap(model1, 0.0, steps), rel=1e-9, abs=0.0)
+        assert abs(row4.gap - row1.gap) > 1e-3 * abs(row1.gap)
 
 
 # -------------------------------------------------------------------- fits
@@ -314,6 +380,19 @@ def test_cli_sweep_all_cells_failed_exit_code(tmp_path):
     out_path = tmp_path / "bad.csv"
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 3
     assert "nan" in out_path.read_text()
+
+
+def test_cli_sweep_tuning_failure_exit_code(tmp_path, capsys):
+    # n = 100000 makes the likelihood so stiff that no base on the tuning
+    # grid passes the stability filter
+    cfg_path = tmp_path / "stiff.toml"
+    cfg_path.write_text("n = 100000\nd = 2\nK_grid = [1, 2, 4]\nc_list = [0.25]\n")
+    out_path = tmp_path / "x.csv"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "numerical failure: no stable step-size base found on the tuning grid"
+    assert "Traceback" not in captured.err + captured.out
+    assert not out_path.exists()
 
 
 def test_cli_chain_runs(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dais import (
+    BlrModel,
     GapBreakdown,
     NumericalFailure,
     TransitionConfig,
@@ -20,10 +21,12 @@ from dais import (
     propagate_moments,
     rate_prediction_valid,
     stochastic_penalty,
+    sweep_gaps,
     theory_slope,
 )
+from dais.blr import additive_noise_cov
 
-from conftest import random_model
+from conftest import dense_gap, random_model
 
 
 CFG0 = TransitionConfig(gamma=0.0)
@@ -127,6 +130,77 @@ def test_propagation_psd_guard_raises():
     steps = constant_steps(5.0, 200)  # unstable: covariance explodes
     with pytest.raises(NumericalFailure):
         propagate_moments(model, schedule, steps, 0.0)
+
+
+# ------------------------------------------------------- batched gap engine
+
+ENGINE_RTOL = 1e-10
+# (a, c, K) cells, deliberately unsorted in K
+ENGINE_CELLS = [(0.5, 0.25, 300), (0.3, 0.5, 1), (0.5, 1 / 3, 64), (0.3, 0.25, 7),
+                (0.3, 0.5, 300), (0.5, 0.0, 7), (0.5, 0.5, 64), (0.5, 0.25, 1)]
+
+
+def isotropic_model():
+    rng = np.random.default_rng(17)
+    n, d = 40, 4
+    return BlrModel(X=0.3 * rng.standard_normal((n, d)), y=rng.standard_normal(n), sigma2=0.7,
+                    mu_p=rng.standard_normal(d), Lambda_p=2.5 * np.eye(d))
+
+
+def engine_noise(kind, model):
+    if kind is None:
+        return None
+    if kind == "matrix":
+        noise = additive_noise_cov(model, 5)
+        assert np.abs(noise - np.diag(np.diag(noise))).max() > 0.1 * np.abs(noise).max()
+        return noise
+    if kind == "scalar":
+        return 0.3
+    return np.array([0.1, 0.4, 0.0, 0.25])
+
+
+@pytest.mark.parametrize("noise_kind", [None, "matrix", "scalar", "vector"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 1.0])
+def test_sweep_gaps_matches_dense_oracle(gamma, noise_kind):
+    model = isotropic_model()
+    noise = engine_noise(noise_kind, model)
+    steps = [make_stepsize_scheme(a, c, K) for a, c, K in ENGINE_CELLS]
+    gaps = sweep_gaps(model, gamma, steps, noise=noise)
+    assert gaps.shape == (len(steps),)
+    for s, gap in zip(steps, gaps):
+        assert gap == pytest.approx(dense_gap(model, gamma, s, noise), rel=ENGINE_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma,a,K,reason", [
+    (0.0, 90.0, 128, "overflowed"),  # as in the sweep's divergent-cell test
+    (1.0, 3.0, 5, "positive semi-definiteness"),  # finite, but the covariance turns indefinite
+])
+def test_sweep_gaps_divergent_cell_is_nan(gamma, a, K, reason):
+    # the failed cell is nan; the other cells of the same call are unaffected
+    model = gen_blr_data(100, 2, 5)
+    steps = [make_stepsize_scheme(0.4, 0.25, 16), make_stepsize_scheme(a, 0.0, K),
+             make_stepsize_scheme(0.4, 0.25, 256)]
+    with pytest.raises(NumericalFailure, match=reason):
+        dense_gap(model, gamma, steps[1])
+    gaps = sweep_gaps(model, gamma, steps)
+    assert np.isnan(gaps[1])
+    for i in (0, 2):
+        assert gaps[i] == pytest.approx(dense_gap(model, gamma, steps[i]), rel=ENGINE_RTOL, abs=0.0)
+
+
+def test_sweep_gaps_general_prior_takes_dense_path():
+    model = random_model(np.random.default_rng(23), 30, 3)
+    noise = np.diag([0.2, 0.1, 0.3])
+    steps = [make_stepsize_scheme(0.3, c, K) for c, K in [(0.25, 40), (0.5, 3), (1 / 3, 12)]]
+    gaps = sweep_gaps(model, 0.5, steps, noise=noise)
+    assert list(gaps) == [dense_gap(model, 0.5, s, noise) for s in steps]
+
+
+def test_sweep_gaps_empty_and_invalid():
+    model = gen_blr_data(20, 2, 0)
+    assert sweep_gaps(model, 0.0, []).shape == (0,)
+    with pytest.raises(ValueError):
+        sweep_gaps(model, 1.5, [make_stepsize_scheme(0.3, 0.25, 4)])
 
 
 # ------------------------------------------------------------ kinetic sum
