@@ -3,8 +3,9 @@
 Subcommands: ``sweep`` (config in, CSV out), ``chain`` (one chain with
 diagnostics), ``check-reversible`` (round-trip and buffer stats), and
 ``oracles`` (sampled-vs-exact consistency suite).  Exit codes: 0 success,
-2 config error, 3 numerical failure (every sweep cell failed, or no stable
-step-size base was found), 4 oracle or reversibility failure.
+2 malformed config or argument, 3 numerical failure (every sweep cell
+failed, no stable step-size base was found, or a chain diverged), 4 oracle
+or reversibility failure.  Errors print one line to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .blr import BlrModel, blr_target, exact_log_ml
 from .harness import ConfigError, ExperimentConfig, gen_blr_data, run_sweep, write_csv
 from .moments import expected_bound, gap_breakdown, propagate_moments
-from .reversible import float_to_fixed, reversible_backward, reversible_forward
+from .reversible import GAMMA_DENOM_BITS, float_to_fixed, reversible_backward, reversible_forward
 from .rng import MASK64, generator
 from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc, dais_chain, sample_chains
 from .schedules import make_linear_schedule, make_stepsize_scheme
@@ -29,34 +30,71 @@ EXIT_NUMERICAL = 3
 EXIT_ORACLE = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed argument as one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _checked(convert, ok, requirement):
+    """argparse ``type=`` function: ``convert`` the text, then require ``ok``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} must be {convert.__name__} {requirement}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda x: x >= 1, ">= 1")
+_seed = _checked(int, lambda x: x >= 0, ">= 0")
+_positive = _checked(float, lambda x: 0.0 < x < np.inf, "finite and > 0")
+_non_negative = _checked(float, lambda x: 0.0 <= x < np.inf, "finite and >= 0")
+_unit_interval = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+# the reversible chain quantizes gamma down to n / 2^16 with n >= 1
+_damping = _checked(float, lambda x: 2.0**-GAMMA_DENOM_BITS <= x <= 1.0, "in [2^-16, 1]")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dais", description=__doc__)
+    parser = _Parser(prog="dais", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a (K, c) sweep from a config file")
+    p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument("--config", required=True, help="flat key = value config file")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=int, default=None, help="override the mc-mode worker count")
+    p_sweep.add_argument("--workers", type=_positive_int, default=None,
+                         help="override the mc-mode worker count")
 
     p_chain = sub.add_parser("chain", help="run one chain and print diagnostics")
-    p_chain.add_argument("--K", type=int, default=64)
-    p_chain.add_argument("--c", type=float, default=0.25)
-    p_chain.add_argument("--a", type=float, default=0.3)
-    p_chain.add_argument("--gamma", type=float, default=0.0)
-    p_chain.add_argument("--n", type=int, default=1000)
-    p_chain.add_argument("--d", type=int, default=10)
-    p_chain.add_argument("--seed", type=int, default=0)
+    p_chain.set_defaults(run=_cmd_chain)
+    p_chain.add_argument("--K", type=_positive_int, default=64)
+    p_chain.add_argument("--c", type=_non_negative, default=0.25)
+    p_chain.add_argument("--a", type=_positive, default=0.3)
+    p_chain.add_argument("--gamma", type=_unit_interval, default=0.0)
+    p_chain.add_argument("--n", type=_positive_int, default=1000)
+    p_chain.add_argument("--d", type=_positive_int, default=10)
+    p_chain.add_argument("--seed", type=_seed, default=0)
 
     p_rev = sub.add_parser("check-reversible", help="fixed-point round-trip check")
-    p_rev.add_argument("--d", type=int, default=10)
-    p_rev.add_argument("--K", type=int, default=1000)
-    p_rev.add_argument("--gamma", type=float, default=0.9)
-    p_rev.add_argument("--eta", type=float, default=0.1)
-    p_rev.add_argument("--seed", type=int, default=0)
+    p_rev.set_defaults(run=_cmd_check_reversible)
+    p_rev.add_argument("--d", type=_positive_int, default=10)
+    p_rev.add_argument("--K", type=_positive_int, default=1000)
+    p_rev.add_argument("--gamma", type=_damping, default=0.9)
+    p_rev.add_argument("--eta", type=_positive, default=0.1)
+    p_rev.add_argument("--seed", type=_seed, default=0)
 
     p_orc = sub.add_parser("oracles", help="sampled-vs-exact consistency suite")
-    p_orc.add_argument("--seed", type=int, default=0)
-    p_orc.add_argument("--chains", type=int, default=20000, help="chains for the unbiasedness check")
+    p_orc.set_defaults(run=_cmd_oracles)
+    p_orc.add_argument("--seed", type=_seed, default=0)
+    p_orc.add_argument("--chains", type=_checked(int, lambda x: x >= 2, ">= 2"), default=20000,
+                       help="chains for the unbiasedness check")
 
     return parser
 
@@ -72,11 +110,7 @@ def _cmd_sweep(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        rows = run_sweep(config)
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    rows = run_sweep(config)
     write_csv(rows, args.out)
     failed = sum(row.failed for row in rows)
     print(f"wrote {len(rows)} rows to {args.out} ({failed} failed cells)")
@@ -114,11 +148,11 @@ def _cmd_check_reversible(args) -> int:
     theta0 = target.sample_p0(g)
     v0 = g.standard_normal(args.d)
 
-    fwd = reversible_forward(target, schedule, steps, config, s0, mode="fixedpoint", theta0=theta0, v0=v0)
+    fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     bits = fwd.buffer.bit_size()
     nbytes = fwd.buffer.nbytes()
     th_rec, v_rec, s_rec = reversible_backward(
-        target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer, mode="fixedpoint"
+        target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )
     th_ref, v_ref = float_to_fixed(theta0), float_to_fixed(v0)
     exact = (
@@ -127,19 +161,12 @@ def _cmd_check_reversible(args) -> int:
         and s_rec == s0
         and fwd.buffer.is_empty()
     )
-    per = bits / (args.d * args.K) if args.K else 0.0
+    per = bits / (args.d * args.K)
     print(f"bit-exact: {'true' if exact else 'false'}")
     print(f"buffer bits = {bits} ({per:.4f} per parameter-step, "
           f"log2(1/gamma) = {np.log2(1 / args.gamma):.4f})")
     print(f"serialized buffer bytes = {nbytes}")
     print(f"effective gamma = {fwd.gamma_eff:.8f}")
-
-    fwd_f = reversible_forward(target, schedule, steps, config, s0, mode="float", theta0=theta0, v0=v0)
-    th0_f, v0_f, _ = reversible_backward(
-        target, schedule, steps, config, fwd_f.theta, fwd_f.v, fwd_f.seed, mode="float"
-    )
-    drift = max(np.max(np.abs(th0_f - theta0)), np.max(np.abs(v0_f - v0)))
-    print(f"float-mode recovery drift = {drift:.3e} (reported, not asserted)")
     return EXIT_OK if exact else EXIT_ORACLE
 
 
@@ -193,14 +220,15 @@ def _cmd_oracles(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "chain":
-        return _cmd_chain(args)
-    if args.command == "check-reversible":
-        return _cmd_check_reversible(args)
-    return _cmd_oracles(args)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # malformed arguments (2) or --help (0)
+        return exc.code
+    try:
+        return args.run(args)
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -1,21 +1,20 @@
-"""Memory-efficient reversible chains.
+"""Memory-efficient, exactly reversible chains.
 
 A forward chain keeps only O(d) state: the refresh noise of step k is
 regenerated from a 64-bit seed s_k evolved by an invertible linear
 congruential map, so the backward pass can rebuild every epsilon_k and undo
 the dynamics step by step instead of storing the trajectory.
 
-Exact reversal needs exact arithmetic.  In ``fixedpoint`` mode the state
-lives in signed fixed-point integers and the only contracting operation,
-the momentum damping v = gamma * v_hat, is performed as an exactly
-invertible rational multiply: gamma is quantized to n / 2^q, the remainder
-bits destroyed by the division are pushed onto a per-coordinate bit stack,
-and previously stored bits are packed back into the result.  The stack
-grows by log2(1/gamma) bits per coordinate per step on average, against
-the 32-64 bits per value of naive trajectory storage.  ``float`` mode runs
-the same seed discipline in ordinary floats: fast, bit-identical to the
-plain sampler, but reversal only recovers the initial state up to round-off
-drift (reported, not guaranteed).
+Exact reversal needs exact arithmetic, so the state lives in signed
+fixed-point integers with ``FRAC_BITS`` fraction bits.  Each leapfrog
+sub-step adds a rounded increment that depends only on the other variable,
+so running the same step with the step size negated undoes it bit for bit.
+The only contracting operation, the momentum damping v = gamma * v_hat, is
+performed as an exactly invertible rational multiply: gamma is quantized to
+n / 2^q, the remainder bits destroyed by the division are pushed onto a
+per-coordinate bit stack, and previously stored bits are packed back into
+the result.  The stack grows by log2(1/gamma) bits per coordinate per step
+on average, against the 32-64 bits per value of naive trajectory storage.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import MASK64, keyed_generator
-from .sampler import NumericalFailure, TransitionConfig, _quad, _refresh_with_noise, leapfrog
+from .sampler import NumericalFailure, TransitionConfig, _quad
 from .schedules import AnnealingSchedule, StepSizeScheme
 from .targets import AnnealedTarget
 
@@ -35,7 +34,7 @@ SEED_MULT = 6364136223846793005
 SEED_INC = 1442695040888963407
 SEED_MULT_INV = pow(SEED_MULT, -1, 1 << 64)
 
-DEFAULT_FRAC_BITS = 48
+FRAC_BITS = 48
 GAMMA_DENOM_BITS = 16
 BUFFER_MAGIC = b"DAISREV1"
 
@@ -125,10 +124,14 @@ class InfoBuffer:
         if blob[: len(BUFFER_MAGIC)] != BUFFER_MAGIC:
             raise BufferCorruption("bad magic bytes")
         off = len(BUFFER_MAGIC)
+        if off + 12 > len(blob):
+            raise BufferCorruption("truncated buffer header")
         (n_slots,) = struct.unpack_from("<I", blob, off)
         off += 4
         (depth,) = struct.unpack_from("<q", blob, off)
         off += 8
+        if depth < 0:
+            raise BufferCorruption(f"negative op depth {depth}")
         buf = cls(n_slots, cap_bytes)
         vals = []
         for _ in range(n_slots):
@@ -138,16 +141,21 @@ class InfoBuffer:
             off += 4
             if off + length > len(blob):
                 raise BufferCorruption("truncated page payload")
-            vals.append(int.from_bytes(blob[off : off + length], "little"))
+            value = int.from_bytes(blob[off : off + length], "little")
+            if value < SLOT_SENTINEL:
+                raise BufferCorruption("page value below the slot sentinel")
+            vals.append(value)
             off += length
+        if off != len(blob):
+            raise BufferCorruption(f"{len(blob) - off} trailing bytes after the last page")
         buf._store = np.array(vals, dtype=object)
         buf.depth = depth
         return buf
 
 
-def float_to_fixed(x, frac_bits: int = DEFAULT_FRAC_BITS) -> np.ndarray:
+def float_to_fixed(x) -> np.ndarray:
     """Round-to-nearest-even conversion to arbitrary-precision integers."""
-    scaled = np.rint(np.asarray(x, dtype=float) * (1 << frac_bits))
+    scaled = np.rint(np.asarray(x, dtype=float) * (1 << FRAC_BITS))
     if not np.all(np.isfinite(scaled)):
         raise NumericalFailure("non-finite value in fixed-point conversion")
     if np.any(np.abs(scaled) >= 2**62):
@@ -155,8 +163,8 @@ def float_to_fixed(x, frac_bits: int = DEFAULT_FRAC_BITS) -> np.ndarray:
     return scaled.astype(np.int64).astype(object)
 
 
-def fixed_to_float(i, frac_bits: int = DEFAULT_FRAC_BITS) -> np.ndarray:
-    return np.array([int(v) for v in np.atleast_1d(i)], dtype=float) / (1 << frac_bits)
+def fixed_to_float(i) -> np.ndarray:
+    return np.array([int(v) for v in np.atleast_1d(i)], dtype=float) / (1 << FRAC_BITS)
 
 
 @dataclass
@@ -165,10 +173,9 @@ class FixedPointState:
 
     theta: np.ndarray
     v: np.ndarray
-    frac_bits: int = DEFAULT_FRAC_BITS
 
     def to_floats(self):
-        return fixed_to_float(self.theta, self.frac_bits), fixed_to_float(self.v, self.frac_bits)
+        return fixed_to_float(self.theta), fixed_to_float(self.v)
 
 
 def quantize_gamma(gamma: float, denom_bits: int = GAMMA_DENOM_BITS):
@@ -189,23 +196,71 @@ def quantize_gamma(gamma: float, denom_bits: int = GAMMA_DENOM_BITS):
     return num, den, num / den
 
 
-def _rational_mul(x, num, den, buffer: InfoBuffer):
-    """x <- approximately x * num/den, exactly invertible through the buffer."""
-    buffer.push(x % den, den)
-    x = (x // den) * num
-    x = x + buffer.pop(num)
-    buffer.depth += 1
-    return x
+class _FixedPointChain:
+    """Step arithmetic of one fixed-point chain, shared by forward and backward.
 
+    The forward step k is ``leapfrog(+1)``, ``damp``, then adding
+    ``noise(s_k)``; the backward pass undoes the same calls in reverse order.
+    """
 
-def _rational_unmul(x, num, den, buffer: InfoBuffer):
-    if buffer.depth <= 0:
-        raise BufferCorruption("buffer drained past its push depth")
-    buffer.depth -= 1
-    buffer.push(x % num, num)
-    x = (x // num) * den
-    x = x + buffer.pop(den)
-    return x
+    def __init__(self, target: AnnealedTarget, schedule: AnnealingSchedule,
+                 steps: StepSizeScheme, config: TransitionConfig):
+        if steps.K != schedule.K:
+            raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
+        self.target = target
+        self.dim = target.dim
+        self.betas = schedule.betas
+        self.etas = steps.per_step
+        mass = config.mass_diag(self.dim)
+        self.inv_mass = 1.0 / mass
+        self.sqrt_mass = np.sqrt(mass)
+        self.num, self.den, self.gamma_eff = quantize_gamma(config.gamma)
+        self.noise_scale = np.sqrt(1.0 - self.gamma_eff * self.gamma_eff)
+
+    def leapfrog(self, th, vv, k: int, sign: int):
+        """Leapfrog step k for sign +1, its exact inverse for sign -1.
+
+        Drift, kick, drift: each sub-step adds a rounded increment computed
+        from the variable it leaves alone.  Negating the step size negates
+        every increment exactly (float negation and round-half-even are
+        symmetric), and the sub-step order is a palindrome, so the sign -1
+        step subtracts the same three increments in reverse order.  Returns
+        the new (th, vv) and the float momentum before and after the kick.
+        """
+        h = sign * self.etas[k - 1]
+        v_before = fixed_to_float(vv)
+        th = th + float_to_fixed(0.5 * h * self.inv_mass * v_before)
+        midpoint = fixed_to_float(th)
+        grad = self.target.grad_log_f(self.betas[k], midpoint)
+        if not np.isfinite(grad).all():
+            raise NumericalFailure("non-finite gradient", step=k, midpoint=midpoint)
+        vv = vv + float_to_fixed(h * grad)
+        v_after = fixed_to_float(vv)
+        th = th + float_to_fixed(0.5 * h * self.inv_mass * v_after)
+        return th, vv, v_before, v_after
+
+    def noise(self, s: int) -> np.ndarray:
+        """Refresh-noise increment sqrt(1 - gamma^2) sqrt(M) eps(s), in fixed point."""
+        return float_to_fixed(self.noise_scale * (self.sqrt_mass * seed_noise(s, self.dim)))
+
+    def damp(self, vv, buffer: InfoBuffer):
+        """vv <- approximately vv * gamma_eff, exactly invertible through the buffer."""
+        if self.gamma_eff == 1.0:
+            return vv
+        buffer.push(vv % self.den, self.den)
+        vv = (vv // self.den) * self.num + buffer.pop(self.num)
+        buffer.depth += 1
+        return vv
+
+    def undamp(self, vv, buffer: InfoBuffer):
+        """Exact inverse of `damp`."""
+        if self.gamma_eff == 1.0:
+            return vv
+        if buffer.depth <= 0:
+            raise BufferCorruption("buffer drained past its push depth")
+        buffer.depth -= 1
+        buffer.push(vv % self.num, self.num)
+        return (vv // self.num) * self.den + buffer.pop(self.den)
 
 
 @dataclass
@@ -215,17 +270,10 @@ class ForwardResult:
     theta: np.ndarray
     v: np.ndarray
     seed: int
-    buffer: InfoBuffer | None
+    buffer: InfoBuffer
     bound: float
-    fixed: FixedPointState | None
+    fixed: FixedPointState
     gamma_eff: float
-
-
-def _initial_draws(target, config, s0):
-    g = keyed_generator(s0)
-    theta0 = target.sample_p0(g)
-    v0 = np.sqrt(config.mass_diag(target.dim)) * g.standard_normal(target.dim)
-    return theta0, v0
 
 
 def reversible_forward(
@@ -234,75 +282,46 @@ def reversible_forward(
     steps: StepSizeScheme,
     config: TransitionConfig,
     s0: int,
-    mode: str = "fixedpoint",
     theta0=None,
     v0=None,
-    frac_bits: int = DEFAULT_FRAC_BITS,
     buffer_cap_bytes: int | None = None,
 ) -> ForwardResult:
-    """Forward chain keeping O(d) state plus the lost-bits buffer.
+    """Forward chain keeping O(d) fixed-point state plus the lost-bits buffer.
 
     The per-step refresh noise is drawn from the evolved seed, never stored.
-    In float mode the trajectory and bound are identical to `dais_chain`
-    driven by the same noise.  When ``theta0``/``v0`` are omitted they are
-    drawn from a generator keyed by ``s0``.
+    The chain is the plain sampler's chain at ``gamma_eff`` (config.gamma
+    quantized down to n / 2^16) up to fixed-point rounding.  When
+    ``theta0``/``v0`` are omitted they are drawn from a generator keyed by
+    ``s0``.
     """
-    if mode not in ("float", "fixedpoint"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if steps.K != schedule.K:
-        raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
-    d = target.dim
-    mass = config.mass_diag(d)
-    inv_mass = 1.0 / mass
-    sqrt_mass = np.sqrt(mass)
+    chain = _FixedPointChain(target, schedule, steps, config)
     if theta0 is None or v0 is None:
-        theta0, v0 = _initial_draws(target, config, s0)
-    theta0 = np.asarray(theta0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+        g = keyed_generator(s0)
+        theta0 = target.sample_p0(g)
+        v0 = chain.sqrt_mass * g.standard_normal(chain.dim)
     s = int(s0) & MASK64
-    betas = schedule.betas
-    etas = steps.per_step
-
-    if mode == "float":
-        gamma = config.gamma
-        theta, v = theta0, v0
-        L = float(-target.log_p0(theta))
-        for k in range(1, schedule.K + 1):
-            theta, v_hat = leapfrog(theta, v, etas[k - 1], betas[k], target, config)
-            L = L + 0.5 * (_quad(v, inv_mass) - _quad(v_hat, inv_mass))
-            s = forward_seed(s)
-            v = _refresh_with_noise(v_hat, gamma, seed_noise(s, d), sqrt_mass)
-            if not np.isfinite(L):
-                raise NumericalFailure("non-finite bound accumulator", step=k)
-        L = float(L + target.log_f(1.0, theta))
-        return ForwardResult(theta, v, s, None, L, None, gamma)
-
-    num, den, gamma_eff = quantize_gamma(config.gamma)
-    noise_scale = np.sqrt(1.0 - gamma_eff * gamma_eff)
-    buffer = InfoBuffer(d, buffer_cap_bytes)
-    th = float_to_fixed(theta0, frac_bits)
-    vv = float_to_fixed(v0, frac_bits)
-    L = float(-target.log_p0(fixed_to_float(th, frac_bits)))
+    buffer = InfoBuffer(chain.dim, buffer_cap_bytes)
+    th = float_to_fixed(theta0)
+    vv = float_to_fixed(v0)
+    L = float(-target.log_p0(fixed_to_float(th)))
     for k in range(1, schedule.K + 1):
-        eta = etas[k - 1]
-        th = th + float_to_fixed(0.5 * eta * inv_mass * fixed_to_float(vv, frac_bits), frac_bits)
-        grad = target.grad_log_f(betas[k], fixed_to_float(th, frac_bits))
-        if not np.all(np.isfinite(grad)):
-            raise NumericalFailure("non-finite gradient", step=k, midpoint=fixed_to_float(th, frac_bits))
-        v_prev_f = fixed_to_float(vv, frac_bits)
-        vv = vv + float_to_fixed(eta * grad, frac_bits)
-        v_hat_f = fixed_to_float(vv, frac_bits)
-        th = th + float_to_fixed(0.5 * eta * inv_mass * v_hat_f, frac_bits)
-        L += 0.5 * (_quad(v_prev_f, inv_mass) - _quad(v_hat_f, inv_mass))
+        th, vv, v_prev, v_hat = chain.leapfrog(th, vv, k, +1)
+        L += 0.5 * (_quad(v_prev, chain.inv_mass) - _quad(v_hat, chain.inv_mass))
         s = forward_seed(s)
-        eps = seed_noise(s, d)
-        if gamma_eff != 1.0:
-            vv = _rational_mul(vv, num, den, buffer)
-        vv = vv + float_to_fixed(noise_scale * (sqrt_mass * eps), frac_bits)
-    L = float(L + target.log_f(1.0, fixed_to_float(th, frac_bits)))
-    fixed = FixedPointState(th, vv, frac_bits)
+        vv = chain.damp(vv, buffer) + chain.noise(s)
+    L = float(L + target.log_f(1.0, fixed_to_float(th)))
+    fixed = FixedPointState(th, vv)
     tf, vf = fixed.to_floats()
-    return ForwardResult(tf, vf, s, buffer, L, fixed, gamma_eff)
+    return ForwardResult(tf, vf, s, buffer, L, fixed, chain.gamma_eff)
+
+
+def _as_fixed(x, dim: int) -> np.ndarray:
+    """Copy an integer state vector into exact Python integers."""
+    arr = np.asarray(x)
+    if arr.shape != (dim,) or not all(isinstance(e, (int, np.integer)) for e in arr):
+        raise ValueError(f"reversal needs the integer state of shape ({dim},), got {arr.dtype} "
+                         f"of shape {arr.shape}; pass ForwardResult.fixed")
+    return np.array([int(e) for e in arr], dtype=object)
 
 
 def reversible_backward(
@@ -313,73 +332,26 @@ def reversible_backward(
     theta,
     v,
     seed: int,
-    buffer: InfoBuffer | None = None,
-    mode: str = "fixedpoint",
-    frac_bits: int = DEFAULT_FRAC_BITS,
+    buffer: InfoBuffer,
 ):
-    """Invert a forward chain, returning (theta_0, v_0, s_0).
+    """Invert a forward chain bit for bit, returning (theta_0, v_0, s_0).
 
-    Regenerates epsilon_k from the seed, undoes the refreshment (exactly
-    through the buffer in fixedpoint mode), and runs the leapfrog
-    arithmetic in reverse.  In fixedpoint mode pass the integer state from
-    ``ForwardResult.fixed`` (a FixedPointState or its arrays) to get
-    bit-exact recovery; the returned theta_0 / v_0 are integer arrays in
-    that mode and floats in float mode.
+    ``theta`` is ``ForwardResult.fixed`` (then ``v`` is ignored) or the
+    integer arrays ``fixed.theta`` and ``fixed.v``; float arrays raise
+    ValueError.  Regenerates epsilon_k from the seed, undoes the
+    refreshment through the buffer and the leapfrog step by running it
+    backwards.  The returned theta_0 / v_0 are fixed-point integer arrays.
     """
-    if mode not in ("float", "fixedpoint"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if steps.K != schedule.K:
-        raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
-    d = target.dim
-    mass = config.mass_diag(d)
-    inv_mass = 1.0 / mass
-    sqrt_mass = np.sqrt(mass)
-    s = int(seed) & MASK64
-    betas = schedule.betas
-    etas = steps.per_step
-
-    if mode == "float":
-        gamma = config.gamma
-        if gamma == 0.0:
-            raise ValueError("gamma = 0 destroys the pre-refresh momentum; reversal impossible")
-        theta = np.asarray(theta, dtype=float).copy()
-        v = np.asarray(v, dtype=float).copy()
-        for k in range(schedule.K, 0, -1):
-            eta = etas[k - 1]
-            eps = seed_noise(s, d)
-            v_hat = (v - np.sqrt(1.0 - gamma * gamma) * (sqrt_mass * eps)) / gamma
-            s = backward_seed(s)
-            half = theta - 0.5 * eta * inv_mass * v_hat
-            v = v_hat - eta * target.grad_log_f(betas[k], half)
-            theta = half - 0.5 * eta * inv_mass * v
-        return theta, v, s
-
+    chain = _FixedPointChain(target, schedule, steps, config)
     if isinstance(theta, FixedPointState):
-        th, vv = theta.theta.copy(), theta.v.copy()
-        frac_bits = theta.frac_bits
-    elif np.asarray(theta).dtype == object:
-        th = np.asarray(theta).copy()
-        vv = np.asarray(v).copy()
-    else:
-        # float input: exact only if the fixed-point values survive the
-        # float round trip; prefer passing ForwardResult.fixed
-        th = float_to_fixed(theta, frac_bits)
-        vv = float_to_fixed(v, frac_bits)
-    if buffer is None:
-        raise ValueError("fixedpoint reversal requires the forward buffer")
-    num, den, gamma_eff = quantize_gamma(config.gamma)
-    noise_scale = np.sqrt(1.0 - gamma_eff * gamma_eff)
+        theta, v = theta.theta, theta.v
+    th = _as_fixed(theta, chain.dim)
+    vv = _as_fixed(v, chain.dim)
+    s = int(seed) & MASK64
     for k in range(schedule.K, 0, -1):
-        eta = etas[k - 1]
-        eps = seed_noise(s, d)
-        vv = vv - float_to_fixed(noise_scale * (sqrt_mass * eps), frac_bits)
-        if gamma_eff != 1.0:
-            vv = _rational_unmul(vv, num, den, buffer)
+        vv = chain.undamp(vv - chain.noise(s), buffer)
         s = backward_seed(s)
-        th = th - float_to_fixed(0.5 * eta * inv_mass * fixed_to_float(vv, frac_bits), frac_bits)
-        grad = target.grad_log_f(betas[k], fixed_to_float(th, frac_bits))
-        vv = vv - float_to_fixed(eta * grad, frac_bits)
-        th = th - float_to_fixed(0.5 * eta * inv_mass * fixed_to_float(vv, frac_bits), frac_bits)
+        th, vv, _, _ = chain.leapfrog(th, vv, k, -1)
     return th, vv, s
 
 
@@ -396,26 +368,15 @@ class MemoryReport:
         return self.reversible_bits / self.naive_bits
 
 
-def memory_report(d: int, K: int, gamma: float, mode: str = "fixedpoint", precision_bits: int = 32) -> MemoryReport:
+def memory_report(d: int, K: int, gamma: float, precision_bits: int = 32) -> MemoryReport:
     """Naive trajectory storage vs the lost-bits buffer.
 
     Naive storage costs ``precision_bits`` per parameter per step; the
-    reversible buffer costs log2(1/gamma).  gamma = 0 is unsupported in
-    fixedpoint mode: full refreshment destroys the pre-refresh momentum
-    entirely, so there is nothing to invert; store the trajectory instead.
+    reversible buffer costs log2(1/gamma).  gamma = 0 is unsupported: full
+    refreshment destroys the pre-refresh momentum entirely, so there is
+    nothing to invert; store the trajectory instead.
     """
-    if mode not in ("float", "fixedpoint"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if gamma == 0.0:
-        if mode == "fixedpoint":
-            raise ValueError(
-                "gamma = 0 is unsupported in fixedpoint mode: the damping "
-                "division is undefined and full refreshment destroys the "
-                "momentum; use naive trajectory storage"
-            )
-        reversible = float("inf")
-    else:
-        reversible = float(np.log2(1.0 / gamma) * K * d)
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1] (gamma = 0 leaves nothing to invert), got {gamma}")
+    reversible = float(np.log2(1.0 / gamma) * K * d)
     return MemoryReport(naive_bits=float(precision_bits * K * d), reversible_bits=reversible)

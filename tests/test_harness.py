@@ -403,9 +403,40 @@ def test_cli_chain_runs(capsys):
 
 def test_cli_check_reversible(capsys):
     code = cli_main(["check-reversible", "--d", "3", "--K", "50", "--gamma", "0.9"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "bit-exact: true" in out
+    assert lines[0] == "bit-exact: true"
+    assert [line.split(" = ")[0] for line in lines[1:]] == [
+        "buffer bits", "serialized buffer bytes", "effective gamma"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check-reversible", "--gamma", "0"], 2),
+    (["check-reversible", "--gamma", "1.5"], 2),
+    (["check-reversible", "--gamma", "1e-5"], 2),  # below 2^-16: not quantizable
+    (["check-reversible", "--gamma", "nan"], 2),
+    (["check-reversible", "--K", "0"], 2),
+    (["check-reversible", "--d", "0"], 2),
+    (["check-reversible", "--eta", "-0.1"], 2),
+    (["check-reversible", "--seed", "-1"], 2),
+    (["check-reversible", "--eta", "50", "--K", "200"], 3),  # fixed-point overflow
+    (["chain", "--K", "0"], 2),
+    (["chain", "--gamma", "2"], 2),
+    (["chain", "--d", "0"], 2),
+    (["chain", "--n", "0"], 2),
+    (["chain", "--a", "nan"], 2),
+    (["chain", "--c", "-1"], 2),
+    (["chain", "--a", "1e6", "--K", "16"], 3),  # divergent chain
+    (["oracles", "--chains", "0"], 2),
+    (["oracles", "--chains", "1"], 2),  # no standard error from one chain
+    (["sweep", "--config", "x.toml", "--out", "x.csv", "--workers", "0"], 2),
+    (["no-such-command"], 2),
+])
+def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
+    assert cli_main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_cli_oracles_smoke(capsys):

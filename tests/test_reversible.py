@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dais import (
     BufferCorruption,
@@ -124,12 +126,12 @@ def test_quantize_gamma_rounds_down():
 def test_fixedpoint_round_trip_exact(gamma):
     target, schedule, steps, config = _setup(d=3, K=60, gamma=gamma)
     s0 = 31337
-    fwd = reversible_forward(target, schedule, steps, config, s0, mode="fixedpoint")
+    fwd = reversible_forward(target, schedule, steps, config, s0)
     g = keyed_generator(s0)
     theta0 = target.sample_p0(g)
     v0 = g.standard_normal(3)
     th, vv, s_back = reversible_backward(
-        target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer, mode="fixedpoint"
+        target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )
     assert all(int(a) == int(b) for a, b in zip(th, float_to_fixed(theta0)))
     assert all(int(a) == int(b) for a, b in zip(vv, float_to_fixed(v0)))
@@ -137,13 +139,40 @@ def test_fixedpoint_round_trip_exact(gamma):
     assert fwd.buffer.is_empty()
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    K=st.integers(1, 30),
+    gamma=st.floats(2.0**-8, 1.0),
+    eta=st.floats(0.0, 0.3),
+    mass=st.none() | st.lists(st.floats(0.25, 4.0), min_size=4, max_size=4),
+    s0=st.integers(0, 2**64 - 1),
+)
+def test_round_trip_property(d, K, gamma, eta, mass, s0):
+    # forward, serialize the buffer, backward: the start state comes back bit for bit
+    target = blr_target(gen_blr_data(20, d, 0))
+    schedule, steps = make_linear_schedule(K), constant_steps(eta, K)
+    config = TransitionConfig(gamma=gamma, mass=None if mass is None else np.array(mass[:d]))
+    g = keyed_generator(s0)
+    theta0 = target.sample_p0(g)
+    v0 = np.sqrt(config.mass_diag(d)) * g.standard_normal(d)
+    fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
+    restored = InfoBuffer.from_bytes(fwd.buffer.to_bytes())
+    th, vv, s_back = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
+                                         fwd.seed, restored)
+    assert [int(x) for x in th] == [int(x) for x in float_to_fixed(theta0)]
+    assert [int(x) for x in vv] == [int(x) for x in float_to_fixed(v0)]
+    assert s_back == s0
+    assert restored.is_empty()
+
+
 def test_backward_accepts_raw_integer_arrays():
     # the integer state can be passed without the FixedPointState wrapper
     target, schedule, steps, config = _setup(d=3, K=30, gamma=0.8)
-    fwd = reversible_forward(target, schedule, steps, config, 55, mode="fixedpoint")
+    fwd = reversible_forward(target, schedule, steps, config, 55)
     th, vv, s = reversible_backward(
         target, schedule, steps, config, fwd.fixed.theta, fwd.fixed.v,
-        fwd.seed, fwd.buffer, mode="fixedpoint",
+        fwd.seed, fwd.buffer,
     )
     g = keyed_generator(55)
     theta0 = target.sample_p0(g)
@@ -156,9 +185,9 @@ def test_backward_accepts_raw_integer_arrays():
 def test_round_trip_with_mass_and_varying_k():
     target, schedule, steps, _ = _setup(d=2, K=25, eta=0.1)
     config = TransitionConfig(gamma=0.75, mass=np.array([0.5, 2.0]))
-    fwd = reversible_forward(target, schedule, steps, config, 99, mode="fixedpoint")
+    fwd = reversible_forward(target, schedule, steps, config, 99)
     th, vv, s_back = reversible_backward(
-        target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer, mode="fixedpoint"
+        target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )
     g = keyed_generator(99)
     theta0 = target.sample_p0(g)
@@ -171,10 +200,10 @@ def test_round_trip_with_mass_and_varying_k():
 def test_gamma_one_buffer_stays_empty():
     target, schedule, steps, _ = _setup(K=30)
     config = TransitionConfig(gamma=1.0)
-    fwd = reversible_forward(target, schedule, steps, config, 5, mode="fixedpoint")
+    fwd = reversible_forward(target, schedule, steps, config, 5)
     assert fwd.buffer.is_empty()
     th, vv, s_back = reversible_backward(
-        target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer, mode="fixedpoint"
+        target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )
     assert s_back == 5
 
@@ -188,14 +217,15 @@ def test_degenerate_chain_inputs_unchanged():
     zero_steps = constant_steps(0.0, 1)
     fwd = reversible_forward(
         target, trivial_schedule, zero_steps, TransitionConfig(gamma=1.0), 7,
-        mode="fixedpoint", theta0=theta0, v0=v0,
+        theta0=theta0, v0=v0,
     )
     assert np.allclose(fwd.theta, theta0)
     assert np.allclose(fwd.v, v0)
 
 
-def test_float_mode_matches_plain_chain():
-    # same noise stream injected into the plain sampler: identical bound
+def test_fixedpoint_bound_matches_plain_chain():
+    # the plain sampler at gamma_eff, driven by the seed-derived noise, runs
+    # the same chain up to fixed-point rounding (2^-48 per sub-step)
     target, schedule, steps, config = _setup(d=10, n=100, K=100, eta=0.1, gamma=0.9)
     s0 = 777
     g = keyed_generator(s0)
@@ -206,47 +236,31 @@ def test_float_mode_matches_plain_chain():
     for k in range(100):
         s = forward_seed(s)
         eps[k] = seed_noise(s, 10)
-    _, plain_L = dais_chain(target, schedule, steps, config,
+    fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
+    assert fwd.gamma_eff != config.gamma
+    _, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
                             theta0=theta0, v0=v0, refresh_noise=eps)
-    fwd = reversible_forward(target, schedule, steps, config, s0, mode="float",
-                             theta0=theta0, v0=v0)
-    assert fwd.bound == pytest.approx(plain_L, abs=1e-12)
+    assert abs(fwd.bound - plain_L) <= 1e-8
     assert fwd.seed == s
 
 
-def test_fixedpoint_bound_close_to_float_bound():
-    target, schedule, steps, config = _setup(d=3, K=40)
-    s0 = 11
-    g = keyed_generator(s0)
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(3)
-    f_float = reversible_forward(target, schedule, steps, config, s0, mode="float",
-                                 theta0=theta0, v0=v0)
-    f_fixed = reversible_forward(target, schedule, steps, config, s0, mode="fixedpoint",
-                                 theta0=theta0, v0=v0)
-    # quantization noise only: gamma_eff differs from gamma by < 2^-16
-    assert f_fixed.bound == pytest.approx(f_float.bound, rel=1e-3, abs=1e-3)
-
-
-def test_float_backward_no_damping_small_drift():
-    target, schedule, steps, _ = _setup(d=5, K=100, eta=0.08)
-    config = TransitionConfig(gamma=1.0)
-    theta0 = np.full(5, 0.3)
-    v0 = np.full(5, -0.2)
-    fwd = reversible_forward(target, schedule, steps, config, 13, mode="float",
-                             theta0=theta0, v0=v0)
-    th, vv, _ = reversible_backward(target, schedule, steps, config,
-                                    fwd.theta, fwd.v, fwd.seed, mode="float")
-    assert np.max(np.abs(th - theta0)) <= 1e-8
-    assert np.max(np.abs(vv - v0)) <= 1e-8
-
-
-def test_float_backward_gamma_zero_rejected():
-    target, schedule, steps, _ = _setup()
-    config = TransitionConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        reversible_backward(target, schedule, steps, config,
-                            np.zeros(4), np.zeros(4), 1, mode="float")
+def test_backward_rejects_float_state():
+    target, schedule, steps, config = _setup(d=3, K=10)
+    fwd = reversible_forward(target, schedule, steps, config, 5)
+    with pytest.raises(ValueError, match="integer state"):
+        reversible_backward(target, schedule, steps, config, fwd.theta, fwd.v, fwd.seed, fwd.buffer)
+    with pytest.raises(ValueError, match="integer state"):
+        reversible_backward(target, schedule, steps, config, fwd.fixed.theta[:2], fwd.fixed.v,
+                            fwd.seed, fwd.buffer)
+    # object arrays must hold integers too
+    with pytest.raises(ValueError, match="integer state"):
+        reversible_backward(target, schedule, steps, config, fwd.theta.astype(object),
+                            fwd.fixed.v, fwd.seed, fwd.buffer)
+    # rejected before anything was popped: the buffer still reverses the chain
+    th, _, s = reversible_backward(target, schedule, steps, config, fwd.fixed.theta.astype(np.int64),
+                                   fwd.fixed.v, fwd.seed, fwd.buffer)
+    assert s == 5
+    assert fwd.buffer.is_empty()
 
 
 # -------------------------------------------------------------------- buffer
@@ -254,7 +268,7 @@ def test_float_backward_gamma_zero_rejected():
 def test_buffer_bit_accounting_window():
     d, K, gamma = 10, 1000, 0.9
     target, schedule, steps, config = _setup(d=d, n=100, K=K, eta=0.1, gamma=gamma)
-    fwd = reversible_forward(target, schedule, steps, config, 3, mode="fixedpoint")
+    fwd = reversible_forward(target, schedule, steps, config, 3)
     bits = fwd.buffer.bit_size()
     low = np.log2(1 / gamma) * d * K
     assert low <= bits <= (np.log2(1 / gamma) + 1) * d * K
@@ -262,12 +276,12 @@ def test_buffer_bit_accounting_window():
 
 def test_buffer_serialization_round_trip():
     target, schedule, steps, config = _setup(d=3, K=20)
-    fwd = reversible_forward(target, schedule, steps, config, 17, mode="fixedpoint")
+    fwd = reversible_forward(target, schedule, steps, config, 17)
     blob = fwd.buffer.to_bytes()
     assert blob.startswith(b"DAISREV1")
     restored = InfoBuffer.from_bytes(blob)
     th1, v1, s1 = reversible_backward(
-        target, schedule, steps, config, fwd.fixed, None, fwd.seed, restored, mode="fixedpoint"
+        target, schedule, steps, config, fwd.fixed, None, fwd.seed, restored
     )
     g = keyed_generator(17)
     theta0 = target.sample_p0(g)
@@ -275,29 +289,47 @@ def test_buffer_serialization_round_trip():
     assert restored.is_empty()
 
 
+def _blob(depth, pages):
+    """DAISREV1 layout: magic, page count, op depth, length-prefixed pages."""
+    out = b"DAISREV1" + struct.pack("<I", len(pages)) + struct.pack("<q", depth)
+    return out + b"".join(struct.pack("<I", len(p)) + p for p in pages)
+
+
 def test_buffer_serialization_bad_magic():
-    with pytest.raises(BufferCorruption):
-        InfoBuffer.from_bytes(b"NOTMAGIC" + b"\x00" * 20)
-    with pytest.raises(BufferCorruption):
-        InfoBuffer.from_bytes(b"DAISREV1" + b"\x02\x00\x00\x00" + b"\x00" * 8 + b"\xff\x00\x00\x00")
+    sentinel_page = (256).to_bytes(2, "little")
+    valid = _blob(0, [sentinel_page, sentinel_page])
+    assert valid == InfoBuffer(2).to_bytes()
+    assert InfoBuffer.from_bytes(valid).is_empty()
+    malformed = [
+        b"NOTMAGIC" + b"\x00" * 20,
+        b"DAISREV1" + b"\x02\x00\x00\x00" + b"\x00" * 8 + b"\xff\x00\x00\x00",  # truncated payload
+        b"DAISREV1",  # no header
+        valid[:19],  # header one byte short
+        _blob(-1, [sentinel_page]),  # negative op depth
+        valid + b"\x00",  # trailing byte
+        _blob(0, [sentinel_page, (255).to_bytes(1, "little")]),  # below the sentinel
+        _blob(0, [b""]),  # zero-length page
+    ]
+    for blob in malformed:
+        with pytest.raises(BufferCorruption):
+            InfoBuffer.from_bytes(blob)
 
 
 def test_buffer_underflow_detected():
     target, schedule, steps, config = _setup(d=2, K=5)
-    fwd = reversible_forward(target, schedule, steps, config, 23, mode="fixedpoint")
+    fwd = reversible_forward(target, schedule, steps, config, 23)
     reversible_backward(target, schedule, steps, config, fwd.fixed, None, fwd.seed,
-                        fwd.buffer, mode="fixedpoint")
+                        fwd.buffer)
     # draining a second time pops past the recorded depth
     with pytest.raises(BufferCorruption):
         reversible_backward(target, schedule, steps, config, fwd.fixed, None, fwd.seed,
-                            fwd.buffer, mode="fixedpoint")
+                            fwd.buffer)
 
 
 def test_buffer_capacity_enforced():
     target, schedule, steps, config = _setup(d=8, K=200, gamma=0.5)
     with pytest.raises(BufferOverflow):
-        reversible_forward(target, schedule, steps, config, 3, mode="fixedpoint",
-                           buffer_cap_bytes=64)
+        reversible_forward(target, schedule, steps, config, 3, buffer_cap_bytes=64)
 
 
 # ------------------------------------------------------------- memory report
@@ -311,20 +343,23 @@ def test_memory_report_reference_ratio():
 def test_memory_report_edge_gammas():
     assert memory_report(4, 10, 1.0).reversible_bits == 0.0
     assert memory_report(4, 10, 0.5).reversible_bits == pytest.approx(40.0)
-    with pytest.raises(ValueError):
-        memory_report(4, 10, 0.0, mode="fixedpoint")
-    assert memory_report(4, 10, 0.0, mode="float").reversible_bits == np.inf
+    for gamma in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            memory_report(4, 10, gamma)
 
 
 def test_fixedpoint_gamma_zero_rejected():
     target, schedule, steps, _ = _setup()
     config = TransitionConfig(gamma=0.0)
     with pytest.raises(ValueError):
-        reversible_forward(target, schedule, steps, config, 1, mode="fixedpoint")
+        reversible_forward(target, schedule, steps, config, 1)
 
 
 def test_seed_masking():
     target, schedule, steps, config = _setup(d=2, K=3)
     big = (1 << 70) + 5
-    fwd = reversible_forward(target, schedule, steps, config, big, mode="float")
+    fwd = reversible_forward(target, schedule, steps, config, big)
     assert fwd.seed <= MASK64
+    _, _, s_back = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
+                                       fwd.seed, fwd.buffer)
+    assert s_back == big & MASK64
