@@ -223,25 +223,49 @@ def test_degenerate_chain_inputs_unchanged():
     assert np.allclose(fwd.v, v0)
 
 
-def test_fixedpoint_bound_matches_plain_chain():
-    # the plain sampler at gamma_eff, driven by the seed-derived noise, runs
-    # the same chain up to fixed-point rounding (2^-48 per sub-step)
+def _seed_noise_stream(s0, K, d):
+    """The refresh noise `reversible_forward` draws from seed s0, and the final seed."""
+    eps = np.empty((K, d))
+    s = s0
+    for k in range(K):
+        s = forward_seed(s)
+        eps[k] = seed_noise(s, d)
+    return eps, s
+
+
+def test_float_mode_matches_plain_chain():
+    # the float views of the exact chain follow the plain float sampler at
+    # gamma_eff, driven by the seed-derived noise, up to fixed-point rounding
+    # (2^-48 per sub-step)
     target, schedule, steps, config = _setup(d=10, n=100, K=100, eta=0.1, gamma=0.9)
     s0 = 777
     g = keyed_generator(s0)
     theta0 = target.sample_p0(g)
     v0 = g.standard_normal(10)
-    eps = np.empty((100, 10))
-    s = s0
-    for k in range(100):
-        s = forward_seed(s)
-        eps[k] = seed_noise(s, 10)
+    eps, s = _seed_noise_stream(s0, 100, 10)
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     assert fwd.gamma_eff != config.gamma
-    _, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
-                            theta0=theta0, v0=v0, refresh_noise=eps)
+    state, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
+                                theta0=theta0, v0=v0, refresh_noise=eps)
     assert abs(fwd.bound - plain_L) <= 1e-8
+    assert np.max(np.abs(fwd.theta - state.theta)) <= 1e-8
+    assert np.max(np.abs(fwd.v - state.v)) <= 1e-8
     assert fwd.seed == s
+
+
+def test_fixedpoint_bound_close_to_float_bound():
+    # against the plain float sampler at the requested gamma: quantization
+    # noise only, since gamma_eff differs from gamma by < 2^-16
+    target, schedule, steps, config = _setup(d=3, K=40)
+    s0 = 11
+    g = keyed_generator(s0)
+    theta0 = target.sample_p0(g)
+    v0 = g.standard_normal(3)
+    eps, _ = _seed_noise_stream(s0, 40, 3)
+    f_fixed = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
+    _, float_L = dais_chain(target, schedule, steps, config,
+                            theta0=theta0, v0=v0, refresh_noise=eps)
+    assert f_fixed.bound == pytest.approx(float_L, rel=1e-3, abs=1e-3)
 
 
 def test_backward_rejects_float_state():
