@@ -12,7 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from dais import ExperimentConfig, fit_loglog_slope, run_sweep, theory_slope, write_csv
+from dais import (ExperimentConfig, fit_loglog_slope, gen_blr_data, run_sweep, theory_slope,
+                  tune_stepsize_base, write_csv)
 from dais.harness import rows_to_csv
 
 PANELS = {
@@ -36,6 +37,10 @@ def main(argv=None) -> int:
 
     for panel, cfg_name in PANELS.items():
         base = ExperimentConfig.from_file(here / cfg_name)
+        if base.a is None:
+            # tune once for the panel's three sweeps, as run_sweep would each time
+            model = gen_blr_data(base.n, base.d, base.seed, sigma2=base.sigma2)
+            base = replace(base, a=tune_stepsize_base(model, base.gamma, base.K_grid[0], base.c_list))
         rows = run_sweep(base)
         modes = {"exact": rows}
         modes["theory"] = run_sweep(replace(base, mode="theory"))

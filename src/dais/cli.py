@@ -154,13 +154,8 @@ def _cmd_check_reversible(args) -> int:
     th_rec, v_rec, s_rec = reversible_backward(
         target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )
-    th_ref, v_ref = float_to_fixed(theta0), float_to_fixed(v0)
-    exact = (
-        all(int(a) == int(b) for a, b in zip(th_rec, th_ref))
-        and all(int(a) == int(b) for a, b in zip(v_rec, v_ref))
-        and s_rec == s0
-        and fwd.buffer.is_empty()
-    )
+    exact = (np.array_equal(th_rec, float_to_fixed(theta0)) and np.array_equal(v_rec, float_to_fixed(v0))
+             and s_rec == s0 and fwd.buffer.is_empty())
     per = bits / (args.d * args.K)
     print(f"bit-exact: {'true' if exact else 'false'}")
     print(f"buffer bits = {bits} ({per:.4f} per parameter-step, "

@@ -5,10 +5,12 @@ regenerated from a 64-bit seed s_k evolved by an invertible linear
 congruential map, so the backward pass can rebuild every epsilon_k and undo
 the dynamics step by step instead of storing the trajectory.
 
-Exact reversal needs exact arithmetic, so the state lives in signed
-fixed-point integers with ``FRAC_BITS`` fraction bits.  Each leapfrog
-sub-step adds a rounded increment that depends only on the other variable,
-so running the same step with the step size negated undoes it bit for bit.
+Exact reversal needs exact arithmetic, so the state lives in int64 fixed
+point with ``FRAC_BITS`` = 48 fraction bits.  Every state entry and increment
+must stay below 2^62, i.e. |theta|, |v| < 2^14 = 16384, so that no sum wraps;
+leaving that range raises ``NumericalFailure`` with the step index.  Each
+leapfrog sub-step adds a rounded increment that depends only on the other
+variable, so running the same step with the step size negated undoes it bit for bit.
 The only contracting operation, the momentum damping v = gamma * v_hat, is
 performed as an exactly invertible rational multiply: gamma is quantized to
 n / 2^q, the remainder bits destroyed by the division are pushed onto a
@@ -35,8 +37,12 @@ SEED_INC = 1442695040888963407
 SEED_MULT_INV = pow(SEED_MULT, -1, 1 << 64)
 
 FRAC_BITS = 48
+_SCALE = float(1 << FRAC_BITS)
+_LIMIT = 1 << 62  # |fixed-point value| bound; sums of two in-range values fit int64
 GAMMA_DENOM_BITS = 16
 BUFFER_MAGIC = b"DAISREV1"
+# a Philox state with an empty output buffer and no cached 32-bit word
+_PHILOX_FRESH = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def forward_seed(s: int) -> int:
@@ -80,23 +86,31 @@ class InfoBuffer:
     """
 
     def __init__(self, n_slots: int, cap_bytes: int | None = None):
-        self._store = np.array([SLOT_SENTINEL] * n_slots, dtype=object)
+        self._store = [SLOT_SENTINEL] * n_slots  # one Python int per slot
         self._cap_bytes = cap_bytes
         self.depth = 0  # completed damping ops not yet undone
 
     @property
     def n_slots(self) -> int:
-        return self._store.size
+        return len(self._store)
 
     def push(self, values, modulus: int):
-        self._store = self._store * modulus + values
+        self._store = [s * modulus + v for s, v in zip(self._store, np.asarray(values).tolist())]
         if self._cap_bytes is not None and self.nbytes() > self._cap_bytes:
             raise BufferOverflow(f"info buffer exceeded {self._cap_bytes} bytes")
 
-    def pop(self, modulus: int):
-        out = self._store % modulus
-        self._store //= modulus
-        return out
+    def pop(self, modulus: int) -> np.ndarray:
+        return self.exchange(np.zeros(self.n_slots, dtype=np.int64), 1, modulus).astype(object)
+
+    def exchange(self, values: np.ndarray, push_mod: int, pop_mod: int) -> np.ndarray:
+        """``push`` then ``pop`` of int64 rows in one pass over the slots."""
+        out = values.tolist()
+        store = self._store
+        for i, v in enumerate(out):
+            store[i], out[i] = divmod(store[i] * push_mod + v, pop_mod)
+        if self._cap_bytes is not None and self.nbytes() > self._cap_bytes:
+            raise BufferOverflow(f"info buffer exceeded {self._cap_bytes} bytes")
+        return np.array(out, dtype=np.int64)
 
     def bit_size(self) -> int:
         """Physical bits held, sentinel included; d bits when empty."""
@@ -148,28 +162,36 @@ class InfoBuffer:
             off += length
         if off != len(blob):
             raise BufferCorruption(f"{len(blob) - off} trailing bytes after the last page")
-        buf._store = np.array(vals, dtype=object)
+        buf._store = vals
         buf.depth = depth
         return buf
 
 
+def _in_range(x: np.ndarray, step=None) -> np.ndarray:
+    """``x`` itself once every entry is finite and below 2^62 in magnitude."""
+    if not np.abs(x).max(initial=0) < _LIMIT:  # one reduction; NaN fails it too
+        where = "" if step is None else f" at step {step}"
+        raise NumericalFailure(f"fixed-point overflow or non-finite value{where}", step=step)
+    return x
+
+
+def _to_fixed(scaled, step=None) -> np.ndarray:
+    """Round an already 2^FRAC_BITS-scaled float array to int64, half to even."""
+    return _in_range(np.rint(scaled), step).astype(np.int64)
+
+
 def float_to_fixed(x) -> np.ndarray:
-    """Round-to-nearest-even conversion to arbitrary-precision integers."""
-    scaled = np.rint(np.asarray(x, dtype=float) * (1 << FRAC_BITS))
-    if not np.all(np.isfinite(scaled)):
-        raise NumericalFailure("non-finite value in fixed-point conversion")
-    if np.any(np.abs(scaled) >= 2**62):
-        raise NumericalFailure("fixed-point overflow; state magnitude too large")
-    return scaled.astype(np.int64).astype(object)
+    """Round-to-nearest-even conversion to int64 fixed point."""
+    return _to_fixed(np.asarray(x, dtype=float) * _SCALE)
 
 
 def fixed_to_float(i) -> np.ndarray:
-    return np.array([int(v) for v in np.atleast_1d(i)], dtype=float) / (1 << FRAC_BITS)
+    return np.atleast_1d(i).astype(float) / _SCALE
 
 
 @dataclass
 class FixedPointState:
-    """Chain state as signed fixed-point integers (object dtype, exact)."""
+    """Chain state as signed fixed-point int64 arrays, |entry| < 2^62 (exact)."""
 
     theta: np.ndarray
     v: np.ndarray
@@ -210,12 +232,13 @@ class _FixedPointChain:
         self.target = target
         self.dim = target.dim
         self.betas = schedule.betas
-        self.etas = steps.per_step
+        self.etas = steps.per_step * _SCALE  # exact: folds the fixed-point scale in
         mass = config.mass_diag(self.dim)
         self.inv_mass = 1.0 / mass
         self.sqrt_mass = np.sqrt(mass)
         self.num, self.den, self.gamma_eff = quantize_gamma(config.gamma)
         self.noise_scale = np.sqrt(1.0 - self.gamma_eff * self.gamma_eff)
+        self._gen = np.random.Generator(np.random.Philox())  # re-keyed per step, not rebuilt
 
     def leapfrog(self, th, vv, k: int, sign: int):
         """Leapfrog step k for sign +1, its exact inverse for sign -1.
@@ -228,39 +251,48 @@ class _FixedPointChain:
         the new (th, vv) and the float momentum before and after the kick.
         """
         h = sign * self.etas[k - 1]
-        v_before = fixed_to_float(vv)
-        th = th + float_to_fixed(0.5 * h * self.inv_mass * v_before)
-        midpoint = fixed_to_float(th)
+        half = 0.5 * h * self.inv_mass
+        v_before = vv / _SCALE
+        th = _in_range(th + _to_fixed(half * v_before, k), k)
+        midpoint = th / _SCALE
         grad = self.target.grad_log_f(self.betas[k], midpoint)
         if not np.isfinite(grad).all():
             raise NumericalFailure("non-finite gradient", step=k, midpoint=midpoint)
-        vv = vv + float_to_fixed(h * grad)
-        v_after = fixed_to_float(vv)
-        th = th + float_to_fixed(0.5 * h * self.inv_mass * v_after)
+        vv = _in_range(vv + _to_fixed(h * grad, k), k)
+        v_after = vv / _SCALE
+        th = _in_range(th + _to_fixed(half * v_after, k), k)
         return th, vv, v_before, v_after
 
-    def noise(self, s: int) -> np.ndarray:
+    def seed_noise(self, s: int, dim: int) -> np.ndarray:
+        """``seed_noise(s, dim)`` drawn by re-keying this chain's generator."""
+        key = {"counter": [0] * 4, "key": [s & MASK64, 0]}
+        self._gen.bit_generator.state = {**_PHILOX_FRESH, "state": key}
+        return self._gen.standard_normal(dim)
+
+    def noise(self, s: int, k: int) -> np.ndarray:
         """Refresh-noise increment sqrt(1 - gamma^2) sqrt(M) eps(s), in fixed point."""
-        return float_to_fixed(self.noise_scale * (self.sqrt_mass * seed_noise(s, self.dim)))
+        return _to_fixed(self.noise_scale * _SCALE * (self.sqrt_mass * self.seed_noise(s, self.dim)), k)
 
     def damp(self, vv, buffer: InfoBuffer):
         """vv <- approximately vv * gamma_eff, exactly invertible through the buffer."""
         if self.gamma_eff == 1.0:
             return vv
-        buffer.push(vv % self.den, self.den)
-        vv = (vv // self.den) * self.num + buffer.pop(self.num)
+        q, r = np.divmod(vv, self.den)
+        vv = q * self.num + buffer.exchange(r, self.den, self.num)
         buffer.depth += 1
         return vv
 
-    def undamp(self, vv, buffer: InfoBuffer):
+    def undamp(self, vv, buffer: InfoBuffer, k: int):
         """Exact inverse of `damp`."""
         if self.gamma_eff == 1.0:
             return vv
         if buffer.depth <= 0:
             raise BufferCorruption("buffer drained past its push depth")
+        q, r = np.divmod(vv, self.num)
+        if not -_LIMIT // self.den <= q.min() <= q.max() < _LIMIT // self.den:  # else q * den wraps
+            raise NumericalFailure(f"fixed-point overflow at step {k} undoing the damping", step=k)
         buffer.depth -= 1
-        buffer.push(vv % self.num, self.num)
-        return (vv // self.num) * self.den + buffer.pop(self.den)
+        return q * self.den + buffer.exchange(r, self.num, self.den)
 
 
 @dataclass
@@ -308,7 +340,7 @@ def reversible_forward(
         th, vv, v_prev, v_hat = chain.leapfrog(th, vv, k, +1)
         L += 0.5 * (_quad(v_prev, chain.inv_mass) - _quad(v_hat, chain.inv_mass))
         s = forward_seed(s)
-        vv = chain.damp(vv, buffer) + chain.noise(s)
+        vv = _in_range(chain.damp(vv, buffer) + chain.noise(s, k), k)
     L = float(L + target.log_f(1.0, fixed_to_float(th)))
     fixed = FixedPointState(th, vv)
     tf, vf = fixed.to_floats()
@@ -316,12 +348,14 @@ def reversible_forward(
 
 
 def _as_fixed(x, dim: int) -> np.ndarray:
-    """Copy an integer state vector into exact Python integers."""
+    """Copy an integer state vector into int64, checking the fixed-point range."""
     arr = np.asarray(x)
     if arr.shape != (dim,) or not all(isinstance(e, (int, np.integer)) for e in arr):
         raise ValueError(f"reversal needs the integer state of shape ({dim},), got {arr.dtype} "
                          f"of shape {arr.shape}; pass ForwardResult.fixed")
-    return np.array([int(e) for e in arr], dtype=object)
+    if not all(-_LIMIT < int(e) < _LIMIT for e in arr):
+        raise ValueError("integer state out of the fixed-point range: |entry| must stay below 2^62")
+    return np.array([int(e) for e in arr], dtype=np.int64)
 
 
 def reversible_backward(
@@ -340,7 +374,7 @@ def reversible_backward(
     integer arrays ``fixed.theta`` and ``fixed.v``; float arrays raise
     ValueError.  Regenerates epsilon_k from the seed, undoes the
     refreshment through the buffer and the leapfrog step by running it
-    backwards.  The returned theta_0 / v_0 are fixed-point integer arrays.
+    backwards.  The returned theta_0 / v_0 are int64 fixed-point arrays.
     """
     chain = _FixedPointChain(target, schedule, steps, config)
     if isinstance(theta, FixedPointState):
@@ -349,7 +383,7 @@ def reversible_backward(
     vv = _as_fixed(v, chain.dim)
     s = int(seed) & MASK64
     for k in range(schedule.K, 0, -1):
-        vv = chain.undamp(vv - chain.noise(s), buffer)
+        vv = chain.undamp(_in_range(vv - chain.noise(s, k), k), buffer, k)
         s = backward_seed(s)
         th, vv, _, _ = chain.leapfrog(th, vv, k, -1)
     return th, vv, s

@@ -76,7 +76,7 @@ class ChainState:
 
 def _quad(v, inv_mass):
     """v^T M^{-1} v along the last axis."""
-    return np.sum(v * v * inv_mass, axis=-1)
+    return (v * v * inv_mass).sum(axis=-1)
 
 
 def leapfrog(theta, v, eta, beta, target: AnnealedTarget, config: TransitionConfig):

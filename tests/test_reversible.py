@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from dais import (
     BufferCorruption,
     BufferOverflow,
     InfoBuffer,
+    NumericalFailure,
     TransitionConfig,
     backward_seed,
     blr_target,
@@ -17,6 +19,7 @@ from dais import (
     float_to_fixed,
     forward_seed,
     gen_blr_data,
+    generator,
     keyed_generator,
     make_linear_schedule,
     memory_report,
@@ -25,7 +28,8 @@ from dais import (
     reversible_forward,
     seed_noise,
 )
-from dais.reversible import MASK64
+from dais.cli import main as cli_main
+from dais.reversible import MASK64, _FixedPointChain
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):
@@ -90,11 +94,16 @@ def test_seed_chain_round_trip_and_interleave():
 
 
 def test_seed_noise_deterministic():
-    a = seed_noise(987654321, 6)
-    b = seed_noise(987654321, 6)
-    assert np.array_equal(a, b)
-    c = seed_noise(987654322, 6)
-    assert not np.array_equal(a, c)
+    # the chain re-keys one generator per step; each draw must equal a freshly
+    # built keyed stream, whatever the previous draw left buffered
+    chain = _FixedPointChain(*_setup(d=2, K=1))
+    keys = [0, 1, 2**63, 2**64 - 1, 2**64 + 3]
+    for key, dim in zip(keys * 3, [1, 7, 100] * 5):
+        expected = keyed_generator(key).standard_normal(dim)
+        assert np.array_equal(chain.seed_noise(key, dim), expected)
+        assert np.array_equal(seed_noise(key, dim), expected)
+    assert np.array_equal(chain.seed_noise(2**64 + 3, 5), chain.seed_noise(3, 5))
+    assert not np.array_equal(seed_noise(987654321, 6), seed_noise(987654322, 6))
 
 
 # -------------------------------------------------------------- fixed point
@@ -102,13 +111,20 @@ def test_seed_noise_deterministic():
 @given(st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1, max_size=8))
 def test_fixed_point_conversion_round_trip(values):
     fixed = float_to_fixed(np.array(values))
+    assert fixed.dtype == np.int64
+    # the object-integer reference the int64 state replaced
+    assert [int(i) for i in fixed] == [int(np.rint(x * 2**48)) for x in values]
     back = fixed_to_float(fixed)
+    assert np.array_equal(back, np.array([int(i) for i in fixed], dtype=float) / 2**48)
     assert np.all(np.abs(back - np.array(values)) <= 2.0**-48)
 
 
 def test_fixed_point_overflow_guard():
-    with pytest.raises(Exception):
-        float_to_fixed(np.array([1e20]))
+    for bad in (np.nan, np.inf, -np.inf, 1e20, -1e20, 2.0**62 / 2**48):
+        with pytest.raises(NumericalFailure):
+            float_to_fixed(np.array([0.5, bad]))
+    # the largest float below 2^14 is still representable
+    assert float_to_fixed(np.array([np.nextafter(2.0**14, 0)])).tolist() == [2**62 - 2**9]
 
 
 def test_quantize_gamma_rounds_down():
@@ -268,6 +284,81 @@ def test_fixedpoint_bound_close_to_float_bound():
     assert f_fixed.bound == pytest.approx(float_L, rel=1e-3, abs=1e-3)
 
 
+# sha256 of the outputs below, computed on the object-integer implementation
+# the int64 state replaced; any change to the chain's arithmetic moves it
+PINNED_DIGEST = "0ee80459a4bcb918c657cd66ec3c31a0c2ad2f97163aed90ba42f3b2ada16398"
+
+
+def test_outputs_pinned_to_parent_digest():
+    h = hashlib.sha256()
+
+    def put(*items):
+        for item in items:
+            h.update(repr(item).encode())
+
+    for seed in (7, 11):
+        # (d, K, gamma, diagonal mass, start drawn from the seed)
+        cases = [(4, 120, g, None, False) for g in (0.5, 0.9, 0.99, 1.0)]
+        cases += [(3, 80, 0.75, [0.5, 2.0, 1.5], False), (5, 60, 0.9, None, True)]
+        for d, K, gamma, mass, seed_start in cases:
+            target = blr_target(gen_blr_data(40, d, seed))
+            schedule, steps = make_linear_schedule(K), constant_steps(0.1, K)
+            config = TransitionConfig(gamma=gamma, mass=None if mass is None else np.array(mass))
+            g = generator((seed, d, K))
+            s0 = int(g.integers(0, 2**63))
+            start = {} if seed_start else {
+                "theta0": target.sample_p0(g),
+                "v0": np.sqrt(config.mass_diag(d)) * g.standard_normal(d)}
+            fwd = reversible_forward(target, schedule, steps, config, s0, **start)
+            blob = fwd.buffer.to_bytes()
+            put(repr(fwd.bound), blob, [int(x) for x in fwd.fixed.theta],
+                [int(x) for x in fwd.fixed.v], fwd.seed, fwd.theta.tolist(), fwd.v.tolist())
+            th, vv, s = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
+                                            fwd.seed, InfoBuffer.from_bytes(blob))
+            put([int(x) for x in th], [int(x) for x in vv], s)
+    assert h.hexdigest() == PINNED_DIGEST
+
+
+def test_forward_overflow_raises_with_step():
+    # |theta| near 2^14 and a step that pushes it past: no silent int64 wraparound
+    target, schedule, steps, config = _setup(d=2, K=20, eta=3.0)
+    with pytest.raises(NumericalFailure, match="fixed-point overflow or non-finite value at step") as info:
+        reversible_forward(target, schedule, steps, config, 1,
+                           theta0=np.array([1.6e4, -1.6e4]), v0=np.array([500.0, -500.0]))
+    assert info.value.step == 1  # the first drift already leaves the range
+
+
+def test_backward_rejects_out_of_range_integer_state():
+    target, schedule, steps, config = _setup(d=3, K=10)
+    fwd = reversible_forward(target, schedule, steps, config, 5)
+    for bad in (2**62, -2**62, 2**70):
+        theta = [int(x) for x in fwd.fixed.theta]
+        theta[1] = bad
+        with pytest.raises(ValueError, match="fixed-point range"):
+            reversible_backward(target, schedule, steps, config, np.array(theta, dtype=object),
+                                fwd.fixed.v, fwd.seed, fwd.buffer)
+    assert fwd.buffer.depth == 10
+
+
+def test_backward_undamp_overflow_raises():
+    # an in-range momentum that undamping at gamma = 2^-16 would scale past 2^62
+    target, schedule, steps, _ = _setup(d=2, K=3)
+    config = TransitionConfig(gamma=2.0**-16)
+    fwd = reversible_forward(target, schedule, steps, config, 9)
+    with pytest.raises(NumericalFailure, match="undoing the damping") as info:
+        reversible_backward(target, schedule, steps, config, fwd.fixed.theta,
+                            np.array([2**61, 0]), fwd.seed, fwd.buffer)
+    assert info.value.step == 3
+
+
+def test_cli_overflow_is_one_line_exit_3(capsys):
+    assert cli_main(["check-reversible", "--eta", "50", "--K", "200"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("numerical failure: fixed-point overflow or non-finite value at step ")
+
+
 def test_backward_rejects_float_state():
     target, schedule, steps, config = _setup(d=3, K=10)
     fwd = reversible_forward(target, schedule, steps, config, 5)
@@ -288,6 +379,28 @@ def test_backward_rejects_float_state():
 
 
 # -------------------------------------------------------------------- buffer
+
+def test_buffer_rows_object_and_int64_agree():
+    # push/pop accept object and int64 rows alike; exchange is push then pop
+    num, den, _ = quantize_gamma(0.9)
+    rows = np.random.default_rng(4).integers(0, den, size=(50, 6))
+    a, b, c = InfoBuffer(6), InfoBuffer(6), InfoBuffer(6)
+    popped = []
+    for row in rows:
+        a.push(row.astype(object), den)
+        popped_a = a.pop(num)
+        b.push(row, den)
+        popped_b = b.pop(num)
+        popped.append(c.exchange(row, den, num))
+        assert popped[-1].dtype == np.int64
+        assert [int(x) for x in popped_a] == [int(x) for x in popped_b] == popped[-1].tolist()
+    assert a.to_bytes() == b.to_bytes() == c.to_bytes()
+    # the exchange with the moduli swapped undoes it, row by row
+    restored = InfoBuffer.from_bytes(c.to_bytes())
+    for row, p in zip(rows[::-1], popped[::-1]):
+        assert restored.exchange(p, num, den).tolist() == row.tolist()
+    assert restored.to_bytes() == InfoBuffer(6).to_bytes()
+
 
 def test_buffer_bit_accounting_window():
     d, K, gamma = 10, 1000, 0.9
