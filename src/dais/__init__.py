@@ -69,7 +69,6 @@ from .sampler import (
     ais_mh_chain,
     dais_bound_mc,
     dais_chain,
-    initial_state,
     iw_combine,
     leapfrog,
     refresh,

@@ -2,9 +2,10 @@
 
 Every stochastic component of the package draws from numpy Philox bit
 generators.  Philox is counter-based, so a stream is fully identified
-either by a SeedSequence spawn key (used for per-chain and per-sweep-cell
-substreams) or by a raw 64-bit key (used by the reversible chain, whose
-per-step noise must be regenerable from a seed value alone).
+either by a SeedSequence spawn key (used for the three child streams of a
+multi-chain call and for per-sweep-cell substreams) or by a raw 64-bit key
+(used by the reversible chain, whose per-step noise must be regenerable
+from a seed value alone).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ class NumericalFailure(ArithmeticError):
     """Non-finite value produced by a chain; never silently clipped.
 
     Carries the failing step index, the chain index for multi-chain runs,
-    and the position midpoint when a gradient blew up.
+    and the position midpoint of the failing leapfrog step.
     """
 
     def __init__(self, message, step=None, chain=None, midpoint=None):
@@ -118,18 +118,15 @@ def refresh(v_hat, gamma, rng: np.random.Generator, config: TransitionConfig):
     return _refresh_with_noise(v_hat, gamma, z, sqrt_mass)
 
 
-def initial_state(target: AnnealedTarget, config: TransitionConfig, rng: np.random.Generator) -> ChainState:
-    """Draw theta_0 from the base distribution, then v_0 from N(0, M)."""
-    theta0 = target.sample_p0(rng)
-    v0 = np.sqrt(config.mass_diag(target.dim)) * rng.standard_normal(target.dim)
-    return ChainState(theta0, v0, 0, float(-target.log_p0(theta0)))
-
-
 def _run_chains(target, schedule, steps, config, theta, v, eps):
     """Shared chain core over a batch: theta/v (..., d), eps (..., K, d).
 
     Returns (theta_K, v_K, L) with L accumulated as
     -log p_0(theta_0) + sum_k [log pi(v_hat_k) - log pi(v_{k-1})] + log f_1(theta_K).
+    Each step is `leapfrog` followed by `_refresh_with_noise`, written out
+    so that the mass scalings are formed once per call.  A non-finite
+    gradient makes v_hat, and so L, non-finite at the same step, so the one
+    finiteness check per step is on L.
     """
     betas = schedule.betas
     etas = steps.per_step
@@ -137,24 +134,35 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
         raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
     mass = config.mass_diag(target.dim)
     inv_mass = 1.0 / mass
-    sqrt_mass = np.sqrt(mass)
+    drifts = (0.5 * etas)[:, None] * inv_mass
     gamma = config.gamma
+    noise_scale = np.sqrt(1.0 - gamma * gamma) * np.sqrt(mass)
     L = -target.log_p0(theta)
+    kinetic = (v * v) @ inv_mass
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, schedule.K + 1):
-            theta, v_hat = leapfrog(theta, v, etas[k - 1], betas[k], target, config)
-            L = L + 0.5 * (_quad(v, inv_mass) - _quad(v_hat, inv_mass))
-            v = _refresh_with_noise(v_hat, gamma, eps[..., k - 1, :], sqrt_mass)
+            half = theta + drifts[k - 1] * v
+            v_hat = v + etas[k - 1] * target.grad_log_f(betas[k], half)
+            theta = half + drifts[k - 1] * v_hat
+            L = L + 0.5 * (kinetic - (v_hat * v_hat) @ inv_mass)
             if not np.all(np.isfinite(L)):
-                chain = None
-                if np.ndim(L) > 0:
-                    chain = int(np.nonzero(~np.isfinite(L))[0][0])
-                raise NumericalFailure("non-finite bound accumulator", step=k, chain=chain)
+                _fail(L, k, half)
+            v = gamma * v_hat + noise_scale * eps[..., k - 1, :]
+            kinetic = (v * v) @ inv_mass
         L = L + target.log_f(1.0, theta)
     if not np.all(np.isfinite(L)):
-        chain = int(np.nonzero(~np.isfinite(L))[0][0]) if np.ndim(L) > 0 else None
-        raise NumericalFailure("non-finite bound accumulator", step=schedule.K, chain=chain)
+        _fail(L, schedule.K)
     return theta, v, L
+
+
+def _fail(L, step, half=None):
+    """Raise NumericalFailure naming the step and the first non-finite chain."""
+    chain = None
+    if np.ndim(L) > 0:
+        chain = int(np.nonzero(~np.isfinite(L))[0][0])
+        half = None if half is None else half[chain]
+    where = f"at step {step}" + ("" if chain is None else f" (chain {chain})")
+    raise NumericalFailure(f"non-finite bound accumulator {where}", step=step, chain=chain, midpoint=half)
 
 
 def dais_chain(
@@ -196,25 +204,30 @@ def dais_chain(
 
 
 def sample_chains(target, schedule, steps, config, n_chains, rng):
-    """Run ``n_chains`` independent chains on per-chain substreams.
+    """Run ``n_chains`` independent chains on one batch of drawn inputs.
 
-    Returns (theta_K, v_K, L) with leading axis ``n_chains``.  Per-chain
-    streams draw theta_0, then v_0, then the refresh noise, so results do
-    not depend on how chains are scheduled.
+    Returns (theta_K, v_K, L) with leading axis ``n_chains``.  ``rng`` is
+    split into three child streams that draw, in one call each, theta_0 for
+    every chain, v_0 as an (n_chains, d) array and the refresh noise as a
+    chain-major (n_chains, K, d) array.  Chain i's inputs depend only on
+    ``rng`` and i: the first m chains of an n-chain call draw the same
+    inputs as an m-chain call.  Gradient noise that a target adds itself
+    (`noisy_gradient`) is drawn by the target, for the whole batch per step.
     """
+    theta, v, eps = _draw_inputs(target, schedule.K, config, n_chains, rng)
+    return _run_chains(target, schedule, steps, config, theta, v, eps)
+
+
+def _draw_inputs(target, K, config, n_chains, rng):
+    """theta_0 (n, d), v_0 (n, d) and refresh noise (n, K, d) from three child streams."""
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     d = target.dim
-    K = schedule.K
-    sqrt_mass = np.sqrt(config.mass_diag(d))
-    theta = np.empty((n_chains, d))
-    v = np.empty((n_chains, d))
-    eps = np.empty((n_chains, K, d))
-    for i, g in enumerate(substreams(rng, n_chains)):
-        theta[i] = target.sample_p0(g)
-        v[i] = sqrt_mass * g.standard_normal(d)
-        eps[i] = g.standard_normal((K, d))
-    return _run_chains(target, schedule, steps, config, theta, v, eps)
+    g_theta, g_v, g_eps = substreams(rng, 3)
+    theta = target.sample_p0(g_theta, n_chains)
+    v = np.sqrt(config.mass_diag(d)) * g_v.standard_normal((n_chains, d))
+    eps = g_eps.standard_normal((n_chains, K, d))
+    return theta, v, eps
 
 
 def dais_bound_mc(target, schedule, steps, config, n_chains, rng):

@@ -35,6 +35,7 @@ from dais import (
     sample_chains,
     seed_noise,
     stochastic_penalty,
+    sweep_gaps,
     theory_slope,
     tune_stepsize_base,
     update_matrices,
@@ -63,16 +64,12 @@ def instance():
     model = gen_blr_data(1000, 10, SEED)
     a = tune_stepsize_base(model, 0.0, K_GRID[0], C_FULL)
     sigma_eps = additive_noise_cov(model, 100)
-    clean, noisy, penalties = {}, {}, {}
-    for c in C_FULL:
-        for K in K_GRID:
-            schedule = make_linear_schedule(K)
-            steps = make_stepsize_scheme(a, c, K)
-            mom = propagate_moments(model, schedule, steps, 0.0)
-            clean[c, K] = gap_breakdown(model, mom, schedule).total
-            mom_n = propagate_moments(model, schedule, steps, 0.0, noise=sigma_eps)
-            noisy[c, K] = gap_breakdown(model, mom_n, schedule).total
-            penalties[c, K] = stochastic_penalty(steps, sigma_eps)
+    cells = [(c, K) for c in C_FULL for K in K_GRID]
+    steps_list = [make_stepsize_scheme(a, c, K) for c, K in cells]
+    # the batched engine; test_moments checks it against the dense recursion
+    clean = dict(zip(cells, sweep_gaps(model, 0.0, steps_list)))
+    noisy = dict(zip(cells, sweep_gaps(model, 0.0, steps_list, noise=sigma_eps)))
+    penalties = {cell: stochastic_penalty(steps, sigma_eps) for cell, steps in zip(cells, steps_list)}
     elapsed = time.perf_counter() - t0
     return dict(model=model, a=a, sigma_eps=sigma_eps, clean=clean, noisy=noisy,
                 penalties=penalties, elapsed=elapsed)

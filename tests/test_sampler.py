@@ -12,16 +12,21 @@ from dais import (
     dais_bound_mc,
     dais_chain,
     exact_log_ml,
+    gen_blr_data,
     generator,
-    initial_state,
     iw_combine,
     leapfrog,
     make_linear_schedule,
     make_stepsize_scheme,
+    noisy_gradient,
     refresh,
     sample_chains,
     update_matrices,
 )
+
+from dais.blr import additive_noise_cov
+from dais.cli import main as cli_main
+from dais.sampler import _draw_inputs, _quad, _refresh_with_noise, _run_chains
 
 from conftest import random_model
 
@@ -119,13 +124,6 @@ def test_refresh_preserves_momentum_law():
 
 # -------------------------------------------------------------- dais_chain
 
-def test_initial_state_bound_accumulator(toy_model):
-    target = blr_target(toy_model)
-    state = initial_state(target, CFG, generator(3))
-    assert state.k == 0
-    assert state.bound_acc == pytest.approx(-float(target.log_p0(state.theta)))
-
-
 def test_chain_zero_step_collapses_to_elbo_sample(toy_model):
     # K=1, eta=0, gamma=0: kinetic terms cancel, L = log f_1(theta_0) - log p_0(theta_0)
     target = blr_target(toy_model)
@@ -187,15 +185,108 @@ def test_chain_requires_rng_or_full_noise(toy_model):
         dais_chain(target, schedule, steps, CFG)
 
 
+# ------------------------------------------------------- batched chain core
+
+def _per_step_chains(target, schedule, steps, config, theta, v, eps):
+    """Independent slow path: `leapfrog`, `_quad`, then `_refresh_with_noise` per step."""
+    mass = config.mass_diag(target.dim)
+    inv_mass, sqrt_mass = 1.0 / mass, np.sqrt(mass)
+    L = -target.log_p0(theta)
+    for k in range(1, schedule.K + 1):
+        theta, v_hat = leapfrog(theta, v, steps.per_step[k - 1], schedule.betas[k], target, config)
+        L = L + 0.5 * (_quad(v, inv_mass) - _quad(v_hat, inv_mass))
+        v = _refresh_with_noise(v_hat, config.gamma, eps[:, k - 1, :], sqrt_mass)
+    return theta, v, L + target.log_f(1.0, theta)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("mass", [None, [0.5, 2.0, 1.0, 1.5]])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_run_chains_matches_per_step_composition(gamma, mass, noisy):
+    model = gen_blr_data(200, 4, 13)
+    config = TransitionConfig(gamma=gamma, mass=None if mass is None else np.array(mass))
+    K, n = 40, 16
+    schedule, steps = make_linear_schedule(K), make_stepsize_scheme(0.3, 0.25, K)
+    g = generator(29)
+    theta0 = blr_target(model).sample_p0(g, n)
+    v0 = np.sqrt(config.mass_diag(4)) * g.standard_normal((n, 4))
+    eps = g.standard_normal((n, K, 4))
+
+    def target():
+        # same seed each time, so both paths see the same gradient noise
+        clean = blr_target(model)
+        return noisy_gradient(clean, additive_noise_cov(model, 100), generator(31)) if noisy else clean
+
+    fast = _run_chains(target(), schedule, steps, config, theta0, v0, eps)
+    slow = _per_step_chains(target(), schedule, steps, config, theta0, v0, eps)
+    for got, want in zip(fast, slow):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_sample_chains_prefix_consistent():
+    # chain i's inputs depend only on the seed and i, not on n_chains
+    model = gen_blr_data(100, 5, 4)
+    target = blr_target(model)
+    config = TransitionConfig(gamma=0.5, mass=np.array([1.0, 2.0, 0.5, 1.0, 3.0]))
+    K = 24
+    schedule, steps = make_linear_schedule(K), make_stepsize_scheme(0.3, 0.25, K)
+    n, m = 300, 37
+    for got, want in zip(_draw_inputs(target, K, config, n, generator(8)),
+                         _draw_inputs(target, K, config, m, generator(8))):
+        assert np.array_equal(got[:m], want)
+    # BLAS blocking may change with the row count, so outputs agree to rounding
+    big = sample_chains(target, schedule, steps, config, n, generator(8))
+    small = sample_chains(target, schedule, steps, config, m, generator(8))
+    for got, want in zip(big, small):
+        np.testing.assert_allclose(got[:m], want, rtol=1e-12)
+
+
+class _GradientBlowUp:
+    """Wraps a target; the gradient of row ``chain`` is inf at step ``step``."""
+
+    def __init__(self, inner, step, chain):
+        self.inner, self.step, self.chain, self.calls = inner, step, chain, 0
+        self.dim, self.log_f, self.log_p0, self.sample_p0 = inner.dim, inner.log_f, inner.log_p0, inner.sample_p0
+
+    def grad_log_f(self, beta, theta):
+        self.calls += 1
+        grad = self.inner.grad_log_f(beta, theta)
+        if self.calls == self.step:
+            grad[self.chain] = np.inf
+        return grad
+
+
+def test_run_chains_failure_names_step_and_chain(toy_model):
+    target = _GradientBlowUp(blr_target(toy_model), step=5, chain=3)
+    schedule, steps = make_linear_schedule(8), constant_steps(0.2, 8)
+    with pytest.raises(NumericalFailure, match=r"non-finite bound accumulator at step 5 \(chain 3\)") as err:
+        sample_chains(target, schedule, steps, CFG, 6, generator(1))
+    assert err.value.step == 5
+    assert err.value.chain == 3
+    assert err.value.midpoint.shape == (1,)
+
+
+def test_cli_chain_divergence_names_step(capsys):
+    assert cli_main(["chain", "--K", "64", "--a", "80", "--n", "200", "--d", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("numerical failure: non-finite bound accumulator at step ")
+
+
 # ------------------------------------------------------------ dais_bound_mc
 
 def test_bound_mc_substreams_differ(toy_model):
+    # the three child streams give every chain its own theta_0, v_0 and noise
     target = blr_target(toy_model)
     schedule = make_linear_schedule(4)
     steps = constant_steps(0.1, 4)
-    theta, _, L = sample_chains(target, schedule, steps, CFG, 2, generator(17))
-    assert not np.allclose(theta[0], theta[1])
-    assert L[0] != L[1]
+    n = 6
+    theta0, v0, eps = _draw_inputs(target, 4, CFG, n, generator(17))
+    theta, _, L = sample_chains(target, schedule, steps, CFG, n, generator(17))
+    for rows in (theta0, v0, eps.reshape(n, -1), theta, L):
+        assert len(np.unique(rows, axis=0)) == n
+    assert not np.array_equal(theta0, v0)
 
 
 def test_bound_mc_needs_two_chains(toy_model):
