@@ -1,14 +1,17 @@
 """Memory-efficient, exactly reversible chains.
 
-A forward chain keeps only O(d) state: the refresh noise of step k is
-regenerated from a 64-bit seed s_k evolved by an invertible linear
-congruential map, so the backward pass can rebuild every epsilon_k and undo
-the dynamics step by step instead of storing the trajectory.
+A forward chain keeps only O(d) state plus one block of ``BLOCK_STEPS``
+pre-drawn refresh increments: the refresh noise of step k is regenerated
+from a 64-bit seed s_k evolved by an invertible linear congruential map, so
+the backward pass can rebuild every epsilon_k and undo the dynamics step by
+step instead of storing the trajectory.
 
 Exact reversal needs exact arithmetic, so the state lives in int64 fixed
 point with ``FRAC_BITS`` = 48 fraction bits.  Every state entry and increment
 must stay below 2^62, i.e. |theta|, |v| < 2^14 = 16384, so that no sum wraps;
 leaving that range raises ``NumericalFailure`` with the step index.  Each
+range check is screened by a squared norm, one dot product that can only pass
+in-range values; the exact check runs only when the screen fails.  Each
 leapfrog sub-step adds a rounded increment that depends only on the other
 variable, so running the same step with the step size negated undoes it bit for bit.
 The only contracting operation, the momentum damping v = gamma * v_hat, is
@@ -39,6 +42,14 @@ SEED_MULT_INV = pow(SEED_MULT, -1, 1 << 64)
 FRAC_BITS = 48
 _SCALE = float(1 << FRAC_BITS)
 _LIMIT = 1 << 62  # |fixed-point value| bound; sums of two in-range values fit int64
+# Norm screens in front of the exact range checks: a squared norm below the
+# screen bounds every entry, because each square is at most the sum, float
+# rounding is monotone and NaN or inf fail the comparison.  x @ x < 2^124
+# gives |x_i| < 2^62 for a float increment x; view @ view < 2^28 gives
+# |state_i| < 2^62 for the float view state / 2^48 of an int64 state.
+_INC_SCREEN = 2.0**124
+_VIEW_SCREEN = 2.0**28
+BLOCK_STEPS = 256  # refresh increments are drawn, scaled and checked per block of steps
 GAMMA_DENOM_BITS = 16
 BUFFER_MAGIC = b"DAISREV1"
 # a Philox state with an empty output buffer and no cached 32-bit word
@@ -167,17 +178,41 @@ class InfoBuffer:
         return buf
 
 
+def _overflow(step=None) -> NumericalFailure:
+    where = "" if step is None else f" at step {step}"
+    return NumericalFailure(f"fixed-point overflow or non-finite value{where}", step=step)
+
+
 def _in_range(x: np.ndarray, step=None) -> np.ndarray:
     """``x`` itself once every entry is finite and below 2^62 in magnitude."""
     if not np.abs(x).max(initial=0) < _LIMIT:  # one reduction; NaN fails it too
-        where = "" if step is None else f" at step {step}"
-        raise NumericalFailure(f"fixed-point overflow or non-finite value{where}", step=step)
+        raise _overflow(step)
     return x
 
 
 def _to_fixed(scaled, step=None) -> np.ndarray:
     """Round an already 2^FRAC_BITS-scaled float array to int64, half to even."""
     return _in_range(np.rint(scaled), step).astype(np.int64)
+
+
+def _increment(x: np.ndarray, step):
+    """``_to_fixed(x, step)`` and the screen's x @ x.
+
+    The exact check runs only if the screen fails.
+    """
+    norm = x @ x
+    return (np.rint(x).astype(np.int64) if norm < _INC_SCREEN else _to_fixed(x, step)), norm
+
+
+def _check_state(state: np.ndarray, view: np.ndarray, step) -> float:
+    """Raise unless every |state| < 2^62; ``view`` is its float view state / 2^48.
+
+    Returns the screen's view @ view; the exact check runs only if the screen fails.
+    """
+    norm = view @ view
+    if not norm < _VIEW_SCREEN:
+        _in_range(state, step)
+    return norm
 
 
 def float_to_fixed(x) -> np.ndarray:
@@ -221,8 +256,10 @@ def quantize_gamma(gamma: float, denom_bits: int = GAMMA_DENOM_BITS):
 class _FixedPointChain:
     """Step arithmetic of one fixed-point chain, shared by forward and backward.
 
-    The forward step k is ``leapfrog(+1)``, ``damp``, then adding
-    ``noise(s_k)``; the backward pass undoes the same calls in reverse order.
+    The forward step k is ``leapfrog(+1)`` then ``refresh`` (damp, add the
+    increment of seed s_k); the backward pass runs ``unrefresh`` then
+    ``leapfrog(-1)``.  Refresh increments come in blocks of steps from
+    `noise_block`.
     """
 
     def __init__(self, target: AnnealedTarget, schedule: AnnealingSchedule,
@@ -238,30 +275,46 @@ class _FixedPointChain:
         self.sqrt_mass = np.sqrt(mass)
         self.num, self.den, self.gamma_eff = quantize_gamma(config.gamma)
         self.noise_scale = np.sqrt(1.0 - self.gamma_eff * self.gamma_eff)
-        self._gen = np.random.Generator(np.random.Philox())  # re-keyed per step, not rebuilt
+        # |vv| <= num 2^61 / den keeps q = vv // num in [-2^62 / den, 2^62 / den),
+        # so undamping's q * den cannot wrap; this is that bound on the float view
+        self._undamp_screen = (self.num * 2.0 ** (61 - FRAC_BITS) / self.den) ** 2
+        self._gen = np.random.Generator(np.random.Philox())  # re-keyed per draw, not rebuilt
 
-    def leapfrog(self, th, vv, k: int, sign: int):
+    def leapfrog(self, th, vv, v_before, k: int, sign: int):
         """Leapfrog step k for sign +1, its exact inverse for sign -1.
 
         Drift, kick, drift: each sub-step adds a rounded increment computed
         from the variable it leaves alone.  Negating the step size negates
         every increment exactly (float negation and round-half-even are
         symmetric), and the sub-step order is a palindrome, so the sign -1
-        step subtracts the same three increments in reverse order.  Returns
-        the new (th, vv) and the float momentum before and after the kick.
+        step subtracts the same three increments in reverse order.
+        ``v_before`` is the float view vv / 2^48.  Returns the new (th, vv)
+        and the float view of vv after the kick.
         """
         h = sign * self.etas[k - 1]
         half = 0.5 * h * self.inv_mass
-        v_before = vv / _SCALE
-        th = _in_range(th + _to_fixed(half * v_before, k), k)
+        inc, _ = _increment(half * v_before, k)
+        th = th + inc
         midpoint = th / _SCALE
+        th_norm = _check_state(th, midpoint, k)
         grad = self.target.grad_log_f(self.betas[k], midpoint)
-        if not np.isfinite(grad).all():
+        # a zero step still rejects a non-finite gradient, without computing 0 * inf
+        kick = h * grad if h else np.where(np.isfinite(grad), 0.0, np.nan)
+        if kick @ kick < _INC_SCREEN:  # the screen also passes only finite gradients
+            kick = np.rint(kick).astype(np.int64)
+        elif not np.isfinite(grad).all():
             raise NumericalFailure("non-finite gradient", step=k, midpoint=midpoint)
-        vv = _in_range(vv + _to_fixed(h * grad, k), k)
+        else:
+            kick = _to_fixed(kick, k)
+        vv = vv + kick
         v_after = vv / _SCALE
-        th = _in_range(th + _to_fixed(half * v_after, k), k)
-        return th, vv, v_before, v_after
+        _check_state(vv, v_after, k)
+        inc, inc_norm = _increment(half * v_after, k)
+        th = th + inc
+        # |th| <= 2^61 before this drift and |inc| <= 2^60 keep |th| below 2^62
+        if not (th_norm < _VIEW_SCREEN / 4 and inc_norm < _INC_SCREEN / 16):
+            _in_range(th, k)
+        return th, vv, v_after
 
     def seed_noise(self, s: int, dim: int) -> np.ndarray:
         """``seed_noise(s, dim)`` drawn by re-keying this chain's generator."""
@@ -269,30 +322,53 @@ class _FixedPointChain:
         self._gen.bit_generator.state = {**_PHILOX_FRESH, "state": key}
         return self._gen.standard_normal(dim)
 
-    def noise(self, s: int, k: int) -> np.ndarray:
-        """Refresh-noise increment sqrt(1 - gamma^2) sqrt(M) eps(s), in fixed point."""
-        return _to_fixed(self.noise_scale * _SCALE * (self.sqrt_mass * self.seed_noise(s, self.dim)), k)
+    def noise_block(self, seeds) -> np.ndarray:
+        """Refresh increments sqrt(1 - gamma^2) sqrt(M) eps(s) in fixed point, one row per seed.
 
-    def damp(self, vv, buffer: InfoBuffer):
-        """vv <- approximately vv * gamma_eff, exactly invertible through the buffer."""
-        if self.gamma_eff == 1.0:
-            return vv
-        q, r = np.divmod(vv, self.den)
-        vv = q * self.num + buffer.exchange(r, self.den, self.num)
-        buffer.depth += 1
-        return vv
+        Stops before the first row that leaves the 2^62 range: the step
+        that would add that row raises when it gets there.
+        """
+        eps = np.empty((len(seeds), self.dim))
+        for i, s in enumerate(seeds):
+            eps[i] = self.seed_noise(s, self.dim)
+        inc = np.rint(self.noise_scale * _SCALE * (self.sqrt_mass * eps))
+        ok = np.abs(inc).max(axis=1, initial=0) < _LIMIT  # exact per-row check; NaN fails it
+        return inc[: len(seeds) if ok.all() else int(ok.argmin())].astype(np.int64)
 
-    def undamp(self, vv, buffer: InfoBuffer, k: int):
-        """Exact inverse of `damp`."""
+    def refresh(self, vv, noise, i: int, buffer: InfoBuffer, k: int):
+        """vv <- about gamma_eff vv (exactly invertible through the buffer) plus noise[i].
+
+        Returns vv and its float view.
+        """
+        if self.gamma_eff != 1.0:
+            q, r = np.divmod(vv, self.den)
+            vv = q * self.num + buffer.exchange(r, self.den, self.num)
+            buffer.depth += 1
+        if i >= len(noise):
+            raise _overflow(k)
+        vv = vv + noise[i]
+        view = vv / _SCALE
+        _check_state(vv, view, k)
+        return vv, view
+
+    def unrefresh(self, vv, noise, i: int, buffer: InfoBuffer, k: int):
+        """Exact inverse of `refresh`."""
+        if i >= len(noise):
+            raise _overflow(k)
+        vv = vv - noise[i]
+        view = vv / _SCALE
+        norm = _check_state(vv, view, k)
         if self.gamma_eff == 1.0:
-            return vv
+            return vv, view
         if buffer.depth <= 0:
             raise BufferCorruption("buffer drained past its push depth")
         q, r = np.divmod(vv, self.num)
-        if not -_LIMIT // self.den <= q.min() <= q.max() < _LIMIT // self.den:  # else q * den wraps
+        if not (norm < self._undamp_screen
+                or -_LIMIT // self.den <= q.min() <= q.max() < _LIMIT // self.den):  # else q * den wraps
             raise NumericalFailure(f"fixed-point overflow at step {k} undoing the damping", step=k)
         buffer.depth -= 1
-        return q * self.den + buffer.exchange(r, self.num, self.den)
+        vv = q * self.den + buffer.exchange(r, self.num, self.den)
+        return vv, vv / _SCALE
 
 
 @dataclass
@@ -320,27 +396,41 @@ def reversible_forward(
 ) -> ForwardResult:
     """Forward chain keeping O(d) fixed-point state plus the lost-bits buffer.
 
-    The per-step refresh noise is drawn from the evolved seed, never stored.
-    The chain is the plain sampler's chain at ``gamma_eff`` (config.gamma
-    quantized down to n / 2^16) up to fixed-point rounding.  When
-    ``theta0``/``v0`` are omitted they are drawn from a generator keyed by
-    ``s0``.
+    The per-step refresh noise is drawn from the evolved seed, never stored
+    beyond the current block of ``BLOCK_STEPS`` steps.  The chain is the
+    plain sampler's chain at ``gamma_eff`` (config.gamma quantized down to
+    n / 2^16) up to fixed-point rounding.  A ``theta0`` or ``v0`` left out is
+    drawn from a generator keyed by ``s0``, theta0 first.
     """
     chain = _FixedPointChain(target, schedule, steps, config)
     if theta0 is None or v0 is None:
         g = keyed_generator(s0)
-        theta0 = target.sample_p0(g)
-        v0 = chain.sqrt_mass * g.standard_normal(chain.dim)
+        if theta0 is None:
+            theta0 = target.sample_p0(g)
+        if v0 is None:
+            v0 = chain.sqrt_mass * g.standard_normal(chain.dim)
     s = int(s0) & MASK64
     buffer = InfoBuffer(chain.dim, buffer_cap_bytes)
     th = float_to_fixed(theta0)
     vv = float_to_fixed(v0)
     L = float(-target.log_p0(fixed_to_float(th)))
-    for k in range(1, schedule.K + 1):
-        th, vv, v_prev, v_hat = chain.leapfrog(th, vv, k, +1)
-        L += 0.5 * (_quad(v_prev, chain.inv_mass) - _quad(v_hat, chain.inv_mass))
-        s = forward_seed(s)
-        vv = _in_range(chain.damp(vv, buffer) + chain.noise(s, k), k)
+    v = vv / _SCALE
+    views = np.empty((2, BLOCK_STEPS, chain.dim))  # float momenta before and after each kick
+    with np.errstate(over="ignore"):  # a screen that overflows to inf fails; the exact check decides
+        for k0 in range(1, schedule.K + 1, BLOCK_STEPS):
+            seeds = []
+            for _ in range(min(BLOCK_STEPS, schedule.K + 1 - k0)):
+                s = forward_seed(s)
+                seeds.append(s)
+            noise = chain.noise_block(seeds)
+            before, after = views[:, : len(seeds)]
+            for i in range(len(seeds)):
+                before[i] = v
+                th, vv, after[i] = chain.leapfrog(th, vv, v, k0 + i, +1)
+                vv, v = chain.refresh(vv, noise, i, buffer, k0 + i)
+            for q_before, q_after in zip(_quad(before, chain.inv_mass).tolist(),
+                                         _quad(after, chain.inv_mass).tolist()):
+                L += 0.5 * (q_before - q_after)
     L = float(L + target.log_f(1.0, fixed_to_float(th)))
     fixed = FixedPointState(th, vv)
     tf, vf = fixed.to_floats()
@@ -382,10 +472,16 @@ def reversible_backward(
     th = _as_fixed(theta, chain.dim)
     vv = _as_fixed(v, chain.dim)
     s = int(seed) & MASK64
-    for k in range(schedule.K, 0, -1):
-        vv = chain.undamp(_in_range(vv - chain.noise(s, k), k), buffer, k)
-        s = backward_seed(s)
-        th, vv, _, _ = chain.leapfrog(th, vv, k, -1)
+    with np.errstate(over="ignore"):  # a screen that overflows to inf fails; the exact check decides
+        for k0 in range(schedule.K, 0, -BLOCK_STEPS):
+            seeds = []
+            for _ in range(min(BLOCK_STEPS, k0)):
+                seeds.append(s)
+                s = backward_seed(s)
+            noise = chain.noise_block(seeds)
+            for i in range(len(seeds)):
+                vv, v = chain.unrefresh(vv, noise, i, buffer, k0 - i)
+                th, vv, _ = chain.leapfrog(th, vv, v, k0 - i, -1)
     return th, vv, s
 
 

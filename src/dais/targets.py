@@ -72,6 +72,7 @@ class Gaussian:
             )
             self._chol_prec = np.linalg.cholesky(self.precision)
         self._log_det_cov = -2.0 * np.sum(np.log(np.diag(self._chol_prec)))
+        self._neg_precision = -self.precision  # delta @ -P: the bits of -delta @ P, one op fewer
 
     @property
     def dim(self) -> int:
@@ -93,7 +94,7 @@ class Gaussian:
 
     def grad_log_density(self, theta: np.ndarray) -> np.ndarray:
         delta = np.asarray(theta, dtype=float) - self.mean
-        return -delta @ self.precision
+        return delta @ self._neg_precision
 
 
 def _as_spd(mat, d: int, name: str) -> np.ndarray:

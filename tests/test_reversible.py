@@ -29,7 +29,7 @@ from dais import (
     seed_noise,
 )
 from dais.cli import main as cli_main
-from dais.reversible import MASK64, _FixedPointChain
+from dais.reversible import BLOCK_STEPS, MASK64, _FixedPointChain
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):
@@ -182,6 +182,20 @@ def test_round_trip_property(d, K, gamma, eta, mass, s0):
     assert restored.is_empty()
 
 
+def test_forward_draws_only_the_missing_start():
+    # a start given without its partner is kept; the missing one comes from s0
+    target, schedule, steps, config = _setup(d=3, K=40)
+    theta0, v0 = np.array([5.0, 5.0, 5.0]), np.array([0.5, -1.0, 2.0])
+    for given, start in (({"theta0": theta0}, (theta0, keyed_generator(21).standard_normal(3))),
+                         ({"v0": v0}, (target.sample_p0(keyed_generator(21)), v0))):
+        fwd = reversible_forward(target, schedule, steps, config, 21, **given)
+        th, vv, s = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
+                                        fwd.seed, fwd.buffer)
+        assert th.tolist() == float_to_fixed(start[0]).tolist()
+        assert vv.tolist() == float_to_fixed(start[1]).tolist()
+        assert s == 21
+
+
 def test_backward_accepts_raw_integer_arrays():
     # the integer state can be passed without the FixedPointState wrapper
     target, schedule, steps, config = _setup(d=3, K=30, gamma=0.8)
@@ -317,6 +331,173 @@ def test_outputs_pinned_to_parent_digest():
                                             fwd.seed, InfoBuffer.from_bytes(blob))
             put([int(x) for x in th], [int(x) for x in vv], s)
     assert h.hexdigest() == PINNED_DIGEST
+
+
+def _oracle_forward(target, schedule, steps, config, s0, theta0, v0):
+    """Reference forward chain, one step at a time, built from public pieces.
+
+    Each step is leapfrog, damping through `InfoBuffer.exchange`, then the
+    refresh increment of `seed_noise`: no blocks, no norm screens, and every
+    value checked against 2^62 in full.  Returns (theta, v, seed, bound,
+    buffer blob).
+    """
+    d = target.dim
+    mass = config.mass_diag(d)
+    inv_mass, sqrt_mass = 1.0 / mass, np.sqrt(mass)
+    num, den, gamma_eff = quantize_gamma(config.gamma)
+    noise_scale = np.sqrt(1.0 - gamma_eff * gamma_eff)
+    buffer = InfoBuffer(d)
+
+    def fixed(x, k):
+        try:
+            return float_to_fixed(x)
+        except NumericalFailure:
+            raise NumericalFailure("increment overflow", step=k) from None
+
+    def checked(x, k):
+        if not np.abs(x).max() < 2**62:
+            raise NumericalFailure("state overflow", step=k)
+        return x
+
+    th, vv, s = float_to_fixed(theta0), float_to_fixed(v0), s0
+    L = float(-target.log_p0(fixed_to_float(th)))
+    for k in range(1, schedule.K + 1):
+        eta = steps.per_step[k - 1]
+        half = 0.5 * eta * inv_mass
+        v_before = vv / 2**48
+        th = checked(th + fixed(half * v_before, k), k)
+        midpoint = th / 2**48
+        grad = target.grad_log_f(schedule.betas[k], midpoint)
+        if not np.isfinite(grad).all():
+            raise NumericalFailure("non-finite gradient", step=k, midpoint=midpoint)
+        vv = checked(vv + fixed(eta * grad, k), k)
+        v_after = vv / 2**48
+        th = checked(th + fixed(half * v_after, k), k)
+        L += 0.5 * ((v_before * v_before * inv_mass).sum() - (v_after * v_after * inv_mass).sum())
+        s = forward_seed(s)
+        if gamma_eff != 1.0:
+            q, r = np.divmod(vv, den)
+            vv = q * num + buffer.exchange(r, den, num)
+            buffer.depth += 1
+        vv = checked(vv + fixed(noise_scale * (sqrt_mass * seed_noise(s, d)), k), k)
+    L = float(L + target.log_f(1.0, fixed_to_float(th)))
+    return th, vv, s, L, buffer.to_bytes()
+
+
+def _assert_matches_oracle(target, schedule, steps, config, s0, theta0, v0):
+    fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
+    th, vv, s, L, blob = _oracle_forward(target, schedule, steps, config, s0, theta0, v0)
+    assert fwd.fixed.theta.tolist() == th.tolist()
+    assert fwd.fixed.v.tolist() == vv.tolist()
+    assert fwd.seed == s
+    assert repr(fwd.bound) == repr(L)
+    assert fwd.buffer.to_bytes() == blob
+    th0, v0_back, s_back = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
+                                               fwd.seed, InfoBuffer.from_bytes(blob))
+    assert th0.tolist() == float_to_fixed(theta0).tolist()
+    assert v0_back.tolist() == float_to_fixed(v0).tolist()
+    assert s_back == s0
+
+
+@pytest.mark.parametrize("mass", [None, [0.5, 2.0, 1.5]])
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+@pytest.mark.parametrize("K", [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3])
+def test_blocked_chain_matches_per_step_oracle(K, gamma, mass):
+    # block edges: the refresh increments are drawn BLOCK_STEPS steps at a time
+    target, schedule, steps, _ = _setup(d=3, K=K, eta=0.1)
+    config = TransitionConfig(gamma=gamma, mass=None if mass is None else np.array(mass))
+    g = generator(K)
+    theta0 = target.sample_p0(g)
+    v0 = np.sqrt(config.mass_diag(3)) * g.standard_normal(3)
+    _assert_matches_oracle(target, schedule, steps, config, 4242, theta0, v0)
+
+
+def test_screen_fallback_keeps_large_in_range_states():
+    # |theta|, |v| near 1.6e4 < 2^14 fail the norm screens (d * 1.6e4^2 > 2^28),
+    # so the exact checks decide, and they pass
+    K = BLOCK_STEPS + 5
+    target, schedule, steps, config = _setup(d=3, K=K, eta=1e-9, gamma=0.9)
+    theta0 = np.array([1.6e4, -1.6e4, 1.55e4])
+    v0 = np.array([-1.6e4, 1.5e4, 0.0])
+    assert theta0 @ theta0 > 2**28 and v0 @ v0 > 2**28
+    _assert_matches_oracle(target, schedule, steps, config, 77, theta0, v0)
+
+
+class _SpikedTarget:
+    """``target`` with its gradient at one bridge point beta replaced by ``value``."""
+
+    def __init__(self, target, beta, value):
+        self._target, self._beta, self._value = target, beta, value
+
+    def grad_log_f(self, beta, theta):
+        grad = self._target.grad_log_f(beta, theta)
+        return np.full_like(grad, self._value) if beta == self._beta else grad
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def _refresh_overflow_setup():
+    """A chain whose refresh increment alone leaves the range inside its second block."""
+    K = 2 * BLOCK_STEPS + 3
+    target, schedule, steps, _ = _setup(d=2, K=K, eta=0.1)
+    config = TransitionConfig(gamma=2.0**-8, mass=np.array([1.0, 3.2e7]))
+    _, _, gamma_eff = quantize_gamma(config.gamma)
+    scale = np.sqrt(1.0 - gamma_eff**2) * np.sqrt(config.mass_diag(2))
+    s0, s = 9, 9
+    for k_bad in range(1, K + 1):
+        s = forward_seed(s)
+        if np.abs(scale * seed_noise(s, 2)).max() >= 2**14:
+            break
+    assert BLOCK_STEPS + 1 < k_bad < 2 * BLOCK_STEPS
+    return target, schedule, steps, config, s0, k_bad
+
+
+def test_refresh_overflow_raises_at_its_step_and_earlier_failures_win():
+    target, schedule, steps, config, s0, k_bad = _refresh_overflow_setup()
+    theta0, v0 = np.zeros(2), np.zeros(2)
+    for tgt in (target, _SpikedTarget(target, schedule.betas[k_bad - 5], 1e30)):
+        with pytest.raises(NumericalFailure) as oracle:
+            _oracle_forward(tgt, schedule, steps, config, s0, theta0, v0)
+        with pytest.raises(NumericalFailure, match="fixed-point overflow or non-finite value at step") as info:
+            reversible_forward(tgt, schedule, steps, config, s0, theta0=theta0, v0=v0)
+        assert info.value.step == oracle.value.step
+    # the plain chain fails on the increment itself; the spiked kick fails first
+    assert str(oracle.value) == "increment overflow"
+    assert info.value.step == k_bad - 5
+    # the block holds only the rows before the bad one, so no bad row is ever cast
+    chain = _FixedPointChain(target, schedule, steps, config)
+    seeds = [s0]
+    for _ in range(2 * BLOCK_STEPS):
+        seeds.append(forward_seed(seeds[-1]))
+    assert len(chain.noise_block(seeds[BLOCK_STEPS + 1:])) == k_bad - BLOCK_STEPS - 1
+
+
+@pytest.mark.parametrize("theta", [16383.99, 16372.0])
+def test_state_leaving_the_range_raises_at_its_step(theta):
+    # the first (16383.99) or the second (16372) drift of step 1 carries theta
+    # past 2^14 with small increments, so only a state check can catch it
+    target, schedule, steps, config = _setup(d=2, K=20, eta=1e-3)
+    with pytest.raises(NumericalFailure, match="fixed-point overflow or non-finite value at step") as info:
+        reversible_forward(target, schedule, steps, config, 1,
+                           theta0=np.array([theta, 0.0]), v0=np.array([16000.0, 0.0]))
+    assert info.value.step == 1
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.0])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_gradient_reports_step_and_midpoint(eta, value):
+    k = BLOCK_STEPS + 7
+    target, schedule, steps, config = _setup(d=3, K=BLOCK_STEPS + 20, eta=eta)
+    spiked = _SpikedTarget(target, schedule.betas[k], value)
+    g = generator(5)
+    theta0, v0 = target.sample_p0(g), g.standard_normal(3)
+    with pytest.raises(NumericalFailure) as oracle:
+        _oracle_forward(spiked, schedule, steps, config, 3, theta0, v0)
+    with pytest.raises(NumericalFailure, match="non-finite gradient") as info:
+        reversible_forward(spiked, schedule, steps, config, 3, theta0=theta0, v0=v0)
+    assert info.value.step == oracle.value.step == k
+    assert np.array_equal(info.value.midpoint, oracle.value.midpoint)
 
 
 def test_forward_overflow_raises_with_step():
