@@ -28,8 +28,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="results", help="directory for the CSV files")
     parser.add_argument("--with-mc", action="store_true",
                         help="add sampled rows (100 chains per cell; slower)")
-    parser.add_argument("--mc-chains", type=int, default=100)
+    parser.add_argument("--mc-chains", type=int, default=100,
+                        help="chains per sampled cell (>= 2, for a standard error)")
     args = parser.parse_args(argv)
+    if args.mc_chains < 2:
+        parser.error(f"argument --mc-chains: {args.mc_chains} must be >= 2")
 
     here = Path(__file__).parent
     out_dir = Path(args.out_dir)

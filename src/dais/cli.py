@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -69,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument("--config", required=True, help="flat key = value config file")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=_positive_int, default=None,
-                         help="override the mc-mode worker count")
 
     p_chain = sub.add_parser("chain", help="run one chain and print diagnostics")
     p_chain.set_defaults(run=_cmd_chain)
@@ -102,16 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
-        if args.workers is not None:
-            config = replace(config, workers=args.workers)
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read config {args.config}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     rows = run_sweep(config)
-    write_csv(rows, args.out)
+    try:
+        write_csv(rows, args.out)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     failed = sum(row.failed for row in rows)
     print(f"wrote {len(rows)} rows to {args.out} ({failed} failed cells)")
     if rows and failed == len(rows):

@@ -5,9 +5,8 @@ exponents c in one of three modes: ``exact`` (closed-form moment
 propagation), ``mc`` (sampled chains, with a standard error), or ``theory``
 (the exact gap at the smallest K extrapolated along the predicted power
 law).  Exact and theory gaps come from one batched ``sweep_gaps`` call per
-sweep.  Sampled cells run on a worker pool; every cell owns a substream
-derived from (seed, K, c, mode), so the pool never affects output.  Rows are
-deterministic given the config.
+sweep.  Sampled cells run one after another, each on its own substream
+derived from (seed, K, c, mode).  Rows are deterministic given the config.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +55,6 @@ class ExperimentConfig:
     mc_chains: int = 100
     batch_size: int | None = None
     sigma_eps: float | None = None
-    workers: int = 4
 
     def __post_init__(self):
         object.__setattr__(self, "K_grid", tuple(int(k) for k in self.K_grid))
@@ -90,20 +87,22 @@ class ExperimentConfig:
             raise ConfigError(f"a must be positive, got {self.a}")
         if self.sigma_eps is not None and not self.sigma_eps >= 0:
             raise ConfigError(f"sigma_eps must be non-negative, got {self.sigma_eps}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text ({exc.reason})") from exc
+        return cls.from_text(text)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         raw = parse_flat_config(text)
-        known = {f: None for f in cls.__dataclass_fields__}
+        fields = cls.__dataclass_fields__
         for key, (value, line_no) in raw.items():
-            if key not in known:
+            if key not in fields and key not in _RETIRED_KEYS:
                 raise ConfigError(f"line {line_no}: unknown config key {key!r}")
         kwargs = {}
         for key, (value, line_no) in raw.items():
@@ -111,10 +110,11 @@ class ExperimentConfig:
                 kwargs[key] = _coerce_field(key, value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"line {line_no}: field {key!r}: {exc}") from exc
-        return cls(**kwargs)
+        return cls(**{key: value for key, value in kwargs.items() if key in fields})
 
 
-_INT_FIELDS = {"n", "d", "seed", "mc_chains", "batch_size", "workers"}
+_RETIRED_KEYS = {"workers"}  # sized the old mc worker pool; still parsed and type-checked, then dropped
+_INT_FIELDS = {"n", "d", "seed", "mc_chains", "batch_size"} | _RETIRED_KEYS
 _FLOAT_FIELDS = {"sigma2", "a", "gamma", "sigma_eps"}
 _LIST_FIELDS = {"K_grid", "c_list"}
 
@@ -304,13 +304,12 @@ def _row(config, K, c, gap, stderr, elapsed_ms):
     )
 
 
-def _run_mc_cell(config, model, log_z, sigma_eps, a, K, c):
+def _run_mc_cell(config, target, log_z, sigma_eps, a, K, c):
     start = time.perf_counter()
     schedule = make_linear_schedule(K)
     steps = make_stepsize_scheme(a, c, K)
     try:
         cell_rng = generator(_cell_seed_sequence(config, K, c))
-        target = blr_target(model)
         if sigma_eps is not None:
             target = noisy_gradient(target, sigma_eps, generator(_cell_seed_sequence(config, K, c) + (1,)))
         mean, stderr = dais_bound_mc(
@@ -326,7 +325,8 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
 
     Exact and theory cells are computed together by one ``sweep_gaps`` call,
     and each row's ``elapsed_ms`` is that call's time divided by the cell
-    count.  Sampled cells run on a pool of ``config.workers`` threads.
+    count.  Sampled cells run in ``(c, K)`` order on one shared target; a
+    noisy cell wraps it with its own noise stream.
     """
     model = gen_blr_data(config.n, config.d, config.seed, sigma2=config.sigma2)
     sigma_eps = resolve_noise(config, model)
@@ -336,16 +336,8 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     cells = [(c, K) for c in config.c_list for K in config.K_grid]
 
     if config.mode == "mc":
-        log_z = exact_log_ml(model)
-
-        def work(cell):
-            c, K = cell
-            return _run_mc_cell(config, model, log_z, sigma_eps, a, K, c)
-
-        if config.workers == 1 or len(cells) == 1:
-            return [work(cell) for cell in cells]
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(work, cells))
+        log_z, target = exact_log_ml(model), blr_target(model)
+        return [_run_mc_cell(config, target, log_z, sigma_eps, a, K, c) for c, K in cells]
 
     start = time.perf_counter()
     if config.mode == "exact":

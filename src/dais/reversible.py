@@ -491,7 +491,6 @@ class MemoryReport:
 
     naive_bits: float
     reversible_bits: float
-    time_complexity: str = "O(K)"
 
     @property
     def ratio(self) -> float:
@@ -502,9 +501,10 @@ def memory_report(d: int, K: int, gamma: float, precision_bits: int = 32) -> Mem
     """Naive trajectory storage vs the lost-bits buffer.
 
     Naive storage costs ``precision_bits`` per parameter per step; the
-    reversible buffer costs log2(1/gamma).  gamma = 0 is unsupported: full
-    refreshment destroys the pre-refresh momentum entirely, so there is
-    nothing to invert; store the trajectory instead.
+    reversible buffer costs log2(1/gamma).  The report counts bits, not
+    time: a buffer exchange slows as its slots grow.  gamma = 0 is
+    unsupported: full refreshment destroys the pre-refresh momentum
+    entirely, so there is nothing to invert; store the trajectory instead.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1] (gamma = 0 leaves nothing to invert), got {gamma}")

@@ -1,5 +1,8 @@
 import functools
+import importlib.util
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +12,23 @@ from dais import (
     ExperimentConfig,
     InsufficientData,
     ResultRow,
+    TransitionConfig,
+    blr_target,
+    dais_bound_mc,
+    exact_log_ml,
     fit_loglog_slope,
     gen_blr_data,
+    generator,
+    make_linear_schedule,
     make_stepsize_scheme,
+    noisy_gradient,
     run_sweep,
     tune_stepsize_base,
 )
 from dais.harness import (
     _FLOAT_FIELDS,
     _INT_FIELDS,
+    _RETIRED_KEYS,
     CSV_HEADER,
     TUNE_GRID,
     TUNE_STABILITY_FRACTION,
@@ -126,6 +137,18 @@ def test_config_rejects_booleans_in_numeric_fields(key, value):
         ExperimentConfig.from_text(f"{key} = {value}\n")
 
 
+def test_config_accepts_and_drops_retired_keys():
+    assert ExperimentConfig.from_text("workers = 1\nn = 50\n") == ExperimentConfig(n=50)
+
+
+def test_readme_config_table_lists_every_accepted_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| key | default | meaning |"):].split("\n\n")[0]
+    documented = [key for line in table.splitlines()[2:] for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(ExperimentConfig.__dataclass_fields__) | _RETIRED_KEYS
+
+
 def test_config_rejects_c_values_sharing_a_cell_seed():
     # round(c * 2^20) maps both to 262144, so both cells would draw one stream
     with pytest.raises(ConfigError, match="share a cell seed"):
@@ -213,12 +236,28 @@ def test_sweep_survives_divergent_cells():
     assert rows[0].failed
 
 
-def test_sweep_parallel_matches_serial():
-    # only sampled cells go through the worker pool
-    base = dict(n=150, d=3, seed=13, K_grid=(8, 16, 32), c_list=(0.25, 0.5), a=0.3, mode="mc", mc_chains=20)
-    serial = run_sweep(ExperimentConfig(**base, workers=1))
-    parallel = run_sweep(ExperimentConfig(**base, workers=4))
-    assert [(r.K, r.c, r.gap, r.stderr) for r in serial] == [(r.K, r.c, r.gap, r.stderr) for r in parallel]
+@pytest.mark.parametrize("noise", [dict(), dict(batch_size=10, gamma=0.5)], ids=["clean", "batch_noise"])
+def test_mc_sweep_matches_direct_cells(noise):
+    # oracle: each sampled row is one dais_bound_mc call on the cell's own
+    # substream; a noisy cell draws its gradient noise from that substream + (1,)
+    cfg = ExperimentConfig(n=150, d=3, seed=13, K_grid=(8, 16, 32), c_list=(0.25, 0.5), a=0.3,
+                           mode="mc", mc_chains=20, **noise)
+    rows = run_sweep(cfg)
+    assert [(row.c, row.K) for row in rows] == [(c, K) for c in cfg.c_list for K in cfg.K_grid]
+    model = gen_blr_data(cfg.n, cfg.d, cfg.seed)
+    log_z = exact_log_ml(model)
+    sigma_eps = resolve_noise(cfg, model)
+    assert (sigma_eps is None) == (not noise)
+    for row in rows:
+        seq = _cell_seed_sequence(cfg, row.K, row.c)
+        target = blr_target(model)
+        if sigma_eps is not None:
+            target = noisy_gradient(target, sigma_eps, generator(seq + (1,)))
+        mean, stderr = dais_bound_mc(
+            target, make_linear_schedule(row.K), make_stepsize_scheme(cfg.a, row.c, row.K),
+            TransitionConfig(gamma=cfg.gamma), cfg.mc_chains, generator(seq),
+        )
+        assert (row.gap, row.stderr) == (log_z - mean, stderr)
 
 
 @functools.lru_cache(maxsize=None)
@@ -367,6 +406,36 @@ def test_cli_sweep_negative_sigma_eps_exit_code(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("problem", ["config not UTF-8", "out in a missing directory"])
+def test_cli_sweep_unreadable_config_or_unwritable_out(tmp_path, capsys, problem):
+    cfg_path = tmp_path / "cfg.toml"
+    text = b"n = 100\nd = 2\nK_grid = [8]\nc_list = [0.25]\na = 0.3\n"
+    out_path = tmp_path / "x.csv"
+    if problem == "config not UTF-8":
+        text += b"# caf\xe9\n"
+    else:
+        out_path = tmp_path / "missing" / "x.csv"
+    cfg_path.write_bytes(text)
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out_path.exists()
+
+
+def test_gap_sweeps_script_rejects_one_chain_before_running(tmp_path, capsys):
+    path = Path(__file__).parent.parent / "scripts" / "run_gap_sweeps.py"
+    spec = importlib.util.spec_from_file_location("run_gap_sweeps", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--with-mc", "--mc-chains", "1", "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "--mc-chains" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_sweep_missing_config(tmp_path):
     assert cli_main(["sweep", "--config", str(tmp_path / "nope.toml"),
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -429,8 +498,9 @@ def test_cli_check_reversible(capsys):
     (["chain", "--a", "1e6", "--K", "16"], 3),  # divergent chain
     (["oracles", "--chains", "0"], 2),
     (["oracles", "--chains", "1"], 2),  # no standard error from one chain
-    (["sweep", "--config", "x.toml", "--out", "x.csv", "--workers", "0"], 2),
+    (["sweep", "--config", "x.toml", "--out", "x.csv", "--workers", "0"], 2),  # removed flag
     (["no-such-command"], 2),
+    (["sweep", "--config", ".", "--out", "x.csv"], 2),  # config names a directory
 ])
 def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
     assert cli_main(argv) == code
