@@ -14,7 +14,6 @@ from pathlib import Path
 
 from dais import (ExperimentConfig, fit_loglog_slope, gen_blr_data, run_sweep, theory_slope,
                   tune_stepsize_base, write_csv)
-from dais.harness import rows_to_csv
 
 PANELS = {
     "full_refresh": "sweep_full_refresh.toml",

@@ -9,9 +9,7 @@ chain implementation, and a sweep harness with a small CLI.
 """
 
 from .blr import (
-    AnnealedGaussian,
     BlrModel,
-    UpdateMatrices,
     additive_noise_cov,
     annealed_posterior,
     blr_grad,
@@ -34,12 +32,9 @@ from .harness import (
 )
 from .moments import (
     GapBreakdown,
-    JointMoments,
     expected_bound,
-    expected_kinetic_sum,
     gap_breakdown,
     propagate_moments,
-    rate_prediction_valid,
     stochastic_penalty,
     sweep_gaps,
     theory_slope,
@@ -50,26 +45,18 @@ from .reversible import (
     FixedPointState,
     ForwardResult,
     InfoBuffer,
-    MemoryReport,
-    backward_seed,
     fixed_to_float,
     float_to_fixed,
-    forward_seed,
-    memory_report,
     quantize_gamma,
     reversible_backward,
     reversible_forward,
-    seed_noise,
 )
 from .rng import generator, keyed_generator, substreams
 from .sampler import (
-    ChainState,
     NumericalFailure,
     TransitionConfig,
-    ais_mh_chain,
     dais_bound_mc,
     dais_chain,
-    iw_combine,
     leapfrog,
     refresh,
     sample_chains,
@@ -80,12 +67,10 @@ from .schedules import (
     constant_steps,
     make_linear_schedule,
     make_stepsize_scheme,
-    tuned_stepsize_scheme,
 )
 from .targets import (
     AnnealedTarget,
     Gaussian,
-    GeometricTarget,
     GradientNoiseSpec,
     geometric_target,
     noisy_gradient,

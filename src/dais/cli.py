@@ -11,6 +11,7 @@ or reversibility failure.  Errors print one line to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -96,6 +97,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be created as a file, or None; checked before a sweep runs."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return "is a directory"
+    if not os.path.isdir(directory):
+        return f"no such directory {directory}"
+    if not os.access(directory, os.W_OK):
+        return f"directory {directory} is not writable"
+    return None
+
+
 def _cmd_sweep(args) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
@@ -104,6 +117,10 @@ def _cmd_sweep(args) -> int:
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    reason = _unwritable(args.out)
+    if reason:
+        print(f"cannot write {args.out}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     rows = run_sweep(config)
     try:
@@ -124,14 +141,14 @@ def _cmd_chain(args) -> int:
     schedule = make_linear_schedule(args.K)
     steps = make_stepsize_scheme(args.a, args.c, args.K)
     config = TransitionConfig(gamma=args.gamma)
-    state, bound = dais_chain(target, schedule, steps, config, generator((args.seed, args.K)))
+    theta_K, _, bound = dais_chain(target, schedule, steps, config, generator((args.seed, args.K)))
     moments = propagate_moments(model, schedule, steps, args.gamma)
     print(f"K={args.K} eta={steps.per_step[0]:.6g} gamma={args.gamma}")
     print(f"L (single chain)      = {bound:.6f}")
     print(f"exact log ML          = {exact_log_ml(model):.6f}")
     print(f"E[L] (closed form)    = {expected_bound(model, moments, schedule):.6f}")
     print(f"expected gap          = {gap_breakdown(model, moments, schedule).total:.6f}")
-    print(f"|theta_K|             = {np.linalg.norm(state.theta):.4f}")
+    print(f"|theta_K|             = {np.linalg.norm(theta_K):.4f}")
     return EXIT_OK
 
 

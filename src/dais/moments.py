@@ -392,8 +392,3 @@ def stochastic_penalty(steps: StepSizeScheme, sigma_eps) -> float:
 def theory_slope(c: float) -> float:
     """Predicted log-log slope 2c - 1 of the gap against the step count."""
     return 2.0 * c - 1.0
-
-
-def rate_prediction_valid(c: float) -> bool:
-    """Whether the 2c - 1 rate prediction applies (1/4 <= c < 1/2)."""
-    return 0.25 <= c < 0.5

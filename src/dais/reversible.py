@@ -124,7 +124,7 @@ class InfoBuffer:
         return np.array(out, dtype=np.int64)
 
     def bit_size(self) -> int:
-        """Physical bits held, sentinel included; d bits when empty."""
+        """Physical bits held, sentinel included: 9 bits per slot when empty."""
         return int(sum(int(v).bit_length() for v in self._store))
 
     def nbytes(self) -> int:
@@ -483,30 +483,3 @@ def reversible_backward(
                 vv, v = chain.unrefresh(vv, noise, i, buffer, k0 - i)
                 th, vv, _ = chain.leapfrog(th, vv, v, k0 - i, -1)
     return th, vv, s
-
-
-@dataclass(frozen=True)
-class MemoryReport:
-    """Storage accounting for a K-step chain over d parameters."""
-
-    naive_bits: float
-    reversible_bits: float
-
-    @property
-    def ratio(self) -> float:
-        return self.reversible_bits / self.naive_bits
-
-
-def memory_report(d: int, K: int, gamma: float, precision_bits: int = 32) -> MemoryReport:
-    """Naive trajectory storage vs the lost-bits buffer.
-
-    Naive storage costs ``precision_bits`` per parameter per step; the
-    reversible buffer costs log2(1/gamma).  The report counts bits, not
-    time: a buffer exchange slows as its slots grow.  gamma = 0 is
-    unsupported: full refreshment destroys the pre-refresh momentum
-    entirely, so there is nothing to invert; store the trajectory instead.
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1] (gamma = 0 leaves nothing to invert), got {gamma}")
-    reversible = float(np.log2(1.0 / gamma) * K * d)
-    return MemoryReport(naive_bits=float(precision_bits * K * d), reversible_bits=reversible)

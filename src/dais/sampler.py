@@ -5,8 +5,7 @@ leapfrog step plus a partial momentum refreshment per annealing level, and
 accumulates a log importance weight L whose exponential is an unbiased
 estimate of the normalizing-constant ratio: E[exp(L)] = Z for any number of
 levels.  By Jensen, E[L] <= log Z, so averages of L are stochastic lower
-bounds.  An accept/reject-corrected baseline (`ais_mh_chain`) is included
-for comparison.
+bounds.
 """
 
 from __future__ import annotations
@@ -62,16 +61,6 @@ class TransitionConfig:
         if self.mass.size != dim:
             raise ValueError(f"mass has size {self.mass.size}, expected {dim}")
         return self.mass
-
-
-@dataclass
-class ChainState:
-    """Position, momentum, step index, and the running bound accumulator."""
-
-    theta: np.ndarray
-    v: np.ndarray
-    k: int
-    bound_acc: float
 
 
 def _quad(v, inv_mass):
@@ -176,7 +165,7 @@ def dais_chain(
     v0=None,
     refresh_noise=None,
 ):
-    """Run one chain; returns (final ChainState, L).
+    """Run one chain; returns (theta_K, v_K, L), as `sample_chains` does.
 
     exp(L) is a single-sample unbiased estimate of the normalizing-constant
     ratio between the beta=1 and beta=0 densities.  ``theta0``, ``v0`` and
@@ -200,7 +189,7 @@ def dais_chain(
     theta, v, L = _run_chains(
         target, schedule, steps, config, np.asarray(theta0, float), np.asarray(v0, float), refresh_noise
     )
-    return ChainState(theta, v, schedule.K, float(L)), float(L)
+    return theta, v, float(L)
 
 
 def sample_chains(target, schedule, steps, config, n_chains, rng):
@@ -236,59 +225,3 @@ def dais_bound_mc(target, schedule, steps, config, n_chains, rng):
         raise ValueError("n_chains must be >= 2 for a standard error")
     _, _, L = sample_chains(target, schedule, steps, config, n_chains, rng)
     return float(L.mean()), float(L.std(ddof=1) / np.sqrt(n_chains))
-
-
-def ais_mh_chain(target, schedule, steps, config, rng, n_leapfrog: int = 1):
-    """Accept/reject-corrected annealed importance sampling baseline.
-
-    The weight accumulates sum_k [log f_{beta_k}(theta_{k-1}) -
-    log f_{beta_{k-1}}(theta_{k-1})]; each transition refreshes the momentum,
-    proposes ``n_leapfrog`` leapfrog steps at the current level, and applies
-    a Metropolis-Hastings test on the extended Hamiltonian, negating the
-    momentum on rejection.  Returns (theta_K, log_weight, accept_rate).
-    """
-    if n_leapfrog < 1:
-        raise ValueError("n_leapfrog must be >= 1")
-    if steps.K != schedule.K:
-        raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
-    d = target.dim
-    inv_mass = 1.0 / config.mass_diag(d)
-    betas = schedule.betas
-    theta = target.sample_p0(rng)
-    v = np.sqrt(config.mass_diag(d)) * rng.standard_normal(d)
-    log_weight = 0.0
-    accepts = 0
-    log_f_prev = float(target.log_f(betas[0], theta))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, schedule.K + 1):
-            beta = betas[k]
-            log_f_here = float(target.log_f(beta, theta))
-            log_weight += log_f_here - log_f_prev
-            if not np.isfinite(log_weight):
-                raise NumericalFailure("non-finite importance weight", step=k)
-            v = refresh(v, config.gamma, rng, config)
-            h0 = -log_f_here + 0.5 * _quad(v, inv_mass)
-            theta_prop, v_prop = theta, v
-            for _ in range(n_leapfrog):
-                theta_prop, v_prop = leapfrog(theta_prop, v_prop, steps.per_step[k - 1], beta, target, config)
-            log_f_prop = float(target.log_f(beta, theta_prop))
-            h1 = -log_f_prop + 0.5 * _quad(v_prop, inv_mass)
-            if np.log(rng.uniform()) < h0 - h1:
-                theta, v = theta_prop, v_prop
-                log_f_prev = log_f_prop
-                accepts += 1
-            else:
-                v = -v
-                log_f_prev = log_f_here
-    return theta, float(log_weight), accepts / schedule.K
-
-
-def iw_combine(log_weights) -> float:
-    """log of the average of exp(log_weights), computed with a max shift."""
-    w = np.asarray(log_weights, dtype=float)
-    if w.size == 0:
-        raise ValueError("iw_combine needs at least one log weight")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("iw_combine requires finite log weights")
-    m = w.max()
-    return float(m + np.log(np.mean(np.exp(w - m))))

@@ -37,28 +37,22 @@ def make_linear_schedule(K: int) -> AnnealingSchedule:
 
 @dataclass(frozen=True)
 class StepSizeScheme:
-    """Per-step leapfrog step sizes eta_1..eta_K.
+    """Leapfrog step sizes eta_k = base * K**(-exponent) for k = 1..K.
 
-    The constant scheme eta_k = base * K**(-exponent) is the one used
-    throughout; ``per_step`` is kept explicit so degenerate (eta = 0) test
-    chains and future non-constant schemes share the same carrier.
+    ``per_step`` holds them expanded and is derived, never passed; base = 0
+    gives the degenerate (eta = 0) chains that tests use.
     """
 
     base: float
     exponent: float
     K: int
-    per_step: np.ndarray = field(default=None)
+    per_step: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.K < 0:
             raise ValueError("step count must be non-negative")
-        per_step = self.per_step
-        if per_step is None:
-            per_step = np.full(self.K, self.base * self.K ** (-self.exponent) if self.K else 0.0)
-        per_step = np.asarray(per_step, dtype=float)
+        per_step = np.full(self.K, self.base * self.K ** (-self.exponent) if self.K else 0.0, dtype=float)
         object.__setattr__(self, "per_step", per_step)
-        if per_step.shape != (self.K,):
-            raise ValueError("per_step length must equal K")
         if np.any(per_step < 0) or not np.all(np.isfinite(per_step)):
             raise ValueError("step sizes must be finite and non-negative")
 
@@ -74,14 +68,8 @@ def make_stepsize_scheme(a: float, c: float, K: int) -> StepSizeScheme:
     return StepSizeScheme(base=a, exponent=c, K=K)
 
 
-def tuned_stepsize_scheme(K: int) -> StepSizeScheme:
-    """Scheme eta = 0.08 * (K/10)**(-1/4): grid-tuned at K = 10, then scaled
-    with the optimal-rate exponent."""
-    return make_stepsize_scheme(0.08 * 10 ** 0.25, 0.25, K)
-
-
 def constant_steps(eta: float, K: int) -> StepSizeScheme:
     """Constant eta for all steps; eta = 0 is allowed (degenerate chain)."""
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    return StepSizeScheme(base=eta, exponent=0.0, K=K, per_step=np.full(K, float(eta)))
+    return StepSizeScheme(base=eta, exponent=0.0, K=K)

@@ -78,10 +78,6 @@ class Gaussian:
     def dim(self) -> int:
         return self.mean.size
 
-    @property
-    def log_det_cov(self) -> float:
-        return self._log_det_cov
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         shape = (self.dim,) if size is None else (size, self.dim)
         z = rng.standard_normal(shape)

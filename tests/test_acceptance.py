@@ -21,7 +21,6 @@ from dais import (
     expected_bound,
     fit_loglog_slope,
     float_to_fixed,
-    forward_seed,
     gap_breakdown,
     gen_blr_data,
     generator,
@@ -33,7 +32,6 @@ from dais import (
     reversible_backward,
     reversible_forward,
     sample_chains,
-    seed_noise,
     stochastic_penalty,
     sweep_gaps,
     theory_slope,
@@ -42,6 +40,7 @@ from dais import (
 )
 from dais.blr import additive_noise_cov
 from dais.harness import ResultRow
+from dais.reversible import forward_seed, seed_noise
 
 from conftest import random_model
 
@@ -292,8 +291,8 @@ def test_criterion_09_reversibility():
         eps[k] = seed_noise(s, d)
     from dais import dais_chain
 
-    _, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
-                            theta0=theta0, v0=v0, refresh_noise=eps)
+    _, _, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
+                               theta0=theta0, v0=v0, refresh_noise=eps)
     plain_ok = abs(fwd.bound - plain_L) <= 1e-8
     report(9, "bit-exact reversal, buffer budget, plain-sampler equivalence",
            exact_ok and bits_ok and plain_ok,

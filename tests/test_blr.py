@@ -267,8 +267,8 @@ def test_affine_trajectory_equivalence_any_gamma():
         theta0 = rng.standard_normal(3)
         v0 = rng.standard_normal(3)
         eps = rng.standard_normal((K, 3))
-        state, _ = dais_chain(target, schedule, steps, TransitionConfig(gamma=gamma),
-                              theta0=theta0, v0=v0, refresh_noise=eps)
+        theta_K, v_K, _ = dais_chain(target, schedule, steps, TransitionConfig(gamma=gamma),
+                                     theta0=theta0, v0=v0, refresh_noise=eps)
         theta, v = theta0.copy(), v0.copy()
         for k in range(1, K + 1):
             maps = update_matrices(model, schedule.betas[k], eta)
@@ -277,8 +277,8 @@ def test_affine_trajectory_equivalence_any_gamma():
                 maps.C @ theta + maps.D @ v + maps.e_vec,
             )
             v = gamma * v_hat + np.sqrt(1 - gamma**2) * eps[k - 1]
-        assert np.allclose(state.theta, theta, atol=1e-10)
-        assert np.allclose(state.v, v, atol=1e-10)
+        assert np.allclose(theta_K, theta, atol=1e-10)
+        assert np.allclose(v_K, v, atol=1e-10)
 
 
 def test_update_matrices_match_generic_leapfrog_random():

@@ -423,6 +423,29 @@ def test_cli_sweep_unreadable_config_or_unwritable_out(tmp_path, capsys, problem
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("problem", ["missing directory", "out is a directory"])
+def test_cli_sweep_checks_out_before_running(tmp_path, capsys, monkeypatch, problem):
+    def must_not_run(config):
+        raise AssertionError("run_sweep called before --out was checked")
+
+    monkeypatch.setattr("dais.cli.run_sweep", must_not_run)
+    cfg_path = tmp_path / "cfg.toml"
+    cfg_path.write_text("n = 100\nd = 2\nK_grid = [8]\nc_list = [0.25]\na = 0.3\n")
+    out_path = tmp_path / "missing" / "x.csv" if problem == "missing directory" else tmp_path
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(out_path) in err
+
+
+def test_cli_sweep_out_in_working_directory(tmp_path, monkeypatch):
+    # a bare file name has no directory part; it is written to the working directory
+    (tmp_path / "cfg.toml").write_text("n = 100\nd = 2\nK_grid = [8]\nc_list = [0.25]\na = 0.3\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["sweep", "--config", "cfg.toml", "--out", "x.csv"]) == 0
+    assert (tmp_path / "x.csv").read_text().startswith("K,")
+
+
 def test_gap_sweeps_script_rejects_one_chain_before_running(tmp_path, capsys):
     path = Path(__file__).parent.parent / "scripts" / "run_gap_sweeps.py"
     spec = importlib.util.spec_from_file_location("run_gap_sweeps", path)

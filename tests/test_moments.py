@@ -11,7 +11,6 @@ from dais import (
     constant_steps,
     exact_log_ml,
     expected_bound,
-    expected_kinetic_sum,
     gap_breakdown,
     gen_blr_data,
     generator,
@@ -19,12 +18,12 @@ from dais import (
     make_linear_schedule,
     make_stepsize_scheme,
     propagate_moments,
-    rate_prediction_valid,
     stochastic_penalty,
     sweep_gaps,
     theory_slope,
 )
 from dais.blr import additive_noise_cov
+from dais.moments import expected_kinetic_sum
 
 from conftest import dense_gap, random_model
 
@@ -405,13 +404,6 @@ def test_theory_slope_values():
     assert theory_slope(0.25) == pytest.approx(-0.5)
     assert theory_slope(0.5) == pytest.approx(0.0)
     assert theory_slope(1 / 3) == pytest.approx(-1 / 3)
-
-
-def test_rate_prediction_validity_flag():
-    assert rate_prediction_valid(0.25)
-    assert rate_prediction_valid(0.4)
-    assert not rate_prediction_valid(0.5)
-    assert not rate_prediction_valid(0.2)
 
 
 def test_gap_breakdown_total_field():

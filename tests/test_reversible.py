@@ -11,25 +11,21 @@ from dais import (
     InfoBuffer,
     NumericalFailure,
     TransitionConfig,
-    backward_seed,
     blr_target,
     constant_steps,
     dais_chain,
     fixed_to_float,
     float_to_fixed,
-    forward_seed,
     gen_blr_data,
     generator,
     keyed_generator,
     make_linear_schedule,
-    memory_report,
     quantize_gamma,
     reversible_backward,
     reversible_forward,
-    seed_noise,
 )
 from dais.cli import main as cli_main
-from dais.reversible import BLOCK_STEPS, MASK64, _FixedPointChain
+from dais.reversible import BLOCK_STEPS, MASK64, _FixedPointChain, backward_seed, forward_seed, seed_noise
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):
@@ -275,11 +271,11 @@ def test_float_mode_matches_plain_chain():
     eps, s = _seed_noise_stream(s0, 100, 10)
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     assert fwd.gamma_eff != config.gamma
-    state, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
-                                theta0=theta0, v0=v0, refresh_noise=eps)
+    theta_K, v_K, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
+                                       theta0=theta0, v0=v0, refresh_noise=eps)
     assert abs(fwd.bound - plain_L) <= 1e-8
-    assert np.max(np.abs(fwd.theta - state.theta)) <= 1e-8
-    assert np.max(np.abs(fwd.v - state.v)) <= 1e-8
+    assert np.max(np.abs(fwd.theta - theta_K)) <= 1e-8
+    assert np.max(np.abs(fwd.v - v_K)) <= 1e-8
     assert fwd.seed == s
 
 
@@ -293,8 +289,8 @@ def test_fixedpoint_bound_close_to_float_bound():
     v0 = g.standard_normal(3)
     eps, _ = _seed_noise_stream(s0, 40, 3)
     f_fixed = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
-    _, float_L = dais_chain(target, schedule, steps, config,
-                            theta0=theta0, v0=v0, refresh_noise=eps)
+    _, _, float_L = dais_chain(target, schedule, steps, config,
+                               theta0=theta0, v0=v0, refresh_noise=eps)
     assert f_fixed.bound == pytest.approx(float_L, rel=1e-3, abs=1e-3)
 
 
@@ -648,22 +644,6 @@ def test_buffer_capacity_enforced():
     target, schedule, steps, config = _setup(d=8, K=200, gamma=0.5)
     with pytest.raises(BufferOverflow):
         reversible_forward(target, schedule, steps, config, 3, buffer_cap_bytes=64)
-
-
-# ------------------------------------------------------------- memory report
-
-def test_memory_report_reference_ratio():
-    rep = memory_report(10, 1000, 0.9, precision_bits=32)
-    assert rep.ratio == pytest.approx(np.log2(1 / 0.9) / 32, rel=1e-6)
-    assert rep.naive_bits == 32 * 10 * 1000
-
-
-def test_memory_report_edge_gammas():
-    assert memory_report(4, 10, 1.0).reversible_bits == 0.0
-    assert memory_report(4, 10, 0.5).reversible_bits == pytest.approx(40.0)
-    for gamma in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            memory_report(4, 10, gamma)
 
 
 def test_fixedpoint_gamma_zero_rejected():

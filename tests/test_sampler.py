@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from dais import (
     NumericalFailure,
     TransitionConfig,
-    ais_mh_chain,
     annealed_posterior,
     blr_target,
     constant_steps,
@@ -14,7 +13,6 @@ from dais import (
     exact_log_ml,
     gen_blr_data,
     generator,
-    iw_combine,
     leapfrog,
     make_linear_schedule,
     make_stepsize_scheme,
@@ -130,8 +128,8 @@ def test_chain_zero_step_collapses_to_elbo_sample(toy_model):
     schedule = make_linear_schedule(1)
     steps = constant_steps(0.0, 1)
     rng = generator(9)
-    state, bound = dais_chain(target, schedule, steps, CFG, rng)
-    expected = float(target.log_f(1.0, state.theta) - target.log_p0(state.theta))
+    theta_K, _, bound = dais_chain(target, schedule, steps, CFG, rng)
+    expected = float(target.log_f(1.0, theta_K) - target.log_p0(theta_K))
     assert bound == pytest.approx(expected, abs=1e-12)
 
 
@@ -162,10 +160,10 @@ def test_chain_with_injected_noise_reproducible(toy_model):
     steps = constant_steps(0.15, 4)
     theta0, v0 = np.array([0.3]), np.array([-0.8])
     eps = generator(5).standard_normal((4, 1))
-    s1, L1 = dais_chain(target, schedule, steps, CFG, theta0=theta0, v0=v0, refresh_noise=eps)
-    s2, L2 = dais_chain(target, schedule, steps, CFG, theta0=theta0, v0=v0, refresh_noise=eps)
+    theta1, _, L1 = dais_chain(target, schedule, steps, CFG, theta0=theta0, v0=v0, refresh_noise=eps)
+    theta2, _, L2 = dais_chain(target, schedule, steps, CFG, theta0=theta0, v0=v0, refresh_noise=eps)
     assert L1 == L2
-    assert np.array_equal(s1.theta, s2.theta)
+    assert np.array_equal(theta1, theta2)
 
 
 def test_chain_divergence_raises_with_step(toy_model):
@@ -314,77 +312,6 @@ def test_bound_mc_propagates_chain_id(toy_model):
     with pytest.raises(NumericalFailure) as err:
         dais_bound_mc(target, schedule, steps, CFG, 8, generator(3))
     assert err.value.chain is not None
-
-
-# --------------------------------------------------------------- iw_combine
-
-def test_iw_combine_single_and_duplicates():
-    assert iw_combine([3.7]) == pytest.approx(3.7)
-    assert iw_combine([3.7, 3.7]) == pytest.approx(3.7)
-
-
-def test_iw_combine_exact_arithmetic():
-    assert iw_combine([0.0, np.log(3.0)]) == pytest.approx(np.log(2.0))
-
-
-def test_iw_combine_empty_rejected():
-    with pytest.raises(ValueError):
-        iw_combine([])
-
-
-def test_iw_combine_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        iw_combine([0.0, np.inf])
-
-
-@given(st.lists(st.floats(min_value=-500, max_value=500), min_size=1, max_size=30),
-       st.floats(min_value=-500, max_value=500))
-def test_iw_combine_bounded_update(weights, extra):
-    base = iw_combine(weights)
-    updated = iw_combine(weights + [extra])
-    assert abs(updated - base) <= abs(extra - base) + 1e-9
-    assert iw_combine(weights + weights) == pytest.approx(base, abs=1e-9)
-
-
-def test_iw_combine_extreme_magnitudes_stable():
-    assert iw_combine([-1e4, -1e4]) == pytest.approx(-1e4)
-    assert np.isfinite(iw_combine([1e4, 1e4 - 700]))
-
-
-# -------------------------------------------------------------- MH baseline
-
-def test_mh_chain_prior_target_weight_zero():
-    target = _prior_only_target()
-    schedule = make_linear_schedule(32)
-    steps = constant_steps(0.2, 32)
-    _, log_w, rate = ais_mh_chain(target, schedule, steps, CFG, generator(8))
-    assert log_w == 0.0
-    assert 0.0 < rate <= 1.0
-
-
-def test_mh_chain_acceptance_rate_interior():
-    from dais import gen_blr_data
-
-    model = gen_blr_data(500, 10, 5)
-    target = blr_target(model)
-    schedule = make_linear_schedule(200)
-    steps = constant_steps(0.25, 200)
-    _, _, rate = ais_mh_chain(target, schedule, steps, CFG, generator(12))
-    assert 0.0 < rate < 1.0
-
-
-def test_mh_chain_jensen_bound(toy_model):
-    target = blr_target(toy_model)
-    log_z = exact_log_ml(toy_model)
-    schedule = make_linear_schedule(1000)
-    steps = constant_steps(0.3, 1000)
-    weights = [
-        ais_mh_chain(target, schedule, steps, CFG, g)[1]
-        for g in generator(99).spawn(60)
-    ]
-    weights = np.array(weights)
-    se = weights.std(ddof=1) / np.sqrt(weights.size)
-    assert weights.mean() <= log_z + 3 * se
 
 
 # --------------------------------------------------------------- mass matrix

@@ -4,11 +4,9 @@ from hypothesis import given, strategies as st
 
 from dais import (
     AnnealingSchedule,
-    StepSizeScheme,
     constant_steps,
     make_linear_schedule,
     make_stepsize_scheme,
-    tuned_stepsize_scheme,
 )
 
 
@@ -47,12 +45,6 @@ def test_schedule_rejects_bad_endpoints():
         AnnealingSchedule([0.0, 0.6, 0.5, 1.0])
 
 
-def test_tuned_scheme_reference_points():
-    # grid-tuned value at K=10, and its K**(-1/4) scaling
-    assert tuned_stepsize_scheme(10).per_step[0] == pytest.approx(0.08, abs=1e-12)
-    assert tuned_stepsize_scheme(160).per_step[0] == pytest.approx(0.04, abs=1e-12)
-
-
 def test_constant_exponent_zero():
     steps = make_stepsize_scheme(0.1, 0.0, 1000)
     assert np.all(steps.per_step == 0.1)
@@ -80,8 +72,3 @@ def test_stepsize_scheme_positive(a, c, K):
 def test_degenerate_zero_steps_allowed():
     steps = constant_steps(0.0, 5)
     assert np.all(steps.per_step == 0.0)
-
-
-def test_stepsize_length_mismatch():
-    with pytest.raises(ValueError):
-        StepSizeScheme(base=0.1, exponent=0.0, K=3, per_step=np.ones(2))
