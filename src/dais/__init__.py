@@ -41,7 +41,6 @@ from .moments import (
 )
 from .reversible import (
     BufferCorruption,
-    BufferOverflow,
     FixedPointState,
     ForwardResult,
     InfoBuffer,
@@ -71,7 +70,6 @@ from .schedules import (
 from .targets import (
     AnnealedTarget,
     Gaussian,
-    GradientNoiseSpec,
     geometric_target,
     noisy_gradient,
 )

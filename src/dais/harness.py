@@ -61,14 +61,17 @@ class ExperimentConfig:
         object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
         if self.n < 1 or self.d < 1:
             raise ConfigError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
-        if not self.sigma2 > 0:
-            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0 < self.sigma2 < np.inf:
+            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.K_grid:
             raise ConfigError("K_grid must be non-empty")
         if any(k < 1 for k in self.K_grid) or list(self.K_grid) != sorted(self.K_grid):
             raise ConfigError("K_grid must be ascending positive integers")
-        if not self.c_list or not all(0.0 <= c < np.inf for c in self.c_list):
-            raise ConfigError("c_list must be non-empty with finite c >= 0")
+        # c * 2^20 must be finite for the cell seed key round(c * 2^20)
+        if not self.c_list or not all(0.0 <= c * (1 << 20) < np.inf for c in self.c_list):
+            raise ConfigError("c_list must be non-empty with c >= 0 and c * 2^20 finite")
         seen = {}
         for c in self.c_list:
             key = _c_seed_key(c)
@@ -83,10 +86,10 @@ class ExperimentConfig:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.batch_size is not None and not 1 <= self.batch_size <= self.n:
             raise ConfigError(f"batch_size must lie in [1, n={self.n}]")
-        if self.a is not None and not self.a > 0:
-            raise ConfigError(f"a must be positive, got {self.a}")
-        if self.sigma_eps is not None and not self.sigma_eps >= 0:
-            raise ConfigError(f"sigma_eps must be non-negative, got {self.sigma_eps}")
+        if self.a is not None and not 0 < self.a < np.inf:
+            raise ConfigError(f"a must be positive and finite, got {self.a}")
+        if self.sigma_eps is not None and not 0 <= self.sigma_eps < np.inf:
+            raise ConfigError(f"sigma_eps must be non-negative and finite, got {self.sigma_eps}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -108,7 +111,7 @@ class ExperimentConfig:
         for key, (value, line_no) in raw.items():
             try:
                 kwargs[key] = _coerce_field(key, value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
                 raise ConfigError(f"line {line_no}: field {key!r}: {exc}") from exc
         return cls(**{key: value for key, value in kwargs.items() if key in fields})
 
@@ -125,15 +128,13 @@ def _coerce_field(key, value):
             raise ValueError(f"expected a list, got {value!r}")
         if any(isinstance(v, bool) for v in value):
             raise ValueError(f"expected numbers, got {value!r}")
-        return tuple(value)
+        return tuple(_as_int(v) if key == "K_grid" else float(v) for v in value)
     if isinstance(value, list):
         raise ValueError("scalar field given a list")
     if isinstance(value, bool) and key in _INT_FIELDS | _FLOAT_FIELDS:
         raise ValueError(f"expected a number, got {value!r}")
     if key in _INT_FIELDS:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"expected an integer, got {value!r}")
-        return int(value)
+        return _as_int(value)
     if key in _FLOAT_FIELDS:
         return float(value)
     if key == "mode":
@@ -141,6 +142,12 @@ def _coerce_field(key, value):
             raise ValueError(f"expected a string, got {value!r}")
         return value
     return value
+
+
+def _as_int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def parse_flat_config(text: str) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 from .blr import BlrModel, derive_posterior, update_matrices, _chol_logdet
 from .sampler import NumericalFailure
 from .schedules import StepSizeScheme, make_linear_schedule
-from .targets import as_noise_spec
+from .targets import check_noise_cov
 
 PSD_TOL = 1e-10
 
@@ -28,7 +28,7 @@ class JointMoments:
 
     ``Sigma`` is the full 2d x 2d covariance.  ``mu_vhat`` / ``Sigma_vhat``
     are the pre-refreshment momentum moments recorded during step k (None at
-    k = 0).  ``noisy`` marks moments propagated under gradient noise.
+    k = 0).
     """
 
     mu_theta: np.ndarray
@@ -36,7 +36,6 @@ class JointMoments:
     Sigma: np.ndarray
     mu_vhat: np.ndarray | None = None
     Sigma_vhat: np.ndarray | None = None
-    noisy: bool = False
 
     @property
     def dim(self) -> int:
@@ -55,9 +54,9 @@ def propagate_moments(model: BlrModel, schedule=None, steps=None, gamma: float =
     """Propagate exact joint moments through a K-step chain.
 
     Starts at mean (mu_p, 0) and covariance blockdiag(Sigma_p, I).  Each step
-    applies the affine leapfrog map, adds (when ``noise`` is set) the fully
-    correlated per-step gradient-noise covariance
-    [[eta^4/4 S, eta^3/2 S], [eta^3/2 S, eta^2 S]], records the
+    applies the affine leapfrog map, adds (when ``noise``, the d x d
+    gradient-noise covariance S, is set) the fully correlated per-step
+    covariance [[eta^4/4 S, eta^3/2 S], [eta^3/2 S, eta^2 S]], records the
     pre-refreshment momentum moments, then applies the refreshment map
     (v-block scaled by gamma, (1 - gamma^2) I injected).  Returns K+1
     JointMoments.  ``schedule=None`` (K = 0) returns the initial moments
@@ -65,16 +64,15 @@ def propagate_moments(model: BlrModel, schedule=None, steps=None, gamma: float =
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    spec = as_noise_spec(noise)
     d = model.d
-    sigma_eps = spec.matrix(d) if spec is not None else None
+    sigma_eps = None if noise is None else check_noise_cov(noise, d)
 
     Sigma_p = np.linalg.solve(model.Lambda_p, np.eye(d))
     mu = np.concatenate([model.mu_p, np.zeros(d)])
     Sigma = np.zeros((2 * d, 2 * d))
     Sigma[:d, :d] = 0.5 * (Sigma_p + Sigma_p.T)
     Sigma[d:, d:] = np.eye(d)
-    out = [JointMoments(mu[:d].copy(), mu[d:].copy(), Sigma.copy(), noisy=sigma_eps is not None)]
+    out = [JointMoments(mu[:d].copy(), mu[d:].copy(), Sigma.copy())]
     if schedule is None or steps is None:
         if (schedule is None) != (steps is None):
             raise ValueError("schedule and steps must be given together")
@@ -107,27 +105,23 @@ def propagate_moments(model: BlrModel, schedule=None, steps=None, gamma: float =
             low = float(np.linalg.eigvalsh(Sigma).min())
             if low < -PSD_TOL:
                 raise NumericalFailure(f"covariance lost positive semi-definiteness ({low:.3e})", step=k)
-            out.append(
-                JointMoments(mu[:d].copy(), mu[d:].copy(), Sigma.copy(), mu_vhat, Sigma_vhat, sigma_eps is not None)
-            )
+            out.append(JointMoments(mu[:d].copy(), mu[d:].copy(), Sigma.copy(), mu_vhat, Sigma_vhat))
     return out
 
 
-def expected_kinetic_sum(moments, mass=None) -> float:
+def expected_kinetic_sum(moments) -> float:
     """E[sum_k log pi(v_hat_k) - log pi(v_{k-1})] from Gaussian moments.
 
-    Each term is -(1/2)(||mu_vhat||^2_{M^-1} + tr(M^-1 Sigma_vhat))
-    + (1/2)(||mu_v||^2_{M^-1} + tr(M^-1 Sigma_v)) with the second pair taken
+    Each term is -(1/2)(||mu_vhat||^2 + tr Sigma_vhat)
+    + (1/2)(||mu_v||^2 + tr Sigma_v) with the second pair taken
     from the refreshed momentum of the previous step; the normalization
     constants cancel.
     """
     if len(moments) < 1:
         raise ValueError("moments must contain at least the initial entry")
-    d = moments[0].dim
-    inv_mass = np.ones(d) if mass is None else 1.0 / np.asarray(mass, dtype=float)
 
     def energy(mu, Sigma):
-        return float(mu @ (inv_mass * mu) + np.sum(inv_mass * np.diag(Sigma)))
+        return float(mu @ mu + np.sum(np.diag(Sigma)))
 
     total = 0.0
     for prev, cur in zip(moments[:-1], moments[1:]):
@@ -311,14 +305,13 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     gaps = np.full(len(steps_list), np.nan)
     if not steps_list:
         return gaps
-    spec = as_noise_spec(noise)
     lam, Q = np.linalg.eigh(model.Lambda_lld)
     chain = _RotatedChain(
         p=p,
         lam=lam,
         prior_shift=p * (model.mu_p @ Q),
         data_shift=model._Xty_over_s2 @ Q,
-        noise=np.einsum("ji,jk,ki->i", Q, spec.matrix(d), Q) if spec is not None else np.zeros(d),
+        noise=np.zeros(d) if noise is None else np.einsum("ji,jk,ki->i", Q, check_noise_cov(noise, d), Q),
         gamma=gamma,
     )
 
@@ -379,14 +372,10 @@ def stochastic_penalty(steps: StepSizeScheme, sigma_eps) -> float:
 
     sum_k (1/2) eta_k^2 tr(Sigma_eps): with eta_k = a / sqrt(K) this is
     (1/2) a^2 tr(Sigma_eps) independent of K, which is why the gap cannot
-    vanish once the noise trace is positive.
+    vanish once the noise trace is positive.  ``sigma_eps`` is the d x d
+    noise covariance.
     """
-    spec = as_noise_spec(sigma_eps)
-    se = np.asarray(spec.sigma_eps)
-    if se.ndim == 0:
-        raise ValueError("scalar sigma_eps is ambiguous here; pass a vector or matrix")
-    dim = se.shape[0]
-    return float(0.5 * np.sum(steps.per_step**2) * spec.trace(dim))
+    return float(0.5 * np.sum(steps.per_step**2) * np.trace(check_noise_cov(sigma_eps)))
 
 
 def theory_slope(c: float) -> float:

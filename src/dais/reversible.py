@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import MASK64, keyed_generator
-from .sampler import NumericalFailure, TransitionConfig, _quad
+from .sampler import NumericalFailure, TransitionConfig
 from .schedules import AnnealingSchedule, StepSizeScheme
 from .targets import AnnealedTarget
 
@@ -71,10 +71,6 @@ def seed_noise(s: int, dim: int) -> np.ndarray:
     return keyed_generator(s).standard_normal(dim)
 
 
-class BufferOverflow(RuntimeError):
-    """Information buffer exceeded its configured capacity."""
-
-
 class BufferCorruption(RuntimeError):
     """Buffer drained past its push depth or failed deserialization."""
 
@@ -96,9 +92,8 @@ class InfoBuffer:
     transient).
     """
 
-    def __init__(self, n_slots: int, cap_bytes: int | None = None):
+    def __init__(self, n_slots: int):
         self._store = [SLOT_SENTINEL] * n_slots  # one Python int per slot
-        self._cap_bytes = cap_bytes
         self.depth = 0  # completed damping ops not yet undone
 
     @property
@@ -107,8 +102,6 @@ class InfoBuffer:
 
     def push(self, values, modulus: int):
         self._store = [s * modulus + v for s, v in zip(self._store, np.asarray(values).tolist())]
-        if self._cap_bytes is not None and self.nbytes() > self._cap_bytes:
-            raise BufferOverflow(f"info buffer exceeded {self._cap_bytes} bytes")
 
     def pop(self, modulus: int) -> np.ndarray:
         return self.exchange(np.zeros(self.n_slots, dtype=np.int64), 1, modulus).astype(object)
@@ -119,8 +112,6 @@ class InfoBuffer:
         store = self._store
         for i, v in enumerate(out):
             store[i], out[i] = divmod(store[i] * push_mod + v, pop_mod)
-        if self._cap_bytes is not None and self.nbytes() > self._cap_bytes:
-            raise BufferOverflow(f"info buffer exceeded {self._cap_bytes} bytes")
         return np.array(out, dtype=np.int64)
 
     def bit_size(self) -> int:
@@ -145,7 +136,7 @@ class InfoBuffer:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, blob: bytes, cap_bytes: int | None = None) -> "InfoBuffer":
+    def from_bytes(cls, blob: bytes) -> "InfoBuffer":
         if blob[: len(BUFFER_MAGIC)] != BUFFER_MAGIC:
             raise BufferCorruption("bad magic bytes")
         off = len(BUFFER_MAGIC)
@@ -157,7 +148,7 @@ class InfoBuffer:
         off += 8
         if depth < 0:
             raise BufferCorruption(f"negative op depth {depth}")
-        buf = cls(n_slots, cap_bytes)
+        buf = cls(n_slots)
         vals = []
         for _ in range(n_slots):
             if off + 4 > len(blob):
@@ -270,9 +261,6 @@ class _FixedPointChain:
         self.dim = target.dim
         self.betas = schedule.betas
         self.etas = steps.per_step * _SCALE  # exact: folds the fixed-point scale in
-        mass = config.mass_diag(self.dim)
-        self.inv_mass = 1.0 / mass
-        self.sqrt_mass = np.sqrt(mass)
         self.num, self.den, self.gamma_eff = quantize_gamma(config.gamma)
         self.noise_scale = np.sqrt(1.0 - self.gamma_eff * self.gamma_eff)
         # |vv| <= num 2^61 / den keeps q = vv // num in [-2^62 / den, 2^62 / den),
@@ -292,7 +280,7 @@ class _FixedPointChain:
         and the float view of vv after the kick.
         """
         h = sign * self.etas[k - 1]
-        half = 0.5 * h * self.inv_mass
+        half = 0.5 * h
         inc, _ = _increment(half * v_before, k)
         th = th + inc
         midpoint = th / _SCALE
@@ -323,7 +311,7 @@ class _FixedPointChain:
         return self._gen.standard_normal(dim)
 
     def noise_block(self, seeds) -> np.ndarray:
-        """Refresh increments sqrt(1 - gamma^2) sqrt(M) eps(s) in fixed point, one row per seed.
+        """Refresh increments sqrt(1 - gamma^2) eps(s) in fixed point, one row per seed.
 
         Stops before the first row that leaves the 2^62 range: the step
         that would add that row raises when it gets there.
@@ -331,7 +319,7 @@ class _FixedPointChain:
         eps = np.empty((len(seeds), self.dim))
         for i, s in enumerate(seeds):
             eps[i] = self.seed_noise(s, self.dim)
-        inc = np.rint(self.noise_scale * _SCALE * (self.sqrt_mass * eps))
+        inc = np.rint(self.noise_scale * _SCALE * eps)
         ok = np.abs(inc).max(axis=1, initial=0) < _LIMIT  # exact per-row check; NaN fails it
         return inc[: len(seeds) if ok.all() else int(ok.argmin())].astype(np.int64)
 
@@ -392,7 +380,6 @@ def reversible_forward(
     s0: int,
     theta0=None,
     v0=None,
-    buffer_cap_bytes: int | None = None,
 ) -> ForwardResult:
     """Forward chain keeping O(d) fixed-point state plus the lost-bits buffer.
 
@@ -408,9 +395,9 @@ def reversible_forward(
         if theta0 is None:
             theta0 = target.sample_p0(g)
         if v0 is None:
-            v0 = chain.sqrt_mass * g.standard_normal(chain.dim)
+            v0 = g.standard_normal(chain.dim)
     s = int(s0) & MASK64
-    buffer = InfoBuffer(chain.dim, buffer_cap_bytes)
+    buffer = InfoBuffer(chain.dim)
     th = float_to_fixed(theta0)
     vv = float_to_fixed(v0)
     L = float(-target.log_p0(fixed_to_float(th)))
@@ -428,8 +415,8 @@ def reversible_forward(
                 before[i] = v
                 th, vv, after[i] = chain.leapfrog(th, vv, v, k0 + i, +1)
                 vv, v = chain.refresh(vv, noise, i, buffer, k0 + i)
-            for q_before, q_after in zip(_quad(before, chain.inv_mass).tolist(),
-                                         _quad(after, chain.inv_mass).tolist()):
+            for q_before, q_after in zip((before * before).sum(axis=-1).tolist(),
+                                         (after * after).sum(axis=-1).tolist()):
                 L += 0.5 * (q_before - q_after)
     L = float(L + target.log_f(1.0, fixed_to_float(th)))
     fixed = FixedPointState(th, vv)

@@ -35,40 +35,20 @@ class NumericalFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class TransitionConfig:
-    """Transition parameters: momentum damping gamma and diagonal mass.
+    """Momentum damping gamma of the partial refreshment; the mass is the identity.
 
     gamma = 0 refreshes the momentum completely each step; gamma = 1 never
-    refreshes.  ``mass`` holds the diagonal of M (None means identity).
+    refreshes.
     """
 
     gamma: float = 0.0
-    mass: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.mass is not None:
-            mass = np.atleast_1d(np.asarray(self.mass, dtype=float))
-            if np.any(mass <= 0):
-                raise ValueError("mass entries must be positive")
-            object.__setattr__(self, "mass", mass)
-
-    def mass_diag(self, dim: int) -> np.ndarray:
-        if self.mass is None:
-            return np.ones(dim)
-        if self.mass.size == 1:
-            return np.full(dim, self.mass[0])
-        if self.mass.size != dim:
-            raise ValueError(f"mass has size {self.mass.size}, expected {dim}")
-        return self.mass
 
 
-def _quad(v, inv_mass):
-    """v^T M^{-1} v along the last axis."""
-    return (v * v * inv_mass).sum(axis=-1)
-
-
-def leapfrog(theta, v, eta, beta, target: AnnealedTarget, config: TransitionConfig):
+def leapfrog(theta, v, eta, beta, target: AnnealedTarget):
     """One volume-preserving, time-reversible integrator step.
 
     Half position update, full momentum kick with the annealed gradient at
@@ -76,8 +56,7 @@ def leapfrog(theta, v, eta, beta, target: AnnealedTarget, config: TransitionConf
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    inv_mass = 1.0 / config.mass_diag(target.dim)
-    half = theta + (0.5 * eta) * (inv_mass * v)
+    half = theta + (0.5 * eta) * v
     grad = target.grad_log_f(beta, half)
     if not np.all(np.isfinite(grad)):
         chain = None
@@ -88,23 +67,20 @@ def leapfrog(theta, v, eta, beta, target: AnnealedTarget, config: TransitionConf
             mid = half[chain]
         raise NumericalFailure("non-finite gradient in leapfrog", chain=chain, midpoint=mid)
     v_hat = v + eta * grad
-    theta_new = half + (0.5 * eta) * (inv_mass * v_hat)
+    theta_new = half + (0.5 * eta) * v_hat
     return theta_new, v_hat
 
 
-def _refresh_with_noise(v_hat, gamma, z, sqrt_mass):
-    """v = gamma * v_hat + sqrt(1 - gamma^2) * sqrt(M) z for pre-drawn z."""
-    return gamma * v_hat + np.sqrt(1.0 - gamma * gamma) * (sqrt_mass * z)
+def _refresh_with_noise(v_hat, gamma, z):
+    """v = gamma * v_hat + sqrt(1 - gamma^2) z for pre-drawn z."""
+    return gamma * v_hat + np.sqrt(1.0 - gamma * gamma) * z
 
 
-def refresh(v_hat, gamma, rng: np.random.Generator, config: TransitionConfig):
-    """Partial momentum refreshment; leaves N(0, M) invariant for any gamma."""
+def refresh(v_hat, gamma, rng: np.random.Generator):
+    """Partial momentum refreshment; leaves N(0, I) invariant for any gamma."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    dim = np.shape(v_hat)[-1]
-    sqrt_mass = np.sqrt(config.mass_diag(dim))
-    z = rng.standard_normal(np.shape(v_hat))
-    return _refresh_with_noise(v_hat, gamma, z, sqrt_mass)
+    return _refresh_with_noise(v_hat, gamma, rng.standard_normal(np.shape(v_hat)))
 
 
 def _run_chains(target, schedule, steps, config, theta, v, eps):
@@ -113,7 +89,7 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
     Returns (theta_K, v_K, L) with L accumulated as
     -log p_0(theta_0) + sum_k [log pi(v_hat_k) - log pi(v_{k-1})] + log f_1(theta_K).
     Each step is `leapfrog` followed by `_refresh_with_noise`, written out
-    so that the mass scalings are formed once per call.  A non-finite
+    so that the step constants are formed once per call.  A non-finite
     gradient makes v_hat, and so L, non-finite at the same step, so the one
     finiteness check per step is on L.
     """
@@ -121,23 +97,23 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
     etas = steps.per_step
     if steps.K != schedule.K:
         raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
-    mass = config.mass_diag(target.dim)
-    inv_mass = 1.0 / mass
-    drifts = (0.5 * etas)[:, None] * inv_mass
+    drifts = 0.5 * etas
     gamma = config.gamma
-    noise_scale = np.sqrt(1.0 - gamma * gamma) * np.sqrt(mass)
+    noise_scale = np.sqrt(1.0 - gamma * gamma)
+    # |v|^2 as a product with ones: a row sum would round differently
+    ones = np.ones(target.dim)
     L = -target.log_p0(theta)
-    kinetic = (v * v) @ inv_mass
+    kinetic = (v * v) @ ones
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, schedule.K + 1):
             half = theta + drifts[k - 1] * v
             v_hat = v + etas[k - 1] * target.grad_log_f(betas[k], half)
             theta = half + drifts[k - 1] * v_hat
-            L = L + 0.5 * (kinetic - (v_hat * v_hat) @ inv_mass)
+            L = L + 0.5 * (kinetic - (v_hat * v_hat) @ ones)
             if not np.all(np.isfinite(L)):
                 _fail(L, k, half)
             v = gamma * v_hat + noise_scale * eps[..., k - 1, :]
-            kinetic = (v * v) @ inv_mass
+            kinetic = (v * v) @ ones
         L = L + target.log_f(1.0, theta)
     if not np.all(np.isfinite(L)):
         _fail(L, schedule.K)
@@ -169,8 +145,8 @@ def dais_chain(
 
     exp(L) is a single-sample unbiased estimate of the normalizing-constant
     ratio between the beta=1 and beta=0 densities.  ``theta0``, ``v0`` and
-    ``refresh_noise`` (a (K, dim) array of standard normal draws, pre mass
-    scaling) may be supplied to pin the randomness; anything missing is
+    ``refresh_noise`` (a (K, dim) array of standard normal draws) may be
+    supplied to pin the randomness; anything missing is
     drawn from ``rng`` in the order theta_0, v_0, refresh noise.
     """
     d = target.dim
@@ -180,7 +156,7 @@ def dais_chain(
     if theta0 is None:
         theta0 = target.sample_p0(rng)
     if v0 is None:
-        v0 = np.sqrt(config.mass_diag(d)) * rng.standard_normal(d)
+        v0 = rng.standard_normal(d)
     if refresh_noise is None:
         refresh_noise = rng.standard_normal((schedule.K, d))
     refresh_noise = np.asarray(refresh_noise, dtype=float)
@@ -203,18 +179,18 @@ def sample_chains(target, schedule, steps, config, n_chains, rng):
     inputs as an m-chain call.  Gradient noise that a target adds itself
     (`noisy_gradient`) is drawn by the target, for the whole batch per step.
     """
-    theta, v, eps = _draw_inputs(target, schedule.K, config, n_chains, rng)
+    theta, v, eps = _draw_inputs(target, schedule.K, n_chains, rng)
     return _run_chains(target, schedule, steps, config, theta, v, eps)
 
 
-def _draw_inputs(target, K, config, n_chains, rng):
+def _draw_inputs(target, K, n_chains, rng):
     """theta_0 (n, d), v_0 (n, d) and refresh noise (n, K, d) from three child streams."""
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     d = target.dim
     g_theta, g_v, g_eps = substreams(rng, 3)
     theta = target.sample_p0(g_theta, n_chains)
-    v = np.sqrt(config.mass_diag(d)) * g_v.standard_normal((n_chains, d))
+    v = g_v.standard_normal((n_chains, d))
     eps = g_eps.standard_normal((n_chains, K, d))
     return theta, v, eps
 

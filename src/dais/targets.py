@@ -10,7 +10,6 @@ batched: ``theta`` may have shape ``(..., dim)``, log densities return shape
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,27 +49,17 @@ def _check_beta(beta) -> float:
 class Gaussian:
     """Multivariate normal with exact sampling, log density, and score.
 
-    Parameterized by mean and either precision or covariance; all linear
-    algebra goes through a Cholesky factor, no explicit inverses.
+    Parameterized by mean and precision; all linear algebra goes through a
+    Cholesky factor, no explicit inverses.
     """
 
-    def __init__(self, mean, precision=None, cov=None):
+    def __init__(self, mean, precision):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         d = self.mean.size
-        if (precision is None) == (cov is None):
-            raise ValueError("provide exactly one of precision or cov")
-        if precision is not None:
-            self.precision = _as_spd(precision, d, "precision")
-            self._chol_prec = np.linalg.cholesky(self.precision)
-            # cov factor F with F F^T = Sigma: inverse transpose of the precision factor
-            self._cov_factor = np.linalg.solve(self._chol_prec.T, np.eye(d))
-        else:
-            cov = _as_spd(cov, d, "cov")
-            self._cov_factor = np.linalg.cholesky(cov)
-            self.precision = np.linalg.solve(
-                self._cov_factor.T, np.linalg.solve(self._cov_factor, np.eye(d))
-            )
-            self._chol_prec = np.linalg.cholesky(self.precision)
+        self.precision = _as_spd(precision, d, "precision")
+        self._chol_prec = np.linalg.cholesky(self.precision)
+        # cov factor F with F F^T = Sigma: inverse transpose of the precision factor
+        self._cov_factor = np.linalg.solve(self._chol_prec.T, np.eye(d))
         self._log_det_cov = -2.0 * np.sum(np.log(np.diag(self._chol_prec)))
         self._neg_precision = -self.precision  # delta @ -P: the bits of -delta @ P, one op fewer
 
@@ -148,70 +137,28 @@ def geometric_target(prior: Gaussian, log_likelihood, grad_log_likelihood) -> Ge
     return GeometricTarget(prior, log_likelihood, grad_log_likelihood)
 
 
-@dataclass(frozen=True)
-class GradientNoiseSpec:
-    """Covariance of additive gradient noise.
-
-    ``sigma_eps`` may be a scalar (isotropic), a vector of per-coordinate
-    variances (diagonal), or a full PSD matrix.  Fresh noise is drawn
-    independently at every gradient evaluation.
-    """
-
-    sigma_eps: np.ndarray
-
-    def __post_init__(self):
-        se = np.asarray(self.sigma_eps, dtype=float)
-        object.__setattr__(self, "sigma_eps", se)
-        if se.ndim == 0:
-            if se < 0:
-                raise ValueError("scalar noise variance must be non-negative")
-        elif se.ndim == 1:
-            if np.any(se < 0):
-                raise ValueError("diagonal noise variances must be non-negative")
-        elif se.ndim == 2:
-            if se.shape[0] != se.shape[1] or not np.allclose(se, se.T, atol=1e-10):
-                raise ValueError("noise covariance must be square symmetric")
-            if np.linalg.eigvalsh(se).min() < -1e-10 * max(1.0, np.abs(se).max()):
-                raise ValueError("noise covariance must be positive semi-definite")
-        else:
-            raise ValueError("sigma_eps must be scalar, vector, or matrix")
-
-    def matrix(self, dim: int) -> np.ndarray:
-        se = self.sigma_eps
-        if se.ndim == 0:
-            return float(se) * np.eye(dim)
-        if se.ndim == 1:
-            if se.size != dim:
-                raise ValueError(f"noise vector has size {se.size}, expected {dim}")
-            return np.diag(se)
-        if se.shape != (dim, dim):
-            raise ValueError(f"noise matrix has shape {se.shape}, expected ({dim}, {dim})")
-        return se
-
-    def factor(self, dim: int) -> np.ndarray:
-        """F with F F^T = Sigma_eps; eigen-based so singular covariances work."""
-        mat = self.matrix(dim)
-        w, v = np.linalg.eigh(mat)
-        return v * np.sqrt(np.clip(w, 0.0, None))
-
-    def trace(self, dim: int) -> float:
-        return float(np.trace(self.matrix(dim)))
-
-
-def as_noise_spec(noise) -> GradientNoiseSpec | None:
-    if noise is None or isinstance(noise, GradientNoiseSpec):
-        return noise
-    return GradientNoiseSpec(noise)
+def check_noise_cov(sigma_eps, dim: int | None = None) -> np.ndarray:
+    """``sigma_eps`` as a float array, once it is a symmetric positive
+    semi-definite gradient-noise covariance (``dim`` x ``dim`` when given)."""
+    se = np.asarray(sigma_eps, dtype=float)
+    if se.ndim != 2 or se.shape[0] != se.shape[1] or not np.allclose(se, se.T, atol=1e-10):
+        raise ValueError("noise covariance must be square symmetric")
+    if np.linalg.eigvalsh(se).min() < -1e-10 * max(1.0, np.abs(se).max()):
+        raise ValueError("noise covariance must be positive semi-definite")
+    if dim is not None and se.shape != (dim, dim):
+        raise ValueError(f"noise matrix has shape {se.shape}, expected ({dim}, {dim})")
+    return se
 
 
 class NoisyGradientTarget(AnnealedTarget):
     """Wrapper adding fresh N(0, Sigma_eps) noise to every gradient call."""
 
-    def __init__(self, target: AnnealedTarget, spec: GradientNoiseSpec, rng: np.random.Generator):
+    def __init__(self, target: AnnealedTarget, sigma_eps, rng: np.random.Generator):
         self.inner = target
-        self.spec = spec
         self._rng = rng
-        self._factor = spec.factor(target.dim)
+        # F with F F^T = Sigma_eps; eigen-based so singular covariances work
+        w, v = np.linalg.eigh(check_noise_cov(sigma_eps, target.dim))
+        self._factor = v * np.sqrt(np.clip(w, 0.0, None))
 
     @property
     def dim(self):
@@ -232,6 +179,7 @@ class NoisyGradientTarget(AnnealedTarget):
         return self.inner.log_p0(theta)
 
 
-def noisy_gradient(target: AnnealedTarget, spec, rng: np.random.Generator) -> NoisyGradientTarget:
-    """Stochastic-gradient view of ``target`` under an additive noise model."""
-    return NoisyGradientTarget(target, as_noise_spec(spec), rng)
+def noisy_gradient(target: AnnealedTarget, sigma_eps, rng: np.random.Generator) -> NoisyGradientTarget:
+    """Stochastic-gradient view of ``target``: fresh N(0, ``sigma_eps``) noise,
+    a d x d covariance, is added to every gradient evaluation."""
+    return NoisyGradientTarget(target, sigma_eps, rng)

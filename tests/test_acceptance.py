@@ -188,7 +188,6 @@ def test_criterion_06_gap_identity():
 
 def test_criterion_07_affine_equivalence():
     rng = generator(71)
-    config = TransitionConfig(gamma=0.0)
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(1, 11))
@@ -199,7 +198,7 @@ def test_criterion_07_affine_equivalence():
         theta = rng.standard_normal(d)
         v = rng.standard_normal(d)
         maps = update_matrices(model, beta, eta)
-        t_new, v_hat = leapfrog(theta, v, eta, beta, target, config)
+        t_new, v_hat = leapfrog(theta, v, eta, beta, target)
         worst = max(
             worst,
             float(np.max(np.abs(t_new - (maps.A @ theta + maps.B @ v + maps.c_vec)))),

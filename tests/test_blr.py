@@ -284,7 +284,6 @@ def test_affine_trajectory_equivalence_any_gamma():
 def test_update_matrices_match_generic_leapfrog_random():
     # equivalence oracle on random SPD models, d=3
     rng = generator(8)
-    config = TransitionConfig(gamma=0.0)
     for _ in range(20):
         model = random_model(rng, n=6, d=3)
         target = blr_target(model)
@@ -293,7 +292,7 @@ def test_update_matrices_match_generic_leapfrog_random():
         theta = rng.standard_normal(3)
         v = rng.standard_normal(3)
         maps = update_matrices(model, beta, eta)
-        t_new, v_hat = leapfrog(theta, v, eta, beta, target, config)
+        t_new, v_hat = leapfrog(theta, v, eta, beta, target)
         assert np.allclose(t_new, maps.A @ theta + maps.B @ v + maps.c_vec, atol=1e-12)
         assert np.allclose(v_hat, maps.C @ theta + maps.D @ v + maps.e_vec, atol=1e-12)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dais import (
     ConfigError,
@@ -139,6 +140,49 @@ def test_config_rejects_booleans_in_numeric_fields(key, value):
 
 def test_config_accepts_and_drops_retired_keys():
     assert ExperimentConfig.from_text("workers = 1\nn = 50\n") == ExperimentConfig(n=50)
+
+
+_SCALAR_LITERALS = st.one_of(
+    st.integers(0, 200).map(str),
+    st.floats(0.0, 1.0).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),  # repr gives inf, -inf, nan
+    st.sampled_from(["1e400", "-1e400", "1" + "0" * 400, "true", "false"]),
+    st.sampled_from(["exact", "mc", "theory"]).map('"{}"'.format),
+    st.text("abc019.-", max_size=5).map('"{}"'.format),
+)
+_CONFIG_LINES = st.dictionaries(
+    st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + sorted(_RETIRED_KEYS) + ["nonsense"]),
+    _SCALAR_LITERALS | st.lists(_SCALAR_LITERALS, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_size=6,
+)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIG_LINES)
+def test_config_text_parses_within_documented_ranges_or_raises_config_error(lines):
+    # parse only: a generated config may ask for sizes no sweep could allocate
+    try:
+        cfg = ExperimentConfig.from_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+    except ConfigError:
+        return
+    # the README's config table and ranges
+    assert _is_int(cfg.n) and _is_int(cfg.d) and cfg.n >= 1 and cfg.d >= 1
+    assert 0.0 < cfg.sigma2 < np.inf
+    assert _is_int(cfg.seed) and cfg.seed >= 0
+    assert cfg.K_grid and all(_is_int(k) and k >= 1 for k in cfg.K_grid)
+    assert list(cfg.K_grid) == sorted(cfg.K_grid)
+    assert cfg.c_list and all(0.0 <= c * 2**20 < np.inf for c in cfg.c_list)
+    assert cfg.a is None or 0.0 < cfg.a < np.inf
+    assert 0.0 <= cfg.gamma <= 1.0
+    assert cfg.mode in ("exact", "mc", "theory")
+    assert _is_int(cfg.mc_chains) and (cfg.mode != "mc" or cfg.mc_chains >= 2)
+    assert cfg.batch_size is None or (_is_int(cfg.batch_size) and 1 <= cfg.batch_size <= cfg.n)
+    assert cfg.sigma_eps is None or 0.0 <= cfg.sigma_eps < np.inf
 
 
 def test_readme_config_table_lists_every_accepted_key():
@@ -392,9 +436,25 @@ def test_cli_sweep_and_exit_codes(tmp_path):
 
 def test_cli_sweep_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.toml"
-    bad.write_text("nonsense = 5\n")
-    assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    for text, message in [
+        ("nonsense = 5", "unknown config key"),
+        ("K_grid = [1e400]", "field 'K_grid': expected an integer, got inf"),
+        ("K_grid = [nan]", "field 'K_grid': expected an integer, got nan"),
+        ("K_grid = [8.9, 16]", "field 'K_grid': expected an integer, got 8.9"),
+        ("seed = -1", "seed must be >= 0"),
+        ("a = inf", "a must be positive and finite"),
+        ("sigma2 = inf", "sigma2 must be positive and finite"),
+        ("sigma_eps = inf", "sigma_eps must be non-negative and finite"),
+        ("c_list = [1e308]", "c * 2^20 finite"),
+        ("sigma2 = 1" + "0" * 400, "field 'sigma2': int too large to convert to float"),
+    ]:
+        bad.write_text(f"n = 100\nd = 2\n{text}\n")
+        assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2, text
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert message in captured.err, (text, captured.err)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_sweep_negative_sigma_eps_exit_code(tmp_path, capsys):

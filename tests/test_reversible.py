@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dais import (
     BufferCorruption,
-    BufferOverflow,
     InfoBuffer,
     NumericalFailure,
     TransitionConfig,
@@ -157,17 +156,16 @@ def test_fixedpoint_round_trip_exact(gamma):
     K=st.integers(1, 30),
     gamma=st.floats(2.0**-8, 1.0),
     eta=st.floats(0.0, 0.3),
-    mass=st.none() | st.lists(st.floats(0.25, 4.0), min_size=4, max_size=4),
     s0=st.integers(0, 2**64 - 1),
 )
-def test_round_trip_property(d, K, gamma, eta, mass, s0):
+def test_round_trip_property(d, K, gamma, eta, s0):
     # forward, serialize the buffer, backward: the start state comes back bit for bit
     target = blr_target(gen_blr_data(20, d, 0))
     schedule, steps = make_linear_schedule(K), constant_steps(eta, K)
-    config = TransitionConfig(gamma=gamma, mass=None if mass is None else np.array(mass[:d]))
+    config = TransitionConfig(gamma=gamma)
     g = keyed_generator(s0)
     theta0 = target.sample_p0(g)
-    v0 = np.sqrt(config.mass_diag(d)) * g.standard_normal(d)
+    v0 = g.standard_normal(d)
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     restored = InfoBuffer.from_bytes(fwd.buffer.to_bytes())
     th, vv, s_back = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
@@ -208,16 +206,16 @@ def test_backward_accepts_raw_integer_arrays():
     assert s == 55
 
 
-def test_round_trip_with_mass_and_varying_k():
+def test_round_trip_varying_k():
     target, schedule, steps, _ = _setup(d=2, K=25, eta=0.1)
-    config = TransitionConfig(gamma=0.75, mass=np.array([0.5, 2.0]))
+    config = TransitionConfig(gamma=0.75)
     fwd = reversible_forward(target, schedule, steps, config, 99)
     th, vv, s_back = reversible_backward(
         target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )
     g = keyed_generator(99)
     theta0 = target.sample_p0(g)
-    v0 = np.sqrt(config.mass_diag(2)) * g.standard_normal(2)
+    v0 = g.standard_normal(2)
     assert all(int(a) == int(b) for a, b in zip(th, float_to_fixed(theta0)))
     assert all(int(a) == int(b) for a, b in zip(vv, float_to_fixed(v0)))
     assert s_back == 99
@@ -294,9 +292,9 @@ def test_fixedpoint_bound_close_to_float_bound():
     assert f_fixed.bound == pytest.approx(float_L, rel=1e-3, abs=1e-3)
 
 
-# sha256 of the outputs below, computed on the object-integer implementation
-# the int64 state replaced; any change to the chain's arithmetic moves it
-PINNED_DIGEST = "0ee80459a4bcb918c657cd66ec3c31a0c2ad2f97163aed90ba42f3b2ada16398"
+# sha256 of the outputs below, computed on the implementation that still took a
+# diagonal mass (unit mass in every case); any change to the chain's arithmetic moves it
+PINNED_DIGEST = "ef0880c4a72d095ef423bb6720a8b84c39bbb15ceb86d1eee50e3df23ca94dd7"
 
 
 def test_outputs_pinned_to_parent_digest():
@@ -307,18 +305,18 @@ def test_outputs_pinned_to_parent_digest():
             h.update(repr(item).encode())
 
     for seed in (7, 11):
-        # (d, K, gamma, diagonal mass, start drawn from the seed)
-        cases = [(4, 120, g, None, False) for g in (0.5, 0.9, 0.99, 1.0)]
-        cases += [(3, 80, 0.75, [0.5, 2.0, 1.5], False), (5, 60, 0.9, None, True)]
-        for d, K, gamma, mass, seed_start in cases:
+        # (d, K, gamma, start drawn from the seed)
+        cases = [(4, 120, g, False) for g in (0.5, 0.9, 0.99, 1.0)]
+        cases += [(3, 80, 0.75, False), (5, 60, 0.9, True)]
+        for d, K, gamma, seed_start in cases:
             target = blr_target(gen_blr_data(40, d, seed))
             schedule, steps = make_linear_schedule(K), constant_steps(0.1, K)
-            config = TransitionConfig(gamma=gamma, mass=None if mass is None else np.array(mass))
+            config = TransitionConfig(gamma=gamma)
             g = generator((seed, d, K))
             s0 = int(g.integers(0, 2**63))
             start = {} if seed_start else {
                 "theta0": target.sample_p0(g),
-                "v0": np.sqrt(config.mass_diag(d)) * g.standard_normal(d)}
+                "v0": g.standard_normal(d)}
             fwd = reversible_forward(target, schedule, steps, config, s0, **start)
             blob = fwd.buffer.to_bytes()
             put(repr(fwd.bound), blob, [int(x) for x in fwd.fixed.theta],
@@ -338,8 +336,6 @@ def _oracle_forward(target, schedule, steps, config, s0, theta0, v0):
     buffer blob).
     """
     d = target.dim
-    mass = config.mass_diag(d)
-    inv_mass, sqrt_mass = 1.0 / mass, np.sqrt(mass)
     num, den, gamma_eff = quantize_gamma(config.gamma)
     noise_scale = np.sqrt(1.0 - gamma_eff * gamma_eff)
     buffer = InfoBuffer(d)
@@ -359,7 +355,7 @@ def _oracle_forward(target, schedule, steps, config, s0, theta0, v0):
     L = float(-target.log_p0(fixed_to_float(th)))
     for k in range(1, schedule.K + 1):
         eta = steps.per_step[k - 1]
-        half = 0.5 * eta * inv_mass
+        half = 0.5 * eta
         v_before = vv / 2**48
         th = checked(th + fixed(half * v_before, k), k)
         midpoint = th / 2**48
@@ -369,13 +365,13 @@ def _oracle_forward(target, schedule, steps, config, s0, theta0, v0):
         vv = checked(vv + fixed(eta * grad, k), k)
         v_after = vv / 2**48
         th = checked(th + fixed(half * v_after, k), k)
-        L += 0.5 * ((v_before * v_before * inv_mass).sum() - (v_after * v_after * inv_mass).sum())
+        L += 0.5 * ((v_before * v_before).sum() - (v_after * v_after).sum())
         s = forward_seed(s)
         if gamma_eff != 1.0:
             q, r = np.divmod(vv, den)
             vv = q * num + buffer.exchange(r, den, num)
             buffer.depth += 1
-        vv = checked(vv + fixed(noise_scale * (sqrt_mass * seed_noise(s, d)), k), k)
+        vv = checked(vv + fixed(noise_scale * seed_noise(s, d), k), k)
     L = float(L + target.log_f(1.0, fixed_to_float(th)))
     return th, vv, s, L, buffer.to_bytes()
 
@@ -395,16 +391,15 @@ def _assert_matches_oracle(target, schedule, steps, config, s0, theta0, v0):
     assert s_back == s0
 
 
-@pytest.mark.parametrize("mass", [None, [0.5, 2.0, 1.5]])
 @pytest.mark.parametrize("gamma", [0.5, 1.0])
 @pytest.mark.parametrize("K", [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3])
-def test_blocked_chain_matches_per_step_oracle(K, gamma, mass):
+def test_blocked_chain_matches_per_step_oracle(K, gamma):
     # block edges: the refresh increments are drawn BLOCK_STEPS steps at a time
     target, schedule, steps, _ = _setup(d=3, K=K, eta=0.1)
-    config = TransitionConfig(gamma=gamma, mass=None if mass is None else np.array(mass))
+    config = TransitionConfig(gamma=gamma)
     g = generator(K)
     theta0 = target.sample_p0(g)
-    v0 = np.sqrt(config.mass_diag(3)) * g.standard_normal(3)
+    v0 = g.standard_normal(3)
     _assert_matches_oracle(target, schedule, steps, config, 4242, theta0, v0)
 
 
@@ -433,14 +428,32 @@ class _SpikedTarget:
         return getattr(self._target, name)
 
 
-def _refresh_overflow_setup():
-    """A chain whose refresh increment alone leaves the range inside its second block."""
+def _refresh_overflow_setup(monkeypatch):
+    """A chain whose refresh increment alone leaves the range inside its second block.
+
+    Unit-mass normal draws cannot reach 2^14, so the draw for the seed of step
+    BLOCK_STEPS + 40 is replaced, in the chain and in the oracle, by one that does.
+    """
     K = 2 * BLOCK_STEPS + 3
     target, schedule, steps, _ = _setup(d=2, K=K, eta=0.1)
-    config = TransitionConfig(gamma=2.0**-8, mass=np.array([1.0, 3.2e7]))
+    config = TransitionConfig(gamma=2.0**-8)
     _, _, gamma_eff = quantize_gamma(config.gamma)
-    scale = np.sqrt(1.0 - gamma_eff**2) * np.sqrt(config.mass_diag(2))
-    s0, s = 9, 9
+    scale = np.sqrt(1.0 - gamma_eff**2)
+    s0, s_bad = 9, 9
+    for _ in range(BLOCK_STEPS + 40):
+        s_bad = forward_seed(s_bad)
+
+    def oversize(draw):
+        def patched(*args):  # (s, dim), or (chain, s, dim) for the method
+            eps = draw(*args)
+            if args[-2] == s_bad:
+                eps[-1] = 2.0**15
+            return eps
+        return patched
+
+    monkeypatch.setitem(globals(), "seed_noise", oversize(seed_noise))
+    monkeypatch.setattr(_FixedPointChain, "seed_noise", oversize(_FixedPointChain.seed_noise))
+    s = s0
     for k_bad in range(1, K + 1):
         s = forward_seed(s)
         if np.abs(scale * seed_noise(s, 2)).max() >= 2**14:
@@ -449,8 +462,8 @@ def _refresh_overflow_setup():
     return target, schedule, steps, config, s0, k_bad
 
 
-def test_refresh_overflow_raises_at_its_step_and_earlier_failures_win():
-    target, schedule, steps, config, s0, k_bad = _refresh_overflow_setup()
+def test_refresh_overflow_raises_at_its_step_and_earlier_failures_win(monkeypatch):
+    target, schedule, steps, config, s0, k_bad = _refresh_overflow_setup(monkeypatch)
     theta0, v0 = np.zeros(2), np.zeros(2)
     for tgt in (target, _SpikedTarget(target, schedule.betas[k_bad - 5], 1e30)):
         with pytest.raises(NumericalFailure) as oracle:
@@ -638,12 +651,6 @@ def test_buffer_underflow_detected():
     with pytest.raises(BufferCorruption):
         reversible_backward(target, schedule, steps, config, fwd.fixed, None, fwd.seed,
                             fwd.buffer)
-
-
-def test_buffer_capacity_enforced():
-    target, schedule, steps, config = _setup(d=8, K=200, gamma=0.5)
-    with pytest.raises(BufferOverflow):
-        reversible_forward(target, schedule, steps, config, 3, buffer_cap_bytes=64)
 
 
 def test_fixedpoint_gamma_zero_rejected():

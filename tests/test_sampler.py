@@ -24,7 +24,7 @@ from dais import (
 
 from dais.blr import additive_noise_cov
 from dais.cli import main as cli_main
-from dais.sampler import _draw_inputs, _quad, _refresh_with_noise, _run_chains
+from dais.sampler import _draw_inputs, _refresh_with_noise, _run_chains
 
 from conftest import random_model
 
@@ -44,7 +44,7 @@ def test_leapfrog_fixed_point_at_annealed_mean(toy_model):
     beta = 0.6
     ann = annealed_posterior(toy_model, beta)
     target = blr_target(toy_model)
-    theta, v_hat = leapfrog(ann.mu.copy(), np.zeros(1), 0.3, beta, target, CFG)
+    theta, v_hat = leapfrog(ann.mu.copy(), np.zeros(1), 0.3, beta, target)
     assert np.allclose(theta, ann.mu, atol=1e-14)
     assert np.allclose(v_hat, 0.0, atol=1e-14)
 
@@ -52,7 +52,7 @@ def test_leapfrog_fixed_point_at_annealed_mean(toy_model):
 def test_leapfrog_zero_step_is_identity(toy_model):
     target = blr_target(toy_model)
     theta0, v0 = np.array([0.7]), np.array([-0.4])
-    theta, v_hat = leapfrog(theta0, v0, 0.0, 0.5, target, CFG)
+    theta, v_hat = leapfrog(theta0, v0, 0.0, 0.5, target)
     assert np.array_equal(theta, theta0)
     assert np.array_equal(v_hat, v0)
 
@@ -62,7 +62,7 @@ def test_leapfrog_matches_affine_form(toy_model):
     target = blr_target(toy_model)
     maps = update_matrices(toy_model, 1.0, 0.1)
     theta0, v0 = np.array([0.0]), np.array([0.0])
-    theta, v_hat = leapfrog(theta0, v0, 0.1, 1.0, target, CFG)
+    theta, v_hat = leapfrog(theta0, v0, 0.1, 1.0, target)
     assert np.allclose(theta, maps.A @ theta0 + maps.B @ v0 + maps.c_vec, atol=1e-12)
     assert np.allclose(v_hat, maps.C @ theta0 + maps.D @ v0 + maps.e_vec, atol=1e-12)
 
@@ -77,9 +77,8 @@ def test_leapfrog_reversibility(seed):
     v = rng.standard_normal(3)
     eta = float(rng.uniform(0.01, 0.3))
     beta = float(rng.uniform())
-    config = TransitionConfig(gamma=0.0, mass=rng.uniform(0.5, 2.0, size=3))
-    t1, v1 = leapfrog(theta, v, eta, beta, target, config)
-    t2, v2 = leapfrog(t1, -v1, eta, beta, target, config)
+    t1, v1 = leapfrog(theta, v, eta, beta, target)
+    t2, v2 = leapfrog(t1, -v1, eta, beta, target)
     assert np.allclose(t2, theta, rtol=1e-10, atol=1e-12)
     assert np.allclose(-v2, v, rtol=1e-10, atol=1e-12)
 
@@ -87,7 +86,7 @@ def test_leapfrog_reversibility(seed):
 def test_leapfrog_nonfinite_gradient_raises(toy_model):
     target = blr_target(toy_model)
     with pytest.raises(NumericalFailure) as err:
-        leapfrog(np.array([np.inf]), np.zeros(1), 0.1, 1.0, target, CFG)
+        leapfrog(np.array([np.inf]), np.zeros(1), 0.1, 1.0, target)
     assert err.value.midpoint is not None
 
 
@@ -95,29 +94,27 @@ def test_leapfrog_nonfinite_gradient_raises(toy_model):
 
 def test_refresh_gamma_one_keeps_momentum():
     v_hat = np.array([1.0, -2.0])
-    out = refresh(v_hat, 1.0, generator(0), TransitionConfig(gamma=1.0))
+    out = refresh(v_hat, 1.0, generator(0))
     assert np.allclose(out, v_hat)
 
 
 def test_refresh_gamma_zero_independent():
     v_hat = np.array([100.0, -100.0])
-    out = refresh(v_hat, 0.0, generator(0), CFG)
+    out = refresh(v_hat, 0.0, generator(0))
     assert np.all(np.abs(out) < 10)
 
 
 def test_refresh_preserves_momentum_law():
-    # if v_hat ~ N(0, M) then v ~ N(0, M) for every gamma
+    # if v_hat ~ N(0, I) then v ~ N(0, I) for every gamma
     rng = generator(42)
-    mass = np.array([0.5, 2.0, 1.0])
-    config = TransitionConfig(gamma=0.0, mass=mass)
     n = 100000
     for gamma in (0.0, 0.5, 0.9, 1.0):
-        v_hat = np.sqrt(mass) * rng.standard_normal((n, 3))
-        v = refresh(v_hat, gamma, rng, config)
+        v_hat = rng.standard_normal((n, 3))
+        v = refresh(v_hat, gamma, rng)
         emp = np.cov(v.T)
-        se = np.sqrt((np.outer(mass, mass) + np.diag(mass) ** 2) / n)
-        assert np.all(np.abs(emp - np.diag(mass)) < 4 * se + 1e-3)
-        assert np.all(np.abs(v.mean(axis=0)) < 4 * np.sqrt(mass / n))
+        se = np.sqrt((1.0 + np.eye(3)) / n)
+        assert np.all(np.abs(emp - np.eye(3)) < 4 * se + 1e-3)
+        assert np.all(np.abs(v.mean(axis=0)) < 4 * np.sqrt(1.0 / n))
 
 
 # -------------------------------------------------------------- dais_chain
@@ -186,28 +183,25 @@ def test_chain_requires_rng_or_full_noise(toy_model):
 # ------------------------------------------------------- batched chain core
 
 def _per_step_chains(target, schedule, steps, config, theta, v, eps):
-    """Independent slow path: `leapfrog`, `_quad`, then `_refresh_with_noise` per step."""
-    mass = config.mass_diag(target.dim)
-    inv_mass, sqrt_mass = 1.0 / mass, np.sqrt(mass)
+    """Independent slow path: `leapfrog`, kinetic energies, then `_refresh_with_noise` per step."""
     L = -target.log_p0(theta)
     for k in range(1, schedule.K + 1):
-        theta, v_hat = leapfrog(theta, v, steps.per_step[k - 1], schedule.betas[k], target, config)
-        L = L + 0.5 * (_quad(v, inv_mass) - _quad(v_hat, inv_mass))
-        v = _refresh_with_noise(v_hat, config.gamma, eps[:, k - 1, :], sqrt_mass)
+        theta, v_hat = leapfrog(theta, v, steps.per_step[k - 1], schedule.betas[k], target)
+        L = L + 0.5 * ((v * v).sum(axis=-1) - (v_hat * v_hat).sum(axis=-1))
+        v = _refresh_with_noise(v_hat, config.gamma, eps[:, k - 1, :])
     return theta, v, L + target.log_f(1.0, theta)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.9, 1.0])
-@pytest.mark.parametrize("mass", [None, [0.5, 2.0, 1.0, 1.5]])
 @pytest.mark.parametrize("noisy", [False, True])
-def test_run_chains_matches_per_step_composition(gamma, mass, noisy):
+def test_run_chains_matches_per_step_composition(gamma, noisy):
     model = gen_blr_data(200, 4, 13)
-    config = TransitionConfig(gamma=gamma, mass=None if mass is None else np.array(mass))
+    config = TransitionConfig(gamma=gamma)
     K, n = 40, 16
     schedule, steps = make_linear_schedule(K), make_stepsize_scheme(0.3, 0.25, K)
     g = generator(29)
     theta0 = blr_target(model).sample_p0(g, n)
-    v0 = np.sqrt(config.mass_diag(4)) * g.standard_normal((n, 4))
+    v0 = g.standard_normal((n, 4))
     eps = g.standard_normal((n, K, 4))
 
     def target():
@@ -225,12 +219,12 @@ def test_sample_chains_prefix_consistent():
     # chain i's inputs depend only on the seed and i, not on n_chains
     model = gen_blr_data(100, 5, 4)
     target = blr_target(model)
-    config = TransitionConfig(gamma=0.5, mass=np.array([1.0, 2.0, 0.5, 1.0, 3.0]))
+    config = TransitionConfig(gamma=0.5)
     K = 24
     schedule, steps = make_linear_schedule(K), make_stepsize_scheme(0.3, 0.25, K)
     n, m = 300, 37
-    for got, want in zip(_draw_inputs(target, K, config, n, generator(8)),
-                         _draw_inputs(target, K, config, m, generator(8))):
+    for got, want in zip(_draw_inputs(target, K, n, generator(8)),
+                         _draw_inputs(target, K, m, generator(8))):
         assert np.array_equal(got[:m], want)
     # BLAS blocking may change with the row count, so outputs agree to rounding
     big = sample_chains(target, schedule, steps, config, n, generator(8))
@@ -280,7 +274,7 @@ def test_bound_mc_substreams_differ(toy_model):
     schedule = make_linear_schedule(4)
     steps = constant_steps(0.1, 4)
     n = 6
-    theta0, v0, eps = _draw_inputs(target, 4, CFG, n, generator(17))
+    theta0, v0, eps = _draw_inputs(target, 4, n, generator(17))
     theta, _, L = sample_chains(target, schedule, steps, CFG, n, generator(17))
     for rows in (theta0, v0, eps.reshape(n, -1), theta, L):
         assert len(np.unique(rows, axis=0)) == n
@@ -314,20 +308,8 @@ def test_bound_mc_propagates_chain_id(toy_model):
     assert err.value.chain is not None
 
 
-# --------------------------------------------------------------- mass matrix
-
-def test_chain_with_diagonal_mass(toy_model):
-    target = blr_target(toy_model)
-    schedule = make_linear_schedule(8)
-    steps = constant_steps(0.2, 8)
-    config = TransitionConfig(gamma=0.5, mass=np.array([2.5]))
-    log_z = exact_log_ml(toy_model)
-    mean, stderr = dais_bound_mc(target, schedule, steps, config, 4000, generator(41))
-    assert mean <= log_z + 3 * stderr
-
+# ------------------------------------------------------------------ config
 
 def test_config_validation():
     with pytest.raises(ValueError):
         TransitionConfig(gamma=1.5)
-    with pytest.raises(ValueError):
-        TransitionConfig(gamma=0.5, mass=np.array([0.0]))

@@ -3,12 +3,13 @@ import pytest
 
 from dais import (
     Gaussian,
-    GradientNoiseSpec,
     blr_target,
     generator,
     geometric_target,
     noisy_gradient,
 )
+
+from dais.targets import check_noise_cov
 
 from conftest import central_difference
 
@@ -84,7 +85,7 @@ def test_gradient_matches_finite_differences(gauss_prior, toy_model):
 
 
 def test_gaussian_sampling_moments():
-    g = Gaussian(mean=[1.0, -2.0], cov=[[2.0, 0.8], [0.8, 1.0]])
+    g = Gaussian(mean=[1.0, -2.0], precision=np.linalg.inv([[2.0, 0.8], [0.8, 1.0]]))
     samples = g.sample(generator(5), size=200000)
     assert np.allclose(samples.mean(axis=0), g.mean, atol=0.02)
     assert np.allclose(np.cov(samples.T), [[2.0, 0.8], [0.8, 1.0]], atol=0.03)
@@ -127,12 +128,12 @@ def test_noisy_gradient_empirical_covariance(gauss_prior):
     assert np.allclose(emp, sigma, atol=0.02)
 
 
-def test_noise_spec_validation():
+def test_noise_spec_validation(gauss_prior):
     with pytest.raises(ValueError):
-        GradientNoiseSpec(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        check_noise_cov(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     with pytest.raises(ValueError):
-        GradientNoiseSpec(np.array([-1.0, 1.0]))
-    spec = GradientNoiseSpec(np.array([0.5, 2.0]))
-    assert spec.trace(2) == pytest.approx(2.5)
-    factor = spec.factor(2)
+        check_noise_cov(np.diag([-1.0, 1.0]))
+    sigma = check_noise_cov(np.diag([0.5, 2.0]), 2)
+    assert np.trace(sigma) == pytest.approx(2.5)
+    factor = noisy_gradient(geometric_target(gauss_prior, None, None), sigma, generator(0))._factor
     assert np.allclose(factor @ factor.T, np.diag([0.5, 2.0]))
