@@ -391,7 +391,8 @@ def _assert_matches_oracle(target, schedule, steps, config, s0, theta0, v0):
     assert s_back == s0
 
 
-@pytest.mark.parametrize("gamma", [0.5, 1.0])
+# the "-None" in each case id names the unit mass the case has always run with
+@pytest.mark.parametrize("gamma", [0.5, 1.0], ids=lambda gamma: f"{gamma}-None")
 @pytest.mark.parametrize("K", [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3])
 def test_blocked_chain_matches_per_step_oracle(K, gamma):
     # block edges: the refresh increments are drawn BLOCK_STEPS steps at a time

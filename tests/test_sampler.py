@@ -192,8 +192,9 @@ def _per_step_chains(target, schedule, steps, config, theta, v, eps):
     return theta, v, L + target.log_f(1.0, theta)
 
 
+# the "-None" in each case id names the unit mass the case has always run with
 @pytest.mark.parametrize("gamma", [0.0, 0.9, 1.0])
-@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("noisy", [False, True], ids=lambda noisy: f"{noisy}-None")
 def test_run_chains_matches_per_step_composition(gamma, noisy):
     model = gen_blr_data(200, 4, 13)
     config = TransitionConfig(gamma=gamma)
