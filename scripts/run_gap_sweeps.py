@@ -8,6 +8,7 @@ Slope fits against the predicted 2c - 1 rates are printed at the end.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +36,14 @@ def main(argv=None) -> int:
 
     here = Path(__file__).parent
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create --out-dir {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    if not os.access(out_dir, os.W_OK):
+        print(f"cannot write to --out-dir {out_dir}: not writable", file=sys.stderr)
+        return 2
 
     for panel, cfg_name in PANELS.items():
         base = ExperimentConfig.from_file(here / cfg_name)

@@ -166,7 +166,7 @@ def _cmd_check_reversible(args) -> int:
 
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     bits = fwd.buffer.bit_size()
-    nbytes = fwd.buffer.nbytes()
+    nbytes = len(fwd.buffer.to_bytes())
     th_rec, v_rec, s_rec = reversible_backward(
         target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )

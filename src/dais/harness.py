@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -32,16 +33,49 @@ DEFAULT_C_LIST = (0.25, 1 / 3)
 
 
 class ConfigError(ValueError):
-    """Malformed experiment configuration."""
+    """Malformed experiment configuration; ``field`` names the offending key, if one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class InsufficientData(ValueError):
     """Not enough usable rows for a fit."""
 
 
+def _as_int(key, value, name=None) -> int:
+    """``value`` as an int: ints, numpy integers and integral floats pass, bools do not."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name or key} must be an integer, got {value!r}", key)
+
+
+def _as_float(key, value, name=None) -> float:
+    """``value`` as a float: ints and floats pass, bools do not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name or key} must be a number, got {value!r}", key)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{name or key} must be a finite number, got an int too large for a float", key) from None
+
+
+def _as_list(key, value, convert) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}", key)
+    return tuple(convert(key, v, f"each {key} entry") for v in value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep definition; every field has a default, so configs stay short."""
+    """Sweep definition; every field has a default, so configs stay short.
+
+    Construction types and range-checks every field, whether the values
+    come from a config file or from a caller, and raises ``ConfigError``.
+    """
 
     n: int = 1000
     d: int = 10
@@ -54,42 +88,53 @@ class ExperimentConfig:
     mode: str = "exact"
     mc_chains: int = 100
     batch_size: int | None = None
-    sigma_eps: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "K_grid", tuple(int(k) for k in self.K_grid))
-        object.__setattr__(self, "c_list", tuple(float(c) for c in self.c_list))
-        if self.n < 1 or self.d < 1:
-            raise ConfigError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
+        def convert(key, to, *args):
+            object.__setattr__(self, key, to(key, getattr(self, key), *args))
+
+        for key in ("n", "d", "seed", "mc_chains"):
+            convert(key, _as_int)
+        for key in ("sigma2", "gamma"):
+            convert(key, _as_float)
+        if self.a is not None:
+            convert("a", _as_float)
+        if self.batch_size is not None:
+            convert("batch_size", _as_int)
+        convert("K_grid", _as_list, _as_int)
+        convert("c_list", _as_list, _as_float)
+
+        if self.n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.n}", "n")
+        if self.d < 1:
+            raise ConfigError(f"d must be >= 1, got {self.d}", "d")
         if not 0 < self.sigma2 < np.inf:
-            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
+            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}", "sigma2")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.K_grid:
-            raise ConfigError("K_grid must be non-empty")
-        if any(k < 1 for k in self.K_grid) or list(self.K_grid) != sorted(self.K_grid):
-            raise ConfigError("K_grid must be ascending positive integers")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
+        K = self.K_grid
+        if not K or K[0] < 1 or any(k0 >= k1 for k0, k1 in zip(K, K[1:])):
+            raise ConfigError(f"K_grid must be strictly ascending integers >= 1, got {list(K)}", "K_grid")
         # c * 2^20 must be finite for the cell seed key round(c * 2^20)
         if not self.c_list or not all(0.0 <= c * (1 << 20) < np.inf for c in self.c_list):
-            raise ConfigError("c_list must be non-empty with c >= 0 and c * 2^20 finite")
+            raise ConfigError("c_list must be non-empty with c >= 0 and c * 2^20 finite", "c_list")
         seen = {}
         for c in self.c_list:
             key = _c_seed_key(c)
             if key in seen:
-                raise ConfigError(f"c values {seen[key]!r} and {c!r} share a cell seed (same round(c * 2^20))")
+                raise ConfigError(
+                    f"c values {seen[key]!r} and {c!r} share a cell seed (same round(c * 2^20))", "c_list")
             seen[key] = c
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}", "mode")
         if self.mode == "mc" and self.mc_chains < 2:
-            raise ConfigError("mc mode needs mc_chains >= 2")
+            raise ConfigError("mc mode needs mc_chains >= 2", "mc_chains")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
+            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}", "gamma")
         if self.batch_size is not None and not 1 <= self.batch_size <= self.n:
-            raise ConfigError(f"batch_size must lie in [1, n={self.n}]")
+            raise ConfigError(f"batch_size must lie in [1, n={self.n}]", "batch_size")
         if self.a is not None and not 0 < self.a < np.inf:
-            raise ConfigError(f"a must be positive and finite, got {self.a}")
-        if self.sigma_eps is not None and not 0 <= self.sigma_eps < np.inf:
-            raise ConfigError(f"sigma_eps must be non-negative and finite, got {self.sigma_eps}")
+            raise ConfigError(f"a must be positive and finite, got {self.a}", "a")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -102,59 +147,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
+        """Parse ``text``; an error names the line and field it comes from."""
         raw = parse_flat_config(text)
-        fields = cls.__dataclass_fields__
-        for key, (value, line_no) in raw.items():
-            if key not in fields and key not in _RETIRED_KEYS:
+        for key, (_, line_no) in raw.items():
+            if key not in cls.__dataclass_fields__:
                 raise ConfigError(f"line {line_no}: unknown config key {key!r}")
-        kwargs = {}
-        for key, (value, line_no) in raw.items():
-            try:
-                kwargs[key] = _coerce_field(key, value)
-            except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
-                raise ConfigError(f"line {line_no}: field {key!r}: {exc}") from exc
-        return cls(**{key: value for key, value in kwargs.items() if key in fields})
-
-
-_RETIRED_KEYS = {"workers"}  # sized the old mc worker pool; still parsed and type-checked, then dropped
-_INT_FIELDS = {"n", "d", "seed", "mc_chains", "batch_size"} | _RETIRED_KEYS
-_FLOAT_FIELDS = {"sigma2", "a", "gamma", "sigma_eps"}
-_LIST_FIELDS = {"K_grid", "c_list"}
-
-
-def _coerce_field(key, value):
-    if key in _LIST_FIELDS:
-        if not isinstance(value, list):
-            raise ValueError(f"expected a list, got {value!r}")
-        if any(isinstance(v, bool) for v in value):
-            raise ValueError(f"expected numbers, got {value!r}")
-        return tuple(_as_int(v) if key == "K_grid" else float(v) for v in value)
-    if isinstance(value, list):
-        raise ValueError("scalar field given a list")
-    if isinstance(value, bool) and key in _INT_FIELDS | _FLOAT_FIELDS:
-        raise ValueError(f"expected a number, got {value!r}")
-    if key in _INT_FIELDS:
-        return _as_int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    if key == "mode":
-        if not isinstance(value, str):
-            raise ValueError(f"expected a string, got {value!r}")
-        return value
-    return value
-
-
-def _as_int(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+        try:
+            return cls(**{key: value for key, (value, _) in raw.items()})
+        except ConfigError as exc:
+            if exc.field not in raw:
+                raise
+            raise ConfigError(f"line {raw[exc.field][1]}: field {exc.field!r}: {exc}", exc.field) from exc
 
 
 def parse_flat_config(text: str) -> dict:
     """Parse a flat key = value file (TOML-style scalars and number lists).
 
     Returns {key: (value, line_number)}.  Supported values: integers,
-    floats, booleans, double-quoted strings, and [..] lists of numbers.
+    floats, double-quoted strings, and [..] lists of numbers.
     """
     out = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -201,8 +211,6 @@ def _parse_value(rhs: str):
 
 
 def _parse_scalar(tok: str):
-    if tok in ("true", "false"):
-        return tok == "true"
     try:
         return int(tok)
     except ValueError:
@@ -286,16 +294,6 @@ def tune_stepsize_base(model: BlrModel, gamma: float, K_min: int, c_list, grid=T
     return best_a
 
 
-def resolve_noise(config: ExperimentConfig, model: BlrModel):
-    """Noise covariance for the sweep: explicit sigma_eps wins, else derived
-    from the batch size, else None."""
-    if config.sigma_eps is not None:
-        return float(config.sigma_eps) * np.eye(model.d)
-    if config.batch_size is not None:
-        return additive_noise_cov(model, config.batch_size)
-    return None
-
-
 def _c_seed_key(c):
     return int(round(c * (1 << 20)))
 
@@ -311,20 +309,21 @@ def _row(config, K, c, gap, stderr, elapsed_ms):
     )
 
 
-def _run_mc_cell(config, target, log_z, sigma_eps, a, K, c):
+def _run_mc_cell(config, target, log_z, noise, a, K, c):
     start = time.perf_counter()
     schedule = make_linear_schedule(K)
     steps = make_stepsize_scheme(a, c, K)
     try:
         cell_rng = generator(_cell_seed_sequence(config, K, c))
-        if sigma_eps is not None:
-            target = noisy_gradient(target, sigma_eps, generator(_cell_seed_sequence(config, K, c) + (1,)))
+        if noise is not None:
+            target = noisy_gradient(target, noise, generator(_cell_seed_sequence(config, K, c) + (1,)))
         mean, stderr = dais_bound_mc(
             target, schedule, steps, TransitionConfig(gamma=config.gamma), config.mc_chains, cell_rng
         )
+        gap = log_z - mean
     except (NumericalFailure, np.linalg.LinAlgError, FloatingPointError, OverflowError):
-        return _row(config, K, c, float("nan"), 0.0, 0.0)
-    return _row(config, K, c, log_z - mean, stderr, 1000.0 * (time.perf_counter() - start))
+        gap, stderr = float("nan"), 0.0
+    return _row(config, K, c, gap, stderr, 1000.0 * (time.perf_counter() - start))
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
@@ -336,7 +335,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     noisy cell wraps it with its own noise stream.
     """
     model = gen_blr_data(config.n, config.d, config.seed, sigma2=config.sigma2)
-    sigma_eps = resolve_noise(config, model)
+    noise = None if config.batch_size is None else additive_noise_cov(model, config.batch_size)
     a = config.a if config.a is not None else tune_stepsize_base(
         model, config.gamma, config.K_grid[0], config.c_list
     )
@@ -344,16 +343,16 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
 
     if config.mode == "mc":
         log_z, target = exact_log_ml(model), blr_target(model)
-        return [_run_mc_cell(config, target, log_z, sigma_eps, a, K, c) for c, K in cells]
+        return [_run_mc_cell(config, target, log_z, noise, a, K, c) for c, K in cells]
 
     start = time.perf_counter()
     if config.mode == "exact":
         steps = [make_stepsize_scheme(a, c, K) for c, K in cells]
-        gaps = sweep_gaps(model, config.gamma, steps, noise=sigma_eps)
+        gaps = sweep_gaps(model, config.gamma, steps, noise=noise)
     else:
         K_min = config.K_grid[0]
         steps = [make_stepsize_scheme(a, c, K_min) for c in config.c_list]
-        bases = dict(zip(config.c_list, sweep_gaps(model, config.gamma, steps, noise=sigma_eps)))
+        bases = dict(zip(config.c_list, sweep_gaps(model, config.gamma, steps, noise=noise)))
         gaps = [bases[c] * (K / K_min) ** theory_slope(c) for c, K in cells]
     elapsed_ms = 1000.0 * (time.perf_counter() - start) / len(cells)
     return [_row(config, K, c, gap, 0.0, elapsed_ms) for (c, K), gap in zip(cells, gaps)]

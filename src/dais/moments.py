@@ -16,7 +16,7 @@ import numpy as np
 
 from .blr import BlrModel, derive_posterior, update_matrices, _chol_logdet
 from .sampler import NumericalFailure
-from .schedules import StepSizeScheme, make_linear_schedule
+from .schedules import StepSizeScheme
 from .targets import check_noise_cov
 
 PSD_TOL = 1e-10
@@ -209,15 +209,6 @@ def gap_breakdown(model: BlrModel, moments, schedule) -> GapBreakdown:
     return GapBreakdown(term1=term1, term2=term2, term3=term3)
 
 
-def _dense_gap(model: BlrModel, gamma: float, steps: StepSizeScheme, noise) -> float:
-    schedule = make_linear_schedule(steps.K)
-    try:
-        moments = propagate_moments(model, schedule, steps, gamma, noise=noise)
-        return gap_breakdown(model, moments, schedule).total
-    except (NumericalFailure, np.linalg.LinAlgError):
-        return float("nan")
-
-
 @dataclass(frozen=True)
 class _RotatedChain:
     """An isotropic-prior model and chain in the eigenbasis of X^T X / sigma2.
@@ -276,7 +267,7 @@ _BLOCK_MODE_STEPS = 1 << 14
 
 
 def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndarray:
-    """Gaps of many chains with linear schedules, one per step-size scheme.
+    """Gaps of many chains with linear schedules on an isotropic-prior model.
 
     Entry i is ``gap_breakdown(model, propagate_moments(model, schedule, s,
     gamma, noise), schedule).total`` for ``s = steps_list[i]`` and
@@ -291,7 +282,8 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     noise covariance, which enters through diag(Q^T Sigma_eps Q).  The gap
     needs only the per-mode means, tr(Lambda_post Sigma_theta) and
     tr Sigma_v.  All cells advance together, sorted by K, so the step loop
-    runs max K times.  Any other prior takes the dense path cell by cell.
+    runs max K times.  Any other prior raises ``ValueError``: use
+    ``propagate_moments`` and ``gap_breakdown`` for it.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
@@ -299,7 +291,8 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     d = model.d
     p = model.Lambda_p[0, 0]
     if not np.array_equal(model.Lambda_p, p * np.eye(d)):
-        return np.array([_dense_gap(model, gamma, s, noise) for s in steps_list], dtype=float)
+        raise ValueError("sweep_gaps needs an isotropic prior Lambda_p = p I; "
+                         "use propagate_moments and gap_breakdown for any other prior")
     if any(s.K < 1 for s in steps_list):
         raise ValueError("every step-size scheme needs K >= 1")
     gaps = np.full(len(steps_list), np.nan)

@@ -118,11 +118,6 @@ class InfoBuffer:
         """Physical bits held, sentinel included: 9 bits per slot when empty."""
         return int(sum(int(v).bit_length() for v in self._store))
 
-    def nbytes(self) -> int:
-        """Serialized size: header plus length-prefixed pages."""
-        payload = sum((int(v).bit_length() + 7) // 8 for v in self._store)
-        return len(BUFFER_MAGIC) + 4 + 8 + 4 * self.n_slots + payload
-
     def is_empty(self) -> bool:
         return all(int(v) == SLOT_SENTINEL for v in self._store) and self.depth == 0
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,3 +43,14 @@ def dense_gap(model, gamma, steps, noise=None):
     """Oracle: the dense 2d x 2d moment recursion and the closed-form gap."""
     schedule = make_linear_schedule(steps.K)
     return gap_breakdown(model, propagate_moments(model, schedule, steps, gamma, noise=noise), schedule).total
+
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+def load_gap_sweeps_script():
+    """``scripts/run_gap_sweeps.py`` as a module, so tests can call its ``main``."""
+    spec = importlib.util.spec_from_file_location("run_gap_sweeps", SCRIPTS / "run_gap_sweeps.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script

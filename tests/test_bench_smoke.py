@@ -10,6 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from dais import ExperimentConfig
+
+from conftest import SCRIPTS, load_gap_sweeps_script
+
 BENCH = Path(__file__).parent.parent / "bench"
 
 
@@ -22,6 +26,17 @@ def bench():
     finally:
         sys.path.remove(str(BENCH))
     return tracing, workloads
+
+
+def test_panel_configs_match_benchmark_panels(bench):
+    # the benchmark defines its inputs itself; they must stay the committed panels
+    _, workloads = bench
+    script = load_gap_sweeps_script()
+    assert [name for name, _, _ in workloads.PANELS] == list(script.PANELS)
+    for name, gamma, batch_size in workloads.PANELS:
+        assert ExperimentConfig.from_file(SCRIPTS / script.PANELS[name]) == ExperimentConfig(
+            n=1000, d=10, seed=workloads.DEFAULT_SEED, K_grid=workloads.K_GRID, c_list=workloads.C_LIST,
+            gamma=gamma, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("name", ["exact-sweep", "mc-chains", "reversible"])

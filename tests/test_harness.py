@@ -1,5 +1,5 @@
 import functools
-import importlib.util
+import json
 import re
 import time
 from pathlib import Path
@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from dais import (
     ConfigError,
     ExperimentConfig,
+    InfoBuffer,
     InsufficientData,
     ResultRow,
     TransitionConfig,
+    additive_noise_cov,
     blr_target,
     dais_bound_mc,
     exact_log_ml,
@@ -23,26 +25,23 @@ from dais import (
     make_linear_schedule,
     make_stepsize_scheme,
     noisy_gradient,
+    reversible_forward,
     run_sweep,
     tune_stepsize_base,
 )
 from dais.harness import (
-    _FLOAT_FIELDS,
-    _INT_FIELDS,
-    _RETIRED_KEYS,
     CSV_HEADER,
     TUNE_GRID,
     TUNE_STABILITY_FRACTION,
     _cell_seed_sequence,
     parse_flat_config,
-    resolve_noise,
     rows_to_csv,
     stability_limit,
 )
 from dais.sampler import NumericalFailure
 from dais.cli import main as cli_main
 
-from conftest import dense_gap
+from conftest import SCRIPTS, dense_gap, load_gap_sweeps_script
 
 
 # ------------------------------------------------------------------- data
@@ -98,6 +97,8 @@ def test_parse_reports_line_and_field():
         ExperimentConfig.from_text("n = 5\nbogus_key = 1\n")
     with pytest.raises(ConfigError, match="line 1.*'n'"):
         ExperimentConfig.from_text('n = "many"\n')
+    with pytest.raises(ConfigError, match="^line 1: field 'n': "):
+        ExperimentConfig.from_text('n = "100"\n')
     with pytest.raises(ConfigError, match="line 3"):
         ExperimentConfig.from_text("n = 5\nd = 2\nK_grid = [1,\n")
 
@@ -114,6 +115,8 @@ def test_config_validation_rules():
         ExperimentConfig(K_grid=())
     with pytest.raises(ConfigError):
         ExperimentConfig(K_grid=(64, 16))
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        ExperimentConfig(K_grid=(8, 8))
     with pytest.raises(ConfigError):
         ExperimentConfig(mode="bogus")
     with pytest.raises(ConfigError):
@@ -122,24 +125,47 @@ def test_config_validation_rules():
         ExperimentConfig(batch_size=2000, n=1000)
     with pytest.raises(ConfigError):
         ExperimentConfig(gamma=1.5)
-    for bad in (dict(sigma_eps=-1.0), dict(sigma_eps=float("nan")), dict(a=float("nan")),
-                dict(sigma2=float("nan"))):
+    for bad in (dict(a=float("nan")), dict(sigma2=float("nan"))):
         with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must"):
             ExperimentConfig(**bad)
 
 
+SCALAR_NUMERIC_FIELDS = ("a", "batch_size", "d", "gamma", "mc_chains", "n", "seed", "sigma2")
+
+
 @pytest.mark.parametrize(
     "key, value",
-    [(key, lit) for key in sorted(_INT_FIELDS | _FLOAT_FIELDS) for lit in ("true", "false")]
+    [(key, lit) for key in SCALAR_NUMERIC_FIELDS for lit in ("true", "false")]
     + [("K_grid", "[8, true]"), ("c_list", "[false]")],
 )
 def test_config_rejects_booleans_in_numeric_fields(key, value):
     with pytest.raises(ConfigError, match=f"line 1: field '{key}'"):
         ExperimentConfig.from_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{key} must|^each {key} entry must"):
+        ExperimentConfig(**{key: json.loads(value)})
 
 
-def test_config_accepts_and_drops_retired_keys():
-    assert ExperimentConfig.from_text("workers = 1\nn = 50\n") == ExperimentConfig(n=50)
+@pytest.mark.parametrize("key", ["workers", "sigma_eps"])
+def test_config_rejects_unknown_keys_with_line_number(key):
+    with pytest.raises(ConfigError, match=f"^line 2: unknown config key '{key}'$"):
+        ExperimentConfig.from_text(f"n = 50\n{key} = 1\n")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(K_grid=(8.9, 16)), dict(K_grid=(float("nan"),)), dict(n="5"), dict(gamma="0.5"),
+    dict(n=True), dict(c_list=0.25), dict(mode=1),
+], ids=lambda kwargs: ",".join(f"{key}={value!r}" for key, value in kwargs.items()))
+def test_config_rejects_mistyped_values_in_direct_construction(kwargs):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_types_integral_and_numpy_values():
+    cfg = ExperimentConfig(n=np.int64(50), seed=3.0, K_grid=(16.0, np.int64(64)), c_list=(0, np.float64(0.5)),
+                           gamma=1, batch_size=np.int32(5))
+    assert cfg == ExperimentConfig(n=50, seed=3, K_grid=(16, 64), c_list=(0.0, 0.5), gamma=1.0, batch_size=5)
+    assert [type(x) for x in (cfg.n, cfg.seed, *cfg.K_grid, cfg.batch_size)] == [int] * 5
+    assert [type(x) for x in (*cfg.c_list, cfg.gamma)] == [float] * 3
 
 
 _SCALAR_LITERALS = st.one_of(
@@ -152,14 +178,34 @@ _SCALAR_LITERALS = st.one_of(
     st.text("abc019.-", max_size=5).map('"{}"'.format),
 )
 _CONFIG_LINES = st.dictionaries(
-    st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + sorted(_RETIRED_KEYS) + ["nonsense"]),
+    st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["nonsense"]),
     _SCALAR_LITERALS | st.lists(_SCALAR_LITERALS, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
     max_size=6,
 )
 
 
 def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int
+
+
+def _is_float(x):
+    return type(x) is float
+
+
+def assert_within_documented_ranges(cfg):
+    # the README's config table and ranges
+    assert _is_int(cfg.n) and _is_int(cfg.d) and cfg.n >= 1 and cfg.d >= 1
+    assert _is_float(cfg.sigma2) and 0.0 < cfg.sigma2 < np.inf
+    assert _is_int(cfg.seed) and cfg.seed >= 0
+    assert type(cfg.K_grid) is tuple and cfg.K_grid and all(_is_int(k) and k >= 1 for k in cfg.K_grid)
+    assert all(k0 < k1 for k0, k1 in zip(cfg.K_grid, cfg.K_grid[1:]))
+    assert type(cfg.c_list) is tuple and cfg.c_list
+    assert all(_is_float(c) and 0.0 <= c * 2**20 < np.inf for c in cfg.c_list)
+    assert cfg.a is None or (_is_float(cfg.a) and 0.0 < cfg.a < np.inf)
+    assert _is_float(cfg.gamma) and 0.0 <= cfg.gamma <= 1.0
+    assert cfg.mode in ("exact", "mc", "theory")
+    assert _is_int(cfg.mc_chains) and (cfg.mode != "mc" or cfg.mc_chains >= 2)
+    assert cfg.batch_size is None or (_is_int(cfg.batch_size) and 1 <= cfg.batch_size <= cfg.n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,19 +216,34 @@ def test_config_text_parses_within_documented_ranges_or_raises_config_error(line
         cfg = ExperimentConfig.from_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
     except ConfigError:
         return
-    # the README's config table and ranges
-    assert _is_int(cfg.n) and _is_int(cfg.d) and cfg.n >= 1 and cfg.d >= 1
-    assert 0.0 < cfg.sigma2 < np.inf
-    assert _is_int(cfg.seed) and cfg.seed >= 0
-    assert cfg.K_grid and all(_is_int(k) and k >= 1 for k in cfg.K_grid)
-    assert list(cfg.K_grid) == sorted(cfg.K_grid)
-    assert cfg.c_list and all(0.0 <= c * 2**20 < np.inf for c in cfg.c_list)
-    assert cfg.a is None or 0.0 < cfg.a < np.inf
-    assert 0.0 <= cfg.gamma <= 1.0
-    assert cfg.mode in ("exact", "mc", "theory")
-    assert _is_int(cfg.mc_chains) and (cfg.mode != "mc" or cfg.mc_chains >= 2)
-    assert cfg.batch_size is None or (_is_int(cfg.batch_size) and 1 <= cfg.batch_size <= cfg.n)
-    assert cfg.sigma_eps is None or 0.0 <= cfg.sigma_eps < np.inf
+    assert_within_documented_ranges(cfg)
+
+
+_PYTHON_VALUES = st.one_of(
+    st.integers(-3, 200),
+    st.integers(-(10**30), 10**30),
+    st.floats(0.0, 1.0),
+    st.integers(-3, 200).map(float),  # integral floats
+    st.floats(allow_nan=True, allow_infinity=True),  # includes +-inf and nan
+    st.booleans(),
+    st.sampled_from(["exact", "mc", "theory", "5", "0.5", ""]),
+    st.none(),
+    st.integers(0, 200).map(np.int64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)),
+    _PYTHON_VALUES | st.lists(_PYTHON_VALUES, max_size=4).map(tuple),
+    max_size=6,
+))
+def test_config_constructs_within_documented_ranges_or_raises_config_error(kwargs):
+    try:
+        cfg = ExperimentConfig(**kwargs)
+    except ConfigError:
+        return
+    assert_within_documented_ranges(cfg)
 
 
 def test_readme_config_table_lists_every_accepted_key():
@@ -190,7 +251,13 @@ def test_readme_config_table_lists_every_accepted_key():
     table = readme[readme.index("| key | default | meaning |"):].split("\n\n")[0]
     documented = [key for line in table.splitlines()[2:] for key in re.findall(r"`(\w+)`", line.split("|")[1])]
     assert len(documented) == len(set(documented))
-    assert set(documented) == set(ExperimentConfig.__dataclass_fields__) | _RETIRED_KEYS
+    assert set(documented) == set(ExperimentConfig.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.toml")), ids=lambda p: p.name)
+def test_committed_configs_parse(path):
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.seed == 7 and cfg.mode == "exact"
 
 
 def test_config_rejects_c_values_sharing_a_cell_seed():
@@ -202,16 +269,6 @@ def test_config_rejects_c_values_sharing_a_cell_seed():
     cfg = ExperimentConfig(c_list=(0.25, 0.25 + 2.0**-20))
     assert _cell_seed_sequence(cfg, 64, cfg.c_list[0]) == (0, 64, 262144, 0)
     assert _cell_seed_sequence(cfg, 64, cfg.c_list[1]) == (0, 64, 262145, 0)
-
-
-def test_resolve_noise_precedence():
-    model = gen_blr_data(100, 3, 1)
-    explicit = resolve_noise(ExperimentConfig(n=100, d=3, sigma_eps=2.0), model)
-    assert np.allclose(explicit, 2.0 * np.eye(3))
-    derived = resolve_noise(ExperimentConfig(n=100, d=3, batch_size=10), model)
-    assert derived.shape == (3, 3)
-    assert np.trace(derived) > 0
-    assert resolve_noise(ExperimentConfig(n=100, d=3), model) is None
 
 
 # ------------------------------------------------------------------- sweep
@@ -280,6 +337,13 @@ def test_sweep_survives_divergent_cells():
     assert rows[0].failed
 
 
+def test_failed_mc_cell_keeps_its_time():
+    cfg = ExperimentConfig(n=100, d=2, seed=5, K_grid=(128,), c_list=(0.0,), a=90.0, mode="mc")
+    (row,) = run_sweep(cfg)
+    assert row.failed and row.stderr == 0.0
+    assert row.elapsed_ms > 0
+
+
 @pytest.mark.parametrize("noise", [dict(), dict(batch_size=10, gamma=0.5)], ids=["clean", "batch_noise"])
 def test_mc_sweep_matches_direct_cells(noise):
     # oracle: each sampled row is one dais_bound_mc call on the cell's own
@@ -290,8 +354,7 @@ def test_mc_sweep_matches_direct_cells(noise):
     assert [(row.c, row.K) for row in rows] == [(c, K) for c in cfg.c_list for K in cfg.K_grid]
     model = gen_blr_data(cfg.n, cfg.d, cfg.seed)
     log_z = exact_log_ml(model)
-    sigma_eps = resolve_noise(cfg, model)
-    assert (sigma_eps is None) == (not noise)
+    sigma_eps = additive_noise_cov(model, cfg.batch_size) if noise else None
     for row in rows:
         seq = _cell_seed_sequence(cfg, row.K, row.c)
         target = blr_target(model)
@@ -338,7 +401,7 @@ def test_tuned_base_matches_dense_loop(seed, gamma, batch_size):
     a = dense_tuned_base(seed, gamma, 64, PANEL_C_LIST)
     assert a is not None
     assert tune_stepsize_base(model, gamma, 64, PANEL_C_LIST) == a
-    noise = resolve_noise(cfg, model)
+    noise = None if batch_size is None else additive_noise_cov(model, batch_size)
     for row in run_sweep(cfg):
         dense = dense_gap(model, gamma, make_stepsize_scheme(a, row.c, row.K), noise)
         assert row.gap == pytest.approx(dense, rel=1e-9, abs=0.0)
@@ -438,15 +501,18 @@ def test_cli_sweep_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.toml"
     for text, message in [
         ("nonsense = 5", "unknown config key"),
-        ("K_grid = [1e400]", "field 'K_grid': expected an integer, got inf"),
-        ("K_grid = [nan]", "field 'K_grid': expected an integer, got nan"),
-        ("K_grid = [8.9, 16]", "field 'K_grid': expected an integer, got 8.9"),
+        ("sigma_eps = 1.0", "line 3: unknown config key 'sigma_eps'"),
+        ("workers = 1", "line 3: unknown config key 'workers'"),
+        ("K_grid = [1e400]", "field 'K_grid': each K_grid entry must be an integer, got inf"),
+        ("K_grid = [nan]", "field 'K_grid': each K_grid entry must be an integer, got nan"),
+        ("K_grid = [8.9, 16]", "field 'K_grid': each K_grid entry must be an integer, got 8.9"),
+        ("K_grid = [8, 8]", "field 'K_grid': K_grid must be strictly ascending"),
+        ('seed = "1"', "line 3: field 'seed': seed must be an integer, got '1'"),
         ("seed = -1", "seed must be >= 0"),
         ("a = inf", "a must be positive and finite"),
         ("sigma2 = inf", "sigma2 must be positive and finite"),
-        ("sigma_eps = inf", "sigma_eps must be non-negative and finite"),
         ("c_list = [1e308]", "c * 2^20 finite"),
-        ("sigma2 = 1" + "0" * 400, "field 'sigma2': int too large to convert to float"),
+        ("sigma2 = 1" + "0" * 400, "field 'sigma2': sigma2 must be a finite number, got an int too large"),
     ]:
         bad.write_text(f"n = 100\nd = 2\n{text}\n")
         assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2, text
@@ -455,15 +521,6 @@ def test_cli_sweep_config_error(tmp_path, capsys):
         assert len(captured.err.strip().splitlines()) == 1
         assert message in captured.err, (text, captured.err)
     assert not (tmp_path / "x.csv").exists()
-
-
-def test_cli_sweep_negative_sigma_eps_exit_code(tmp_path, capsys):
-    bad = tmp_path / "neg.toml"
-    bad.write_text("n = 100\nd = 2\nK_grid = [8]\nc_list = [0.25]\na = 0.3\nsigma_eps = -1.0\n")
-    out_path = tmp_path / "x.csv"
-    assert cli_main(["sweep", "--config", str(bad), "--out", str(out_path)]) == 2
-    assert "sigma_eps must be non-negative" in capsys.readouterr().err
-    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("problem", ["config not UTF-8", "out in a missing directory"])
@@ -507,16 +564,35 @@ def test_cli_sweep_out_in_working_directory(tmp_path, monkeypatch):
 
 
 def test_gap_sweeps_script_rejects_one_chain_before_running(tmp_path, capsys):
-    path = Path(__file__).parent.parent / "scripts" / "run_gap_sweeps.py"
-    spec = importlib.util.spec_from_file_location("run_gap_sweeps", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_gap_sweeps_script()
     out_dir = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         script.main(["--with-mc", "--mc-chains", "1", "--out-dir", str(out_dir)])
     assert exc.value.code == 2
     assert "--mc-chains" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("problem", ["out-dir is a file", "out-dir below a file", "out-dir not writable"])
+def test_gap_sweeps_script_checks_out_dir_before_running(tmp_path, capsys, monkeypatch, problem):
+    script = load_gap_sweeps_script()
+
+    def must_not_run(config):
+        raise AssertionError("run_sweep called before --out-dir was checked")
+
+    monkeypatch.setattr(script, "run_sweep", must_not_run)
+    monkeypatch.setattr(script, "tune_stepsize_base", must_not_run)
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file"
+    if problem == "out-dir below a file":
+        out_dir = out_dir / "csv"
+    elif problem == "out-dir not writable":  # file modes do not bind root, so fake the access check
+        out_dir = tmp_path
+        monkeypatch.setattr(script.os, "access", lambda path, mode: False)
+    assert script.main(["--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(out_dir) in err
 
 
 def test_cli_sweep_missing_config(tmp_path):
@@ -553,13 +629,24 @@ def test_cli_chain_runs(capsys):
     assert "exact log ML" in out
 
 
-def test_cli_check_reversible(capsys):
+def test_cli_check_reversible(capsys, monkeypatch):
+    blobs = []
+
+    def forward_and_keep_blob(*args, **kwargs):
+        fwd = reversible_forward(*args, **kwargs)
+        blobs.append(fwd.buffer.to_bytes())  # the backward pass drains the buffer
+        return fwd
+
+    monkeypatch.setattr("dais.cli.reversible_forward", forward_and_keep_blob)
     code = cli_main(["check-reversible", "--d", "3", "--K", "50", "--gamma", "0.9"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines[0] == "bit-exact: true"
     assert [line.split(" = ")[0] for line in lines[1:]] == [
         "buffer bits", "serialized buffer bytes", "effective gamma"]
+    (blob,) = blobs
+    assert lines[2] == f"serialized buffer bytes = {len(blob)}"
+    assert lines[1].startswith(f"buffer bits = {InfoBuffer.from_bytes(blob).bit_size()} ")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -187,12 +187,11 @@ def test_sweep_gaps_divergent_cell_is_nan(gamma, a, K, reason):
         assert gaps[i] == pytest.approx(dense_gap(model, gamma, steps[i]), rel=ENGINE_RTOL, abs=0.0)
 
 
-def test_sweep_gaps_general_prior_takes_dense_path():
+def test_sweep_gaps_rejects_non_isotropic_prior():
     model = random_model(np.random.default_rng(23), 30, 3)
-    noise = np.diag([0.2, 0.1, 0.3])
     steps = [make_stepsize_scheme(0.3, c, K) for c, K in [(0.25, 40), (0.5, 3), (1 / 3, 12)]]
-    gaps = sweep_gaps(model, 0.5, steps, noise=noise)
-    assert list(gaps) == [dense_gap(model, 0.5, s, noise) for s in steps]
+    with pytest.raises(ValueError, match="propagate_moments and gap_breakdown"):
+        sweep_gaps(model, 0.5, steps)
 
 
 def test_sweep_gaps_empty_and_invalid():
