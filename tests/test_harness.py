@@ -131,18 +131,23 @@ def test_config_validation_rules():
 
 
 SCALAR_NUMERIC_FIELDS = ("a", "batch_size", "d", "gamma", "mc_chains", "n", "seed", "sigma2")
+DELETED_NUMERIC_KEYS = ("sigma_eps", "workers")
 
 
 @pytest.mark.parametrize(
     "key, value",
-    [(key, lit) for key in SCALAR_NUMERIC_FIELDS for lit in ("true", "false")]
+    [(key, lit) for key in SCALAR_NUMERIC_FIELDS + DELETED_NUMERIC_KEYS for lit in ("true", "false")]
     + [("K_grid", "[8, true]"), ("c_list", "[false]")],
 )
 def test_config_rejects_booleans_in_numeric_fields(key, value):
     with pytest.raises(ConfigError, match=f"line 1: field '{key}'"):
         ExperimentConfig.from_text(f"{key} = {value}\n")
-    with pytest.raises(ConfigError, match=f"^{key} must|^each {key} entry must"):
-        ExperimentConfig(**{key: json.loads(value)})
+    if key in DELETED_NUMERIC_KEYS:  # no longer fields of the dataclass
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            ExperimentConfig(**{key: json.loads(value)})
+    else:
+        with pytest.raises(ConfigError, match=f"^{key} must|^each {key} entry must"):
+            ExperimentConfig(**{key: json.loads(value)})
 
 
 @pytest.mark.parametrize("key", ["workers", "sigma_eps"])
@@ -521,6 +526,16 @@ def test_cli_sweep_config_error(tmp_path, capsys):
         assert len(captured.err.strip().splitlines()) == 1
         assert message in captured.err, (text, captured.err)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_sweep_negative_sigma_eps_exit_code(tmp_path, capsys):
+    # sigma_eps is no longer a key, so the config is refused whatever its value
+    bad = tmp_path / "neg.toml"
+    bad.write_text("n = 100\nd = 2\nK_grid = [8]\nc_list = [0.25]\na = 0.3\nsigma_eps = -1.0\n")
+    out_path = tmp_path / "x.csv"
+    assert cli_main(["sweep", "--config", str(bad), "--out", str(out_path)]) == 2
+    assert "line 6: unknown config key 'sigma_eps'" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("problem", ["config not UTF-8", "out in a missing directory"])
