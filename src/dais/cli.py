@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a (K, c) sweep from a config file")
     p_sweep.set_defaults(run=_cmd_sweep)
-    p_sweep.add_argument("--config", required=True, help="flat key = value config file")
+    p_sweep.add_argument("--config", required=True, help="TOML config file")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
     p_chain = sub.add_parser("chain", help="run one chain and print diagnostics")
@@ -240,6 +240,9 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # a size too large for this machine is a malformed argument
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

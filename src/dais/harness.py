@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import numbers
+import re
 import time
+import tomllib
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,78 +149,36 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        """Parse ``text``; an error names the line and field it comes from."""
-        raw = parse_flat_config(text)
-        for key, (_, line_no) in raw.items():
+        """Parse TOML ``text``; an error names the line and field it comes from where it can."""
+        try:  # with a final newline, tomllib places an error in the last statement at its line
+            raw = tomllib.loads(text + "\n")
+        except (ValueError, RecursionError) as exc:  # TOMLDecodeError, an int too long or lists nested too deep
+            raise ConfigError(str(exc)) from None
+        lines = _key_lines(text)
+        for key in raw:
             if key not in cls.__dataclass_fields__:
-                raise ConfigError(f"line {line_no}: unknown config key {key!r}")
+                where = f"line {lines[key]}: " if key in lines else ""
+                raise ConfigError(f"{where}unknown config key {key!r}")
         try:
-            return cls(**{key: value for key, (value, _) in raw.items()})
+            return cls(**raw)
         except ConfigError as exc:
-            if exc.field not in raw:
+            if exc.field not in lines:
                 raise
-            raise ConfigError(f"line {raw[exc.field][1]}: field {exc.field!r}: {exc}", exc.field) from exc
+            raise ConfigError(f"line {lines[exc.field]}: field {exc.field!r}: {exc}", exc.field) from exc
 
 
-def parse_flat_config(text: str) -> dict:
-    """Parse a flat key = value file (TOML-style scalars and number lists).
-
-    Returns {key: (value, line_number)}.  Supported values: integers,
-    floats, double-quoted strings, and [..] lists of numbers.
-    """
-    out = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {line_no}: expected key = value, got {stripped!r}")
-        key, _, rhs = stripped.partition("=")
-        key = key.strip()
-        if not key.replace("_", "").isalnum():
-            raise ConfigError(f"line {line_no}: bad key {key!r}")
-        if key in out:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        try:
-            value = _parse_value(rhs.strip())
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: field {key!r}: {exc}") from exc
-        out[key] = (value, line_no)
-    return out
+_BARE_KEY = re.compile(r"[ \t]*([A-Za-z0-9_-]+)[ \t]*=")
 
 
-def _parse_value(rhs: str):
-    if rhs.startswith('"'):
-        end = rhs.find('"', 1)
-        if end < 0:
-            raise ValueError("unterminated string")
-        trailing = rhs[end + 1 :].strip()
-        if trailing and not trailing.startswith("#"):
-            raise ValueError(f"trailing characters {trailing!r}")
-        return rhs[1:end]
-    if "#" in rhs:
-        rhs = rhs[: rhs.index("#")].strip()
-    if not rhs:
-        raise ValueError("missing value")
-    if rhs.startswith("["):
-        if not rhs.endswith("]"):
-            raise ValueError("unterminated list")
-        body = rhs[1:-1].strip()
-        if not body:
-            return []
-        return [_parse_scalar(tok.strip()) for tok in body.split(",")]
-    return _parse_scalar(rhs)
-
-
-def _parse_scalar(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        raise ValueError(f"cannot parse {tok!r}") from None
+def _key_lines(text: str) -> dict:
+    """{key: line} of each bare key assigned before the first table header or multi-line string."""
+    lines = {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if match := _BARE_KEY.match(line):
+            lines[match[1]] = line_no
+        if re.match(r"""[ \t]*\[|.*("{3}|'{3})""", line):  # past here a key may sit in a table or a string
+            break
+    return lines
 
 
 @dataclass(frozen=True)
@@ -246,6 +206,8 @@ def gen_blr_data(n: int, d: int, seed: int, sigma2: float = 1.0) -> BlrModel:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
+    if n * d > np.iinfo(np.intp).max // 8:  # numpy would refuse the shape with a ValueError
+        raise MemoryError(f"Unable to allocate an array with shape ({n}, {d}) and data type float64")
     g = generator((seed, n, d))
     X = 0.1 * g.standard_normal((n, d))
     y = g.standard_normal(n)

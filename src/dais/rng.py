@@ -15,16 +15,9 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 
 
-def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Coerce an int, entropy tuple, or SeedSequence into a SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def generator(seed) -> np.random.Generator:
     """Philox generator seeded from an int, entropy tuple, or SeedSequence."""
-    return np.random.Generator(np.random.Philox(as_seed_sequence(seed)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def keyed_generator(key: int) -> np.random.Generator:
@@ -35,14 +28,10 @@ def keyed_generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key & MASK64))
 
 
-def substreams(source, n: int) -> list[np.random.Generator]:
-    """Split ``source`` into ``n`` independent generators.
+def substreams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
+    """Split ``rng`` into ``n`` independent generators.
 
-    ``source`` may be an int, an entropy tuple, a SeedSequence, or a
-    Generator.  Repeated calls on the same SeedSequence or Generator yield
-    fresh, non-overlapping streams (spawn state advances).
+    Repeated calls on the same generator yield fresh, non-overlapping
+    streams (its spawn state advances).
     """
-    if isinstance(source, np.random.Generator):
-        return list(source.spawn(n))
-    ss = as_seed_sequence(source)
-    return [np.random.Generator(np.random.Philox(child)) for child in ss.spawn(n)]
+    return list(rng.spawn(n))

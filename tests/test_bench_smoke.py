@@ -39,6 +39,12 @@ def test_panel_configs_match_benchmark_panels(bench):
             gamma=gamma, batch_size=batch_size)
 
 
+def test_large_preset_config_is_the_panel_at_n_10000():
+    assert ExperimentConfig.from_file(SCRIPTS / "sweep_large.toml") == ExperimentConfig(
+        n=10000, d=10, seed=7, K_grid=(64, 128, 256, 512, 1024, 2048, 4096), c_list=(0.25, 1 / 3, 0.5),
+        gamma=0.0, mode="exact")
+
+
 @pytest.mark.parametrize("name", ["exact-sweep", "mc-chains", "reversible"])
 def test_small_workload_passes_its_checks(bench, name):
     tracing, workloads = bench

@@ -34,7 +34,6 @@ from dais.harness import (
     TUNE_GRID,
     TUNE_STABILITY_FRACTION,
     _cell_seed_sequence,
-    parse_flat_config,
     rows_to_csv,
     stability_limit,
 )
@@ -99,15 +98,45 @@ def test_parse_reports_line_and_field():
         ExperimentConfig.from_text('n = "many"\n')
     with pytest.raises(ConfigError, match="^line 1: field 'n': "):
         ExperimentConfig.from_text('n = "100"\n')
-    with pytest.raises(ConfigError, match="line 3"):
+    with pytest.raises(ConfigError, match="line 2"):
+        ExperimentConfig.from_text("n = 5\nd = = 2\n")
+    with pytest.raises(ConfigError):  # an open multi-line list: "Invalid value (at end of document)"
         ExperimentConfig.from_text("n = 5\nd = 2\nK_grid = [1,\n")
 
 
 def test_parse_rejects_duplicates_and_garbage():
+    with pytest.raises(ConfigError, match="line 2"):
+        ExperimentConfig.from_text("n = 1\nn = 2")
     with pytest.raises(ConfigError):
-        parse_flat_config("n = 1\nn = 2\n")
+        ExperimentConfig.from_text("just some words\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"n" = 0\n', "^n must be >= 1, got 0$"),  # quoted key
+    ("n.x = 1\n", "^n must be an integer, got {'x': 1}$"),  # dotted key
+    ("[n]\nx = 1\n", "^n must be an integer"),
+    ("[table]\nn = 0\n", "^unknown config key 'table'$"),
+    ('"n" = "x"\n[mode]\nn = 5\n', "^n must be an integer, got 'x'$"),  # line 3 sets a key of the table
+    ('mode = """\nn = 0\n"""\n"n" = 0\n', "^n must be >= 1"),  # line 2 lies inside a string
+])
+def test_config_error_without_a_line_for_keys_placed_by_toml_syntax(text, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_text(text)
+
+
+def test_config_reads_toml_literals():
+    text = "n = 1_000\nK_grid = [\n  8,\n  16,\n]\nc_list = [0.25,]\nmode = 'mc'\n"
+    assert ExperimentConfig.from_text(text) == ExperimentConfig(n=1000, K_grid=(8, 16), c_list=(0.25,), mode="mc")
+    for literal in (".5", "010", "Infinity"):  # Python float() or int() literals that TOML does not have
+        with pytest.raises(ConfigError, match=r"\(at line 1, column \d+\)$"):
+            ExperimentConfig.from_text(f"gamma = {literal}\n")
+
+
+@pytest.mark.parametrize("text", ["n = 1" + "0" * 5000, "K_grid = " + "[" * 5000 + "]" * 5000],
+                         ids=["int beyond the digit limit", "lists nested too deep"])
+def test_config_literals_tomllib_cannot_convert(text):
     with pytest.raises(ConfigError):
-        parse_flat_config("just some words\n")
+        ExperimentConfig.from_text(text)
 
 
 def test_config_validation_rules():
@@ -140,7 +169,9 @@ DELETED_NUMERIC_KEYS = ("sigma_eps", "workers")
     + [("K_grid", "[8, true]"), ("c_list", "[false]")],
 )
 def test_config_rejects_booleans_in_numeric_fields(key, value):
-    with pytest.raises(ConfigError, match=f"line 1: field '{key}'"):
+    # a deleted key is refused by name, whatever its value
+    message = f"line 1: unknown config key '{key}'" if key in DELETED_NUMERIC_KEYS else f"line 1: field '{key}'"
+    with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_text(f"{key} = {value}\n")
     if key in DELETED_NUMERIC_KEYS:  # no longer fields of the dataclass
         with pytest.raises(TypeError, match="unexpected keyword argument"):
@@ -178,14 +209,27 @@ _SCALAR_LITERALS = st.one_of(
     st.floats(0.0, 1.0).map(repr),
     st.integers(-(10**30), 10**30).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),  # repr gives inf, -inf, nan
-    st.sampled_from(["1e400", "-1e400", "1" + "0" * 400, "true", "false"]),
+    st.sampled_from(["1e400", "-1e400", "1" + "0" * 400, "true", "false", "1_000", "0x10"]),
     st.sampled_from(["exact", "mc", "theory"]).map('"{}"'.format),
     st.text("abc019.-", max_size=5).map('"{}"'.format),
+    st.sampled_from(["exact", "mc", "5"]).map("'{}'".format),  # literal strings
+    st.sampled_from(["1979-05-27", "1979-05-27T07:32:00Z", "07:32:00"]),  # datetimes
+    st.sampled_from(["{}", "{a = 1}", "{n = 5, K_grid = [8]}"]),  # inline tables
 )
-_CONFIG_LINES = st.dictionaries(
-    st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["nonsense"]),
-    _SCALAR_LITERALS | st.lists(_SCALAR_LITERALS, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
-    max_size=6,
+_VALUES = st.one_of(
+    _SCALAR_LITERALS,
+    st.lists(_SCALAR_LITERALS, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    st.lists(_SCALAR_LITERALS, max_size=4).map(lambda xs: "[\n" + "".join(f"  {x},\n" for x in xs) + "]"),
+)
+_KEYS = st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["nonsense"])
+_CONFIG_TEXTS = st.builds(
+    lambda lines, header, header_at: "".join(
+        (header + "\n" if i == header_at else "") + f"{key} = {value}\n" for i, (key, value) in enumerate(lines)),
+    # bare, quoted and dotted keys
+    st.lists(st.tuples(_KEYS | _KEYS.map('"{}"'.format) | st.tuples(_KEYS, _KEYS).map(".".join), _VALUES),
+             max_size=6),
+    st.sampled_from(["[table]", "[n]"]),
+    st.none() | st.integers(0, 5),  # the line before which the table header goes, if any
 )
 
 
@@ -214,11 +258,11 @@ def assert_within_documented_ranges(cfg):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_CONFIG_LINES)
-def test_config_text_parses_within_documented_ranges_or_raises_config_error(lines):
+@given(_CONFIG_TEXTS)
+def test_config_text_parses_within_documented_ranges_or_raises_config_error(text):
     # parse only: a generated config may ask for sizes no sweep could allocate
     try:
-        cfg = ExperimentConfig.from_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+        cfg = ExperimentConfig.from_text(text)
     except ConfigError:
         return
     assert_within_documented_ranges(cfg)
@@ -610,6 +654,18 @@ def test_gap_sweeps_script_checks_out_dir_before_running(tmp_path, capsys, monke
     assert str(out_dir) in err
 
 
+@pytest.mark.parametrize("text", ["n = 1_000_000_000_000_000", "K_grid = [8, 1_000_000_000_000_000]"])
+def test_cli_sweep_size_too_large_to_allocate(tmp_path, capsys, text):
+    # numpy refuses these sizes before it allocates anything
+    cfg_path = tmp_path / "huge.toml"
+    cfg_path.write_text(f"d = 2\nc_list = [0.25]\na = 0.3\n{text}\n")
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("out of memory: ") and len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_sweep_missing_config(tmp_path):
     assert cli_main(["sweep", "--config", str(tmp_path / "nope.toml"),
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -686,6 +742,10 @@ def test_cli_check_reversible(capsys, monkeypatch):
     (["sweep", "--config", "x.toml", "--out", "x.csv", "--workers", "0"], 2),  # removed flag
     (["no-such-command"], 2),
     (["sweep", "--config", ".", "--out", "x.csv"], 2),  # config names a directory
+    # sizes numpy refuses before it allocates anything
+    (["chain", "--K", str(10**15)], 2),
+    (["check-reversible", "--K", str(10**15)], 2),
+    (["check-reversible", "--d", str(10**13)], 2),
 ])
 def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
     assert cli_main(argv) == code
