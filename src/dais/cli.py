@@ -143,7 +143,7 @@ def _cmd_chain(args) -> int:
     config = TransitionConfig(gamma=args.gamma)
     theta_K, _, bound = dais_chain(target, schedule, steps, config, generator((args.seed, args.K)))
     moments = propagate_moments(model, schedule, steps, args.gamma)
-    print(f"K={args.K} eta={steps.per_step[0]:.6g} gamma={args.gamma}")
+    print(f"K={args.K} eta={steps.eta:.6g} gamma={args.gamma}")
     print(f"L (single chain)      = {bound:.6f}")
     print(f"exact log ML          = {exact_log_ml(model):.6f}")
     print(f"E[L] (closed form)    = {expected_bound(model, moments, schedule):.6f}")

@@ -25,7 +25,7 @@ from .blr import BlrModel, additive_noise_cov, blr_target, exact_log_ml
 from .moments import sweep_gaps, theory_slope
 from .rng import generator
 from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc
-from .schedules import make_linear_schedule, make_stepsize_scheme
+from .schedules import check_addressable, make_linear_schedule, make_stepsize_scheme
 from .targets import noisy_gradient
 
 MODES = ("exact", "mc", "theory")
@@ -206,8 +206,7 @@ def gen_blr_data(n: int, d: int, seed: int, sigma2: float = 1.0) -> BlrModel:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    if n * d > np.iinfo(np.intp).max // 8:  # numpy would refuse the shape with a ValueError
-        raise MemoryError(f"Unable to allocate an array with shape ({n}, {d}) and data type float64")
+    check_addressable(n, d)
     g = generator((seed, n, d))
     X = 0.1 * g.standard_normal((n, d))
     y = g.standard_normal(n)
@@ -241,7 +240,7 @@ def tune_stepsize_base(model: BlrModel, gamma: float, K_min: int, c_list, grid=T
     ``sweep_gaps`` call.
     """
     eta_max = TUNE_STABILITY_FRACTION * stability_limit(model)
-    candidates = [a for a in grid if not max(a * K_min ** (-c) for c in c_list) > eta_max]
+    candidates = [a for a in grid if not max(make_stepsize_scheme(a, c, K_min).eta for c in c_list) > eta_max]
     steps = [make_stepsize_scheme(a, c, K_min) for a in candidates for c in c_list]
     gaps = sweep_gaps(model, gamma, steps).reshape(len(candidates), len(c_list))
     best_a, best_val = None, np.inf

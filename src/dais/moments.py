@@ -16,7 +16,7 @@ import numpy as np
 
 from .blr import BlrModel, derive_posterior, update_matrices, _chol_logdet
 from .sampler import NumericalFailure
-from .schedules import StepSizeScheme
+from .schedules import StepSizeScheme, check_same_K, make_linear_schedule
 from .targets import check_noise_cov
 
 PSD_TOL = 1e-10
@@ -77,12 +77,11 @@ def propagate_moments(model: BlrModel, schedule=None, steps=None, gamma: float =
         if (schedule is None) != (steps is None):
             raise ValueError("schedule and steps must be given together")
         return out
-    if steps.K != schedule.K:
-        raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
+    check_same_K(schedule, steps)
 
+    eta = steps.eta
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, schedule.K + 1):
-            eta = steps.per_step[k - 1]
             maps = update_matrices(model, schedule.betas[k], eta)
             T = np.block([[maps.A, maps.B], [maps.C, maps.D]])
             shift = np.concatenate([maps.c_vec, maps.e_vec])
@@ -230,17 +229,17 @@ class _RotatedChain:
         """Refreshment scale of (mu_theta, mu_v, S_tt, S_tv, S_vv); S_vv also gains 1 - gamma^2."""
         return np.array([1.0, self.gamma, 1.0, self.gamma, self.gamma**2])
 
-    def step_maps(self, k0: int, Ks: np.ndarray, etas: np.ndarray):
-        """Per-mode affine maps of steps k0+1 .. k0+T for cells with lengths Ks.
+    def step_maps(self, betas: np.ndarray, etas: np.ndarray):
+        """Per-mode affine maps of T steps of cells with betas (T, cells) and one eta each (cells,).
 
         Returns maps (T, 5, 5, cells, d) and shifts (T, 5, cells, d) taking the
         pre-refreshment state after step k-1 to the one after step k: the
         refreshment (v scaled by gamma, 1 - gamma^2 injected), then the
-        leapfrog map of ``update_matrices`` at beta = k / K, then the noise.
+        leapfrog map of ``update_matrices`` at beta_k, then the noise.
         """
-        T = etas.shape[1]
-        beta = (np.arange(k0 + 1, k0 + T + 1)[:, None] / Ks)[:, :, None]
-        eta = etas.T[:, :, None]
+        T = betas.shape[0]
+        beta = betas[:, :, None]
+        eta = etas[:, None]
         ell = self.p + beta * self.lam  # annealed precision
         shift = self.prior_shift + beta * self.data_shift  # annealed precision times mean
         A = 1.0 - (0.5 * eta**2) * ell
@@ -267,7 +266,7 @@ _BLOCK_MODE_STEPS = 1 << 14
 
 
 def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndarray:
-    """Gaps of many chains with linear schedules on an isotropic-prior model.
+    """Gaps of many chains, each with a linear schedule and one eta, on an isotropic-prior model.
 
     Entry i is ``gap_breakdown(model, propagate_moments(model, schedule, s,
     gamma, noise), schedule).total`` for ``s = steps_list[i]`` and
@@ -293,8 +292,6 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     if not np.array_equal(model.Lambda_p, p * np.eye(d)):
         raise ValueError("sweep_gaps needs an isotropic prior Lambda_p = p I; "
                          "use propagate_moments and gap_breakdown for any other prior")
-    if any(s.K < 1 for s in steps_list):
-        raise ValueError("every step-size scheme needs K >= 1")
     gaps = np.full(len(steps_list), np.nan)
     if not steps_list:
         return gaps
@@ -311,9 +308,8 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     # cells sorted by K: the cells still running at step k are a suffix
     order = np.argsort([s.K for s in steps_list], kind="stable")
     Ks = np.array([steps_list[i].K for i in order])
-    etas = np.zeros((Ks.size, Ks[-1]))
-    for row, i in enumerate(order):
-        etas[row, : Ks[row]] = steps_list[i].per_step
+    etas = np.array([steps_list[i].eta for i in order])
+    betas = [make_linear_schedule(int(K)).betas for K in Ks]
     # Each cell's per-mode state (mu_theta, mu_v, S_tt, S_tv, S_vv) is kept
     # before refreshment; step maps fold in the previous refreshment.  The
     # start (mu_p, 0), blockdiag(Sigma_p, I) is its own refreshment.
@@ -330,7 +326,8 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
         while k < Ks[-1]:
             lo = int(np.searchsorted(Ks, k + 1))
             stop = min(int(Ks[lo]), k + max(1, _BLOCK_MODE_STEPS // ((Ks.size - lo) * d)))
-            maps, shifts = chain.step_maps(k, Ks[lo:], etas[lo:, k:stop])
+            block_betas = np.stack([b[k + 1 : stop + 1] for b in betas[lo:]], axis=1)
+            maps, shifts = chain.step_maps(block_betas, etas[lo:])
             hats = np.empty_like(shifts)
             x = state[:, lo:]
             for t in range(stop - k):
@@ -363,12 +360,12 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
 def stochastic_penalty(steps: StepSizeScheme, sigma_eps) -> float:
     """Irreducible bound inflation under additive gradient noise.
 
-    sum_k (1/2) eta_k^2 tr(Sigma_eps): with eta_k = a / sqrt(K) this is
-    (1/2) a^2 tr(Sigma_eps) independent of K, which is why the gap cannot
-    vanish once the noise trace is positive.  ``sigma_eps`` is the d x d
-    noise covariance.
+    K eta^2 tr(Sigma_eps) / 2 for a chain of K steps of one step size eta:
+    with eta = a / sqrt(K) this is (1/2) a^2 tr(Sigma_eps) independent of K,
+    which is why the gap cannot vanish once the noise trace is positive.
+    ``sigma_eps`` is the d x d noise covariance.
     """
-    return float(0.5 * np.sum(steps.per_step**2) * np.trace(check_noise_cov(sigma_eps)))
+    return float(0.5 * steps.K * steps.eta**2 * np.trace(check_noise_cov(sigma_eps)))
 
 
 def theory_slope(c: float) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .rng import MASK64, keyed_generator
 from .sampler import NumericalFailure, TransitionConfig
-from .schedules import AnnealingSchedule, StepSizeScheme
+from .schedules import AnnealingSchedule, StepSizeScheme, check_same_K
 from .targets import AnnealedTarget
 
 # odd multiplier => bijection on 64-bit states
@@ -250,12 +250,11 @@ class _FixedPointChain:
 
     def __init__(self, target: AnnealedTarget, schedule: AnnealingSchedule,
                  steps: StepSizeScheme, config: TransitionConfig):
-        if steps.K != schedule.K:
-            raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
+        check_same_K(schedule, steps)
         self.target = target
         self.dim = target.dim
         self.betas = schedule.betas
-        self.etas = steps.per_step * _SCALE  # exact: folds the fixed-point scale in
+        self.eta = steps.eta * _SCALE  # exact: folds the fixed-point scale in
         self.num, self.den, self.gamma_eff = quantize_gamma(config.gamma)
         self.noise_scale = np.sqrt(1.0 - self.gamma_eff * self.gamma_eff)
         # |vv| <= num 2^61 / den keeps q = vv // num in [-2^62 / den, 2^62 / den),
@@ -274,7 +273,7 @@ class _FixedPointChain:
         ``v_before`` is the float view vv / 2^48.  Returns the new (th, vv)
         and the float view of vv after the kick.
         """
-        h = sign * self.etas[k - 1]
+        h = sign * self.eta
         half = 0.5 * h
         inc, _ = _increment(half * v_before, k)
         th = th + inc

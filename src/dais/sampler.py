@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substreams
-from .schedules import AnnealingSchedule, StepSizeScheme
+from .schedules import AnnealingSchedule, StepSizeScheme, check_addressable, check_same_K
 from .targets import AnnealedTarget
 
 
@@ -93,11 +93,10 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
     gradient makes v_hat, and so L, non-finite at the same step, so the one
     finiteness check per step is on L.
     """
+    check_same_K(schedule, steps)
     betas = schedule.betas
-    etas = steps.per_step
-    if steps.K != schedule.K:
-        raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
-    drifts = 0.5 * etas
+    eta = steps.eta
+    drift = 0.5 * eta
     gamma = config.gamma
     noise_scale = np.sqrt(1.0 - gamma * gamma)
     # |v|^2 as a product with ones: a row sum would round differently
@@ -106,9 +105,9 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
     kinetic = (v * v) @ ones
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, schedule.K + 1):
-            half = theta + drifts[k - 1] * v
-            v_hat = v + etas[k - 1] * target.grad_log_f(betas[k], half)
-            theta = half + drifts[k - 1] * v_hat
+            half = theta + drift * v
+            v_hat = v + eta * target.grad_log_f(betas[k], half)
+            theta = half + drift * v_hat
             L = L + 0.5 * (kinetic - (v_hat * v_hat) @ ones)
             if not np.all(np.isfinite(L)):
                 _fail(L, k, half)
@@ -188,6 +187,7 @@ def _draw_inputs(target, K, n_chains, rng):
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     d = target.dim
+    check_addressable(n_chains, K, d)
     g_theta, g_v, g_eps = substreams(rng, 3)
     theta = target.sample_p0(g_theta, n_chains)
     v = g_v.standard_normal((n_chains, d))

@@ -1,75 +1,76 @@
-"""Annealing schedules and step-size schemes."""
+"""A K-step chain's linear schedule beta_k = k / K and its one step size eta = a K^(-c)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
+def check_addressable(*shape) -> None:
+    """Raise MemoryError for a float64 ``shape`` numpy cannot address (numpy raises a ValueError)."""
+    shape = tuple(int(n) for n in shape)
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"Unable to allocate an array with shape {shape} and data type float64")
+
+
 @dataclass(frozen=True)
 class AnnealingSchedule:
-    """Inverse-temperature grid 0 = beta_0 <= ... <= beta_K = 1."""
+    """Linear inverse-temperature grid beta_k = k / K, k = 0..K; ``betas`` is derived."""
 
-    betas: np.ndarray
+    K: int
+    betas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
-        object.__setattr__(self, "betas", betas)
-        if betas.ndim != 1 or betas.size < 2:
-            raise ValueError("schedule needs at least two inverse temperatures")
-        if betas[0] != 0.0 or betas[-1] != 1.0:
-            raise ValueError("schedule must start at 0 and end at 1")
-        if np.any(np.diff(betas) < 0):
-            raise ValueError("schedule must be non-decreasing")
-
-    @property
-    def K(self) -> int:
-        return self.betas.size - 1
+        if self.K < 1:
+            raise ValueError(f"K must be >= 1, got {self.K}")
+        check_addressable(self.K + 1)
+        object.__setattr__(self, "betas", np.arange(self.K + 1) / self.K)
 
 
 def make_linear_schedule(K: int) -> AnnealingSchedule:
     """Equally spaced schedule beta_k = k/K."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    return AnnealingSchedule(np.arange(K + 1) / K)
+    return AnnealingSchedule(K)
 
 
 @dataclass(frozen=True)
 class StepSizeScheme:
-    """Leapfrog step sizes eta_k = base * K**(-exponent) for k = 1..K.
+    """One leapfrog step size eta = base * K**(-exponent) for all K steps.
 
-    ``per_step`` holds them expanded and is derived, never passed; base = 0
-    gives the degenerate (eta = 0) chains that tests use.
+    ``eta`` is derived, never passed; base = 0 gives the degenerate
+    (eta = 0) chains that tests use.
     """
 
     base: float
     exponent: float
     K: int
-    per_step: np.ndarray = field(init=False)
+    eta: np.float64 = field(init=False)
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ValueError("step count must be non-negative")
-        per_step = np.full(self.K, self.base * self.K ** (-self.exponent) if self.K else 0.0, dtype=float)
-        object.__setattr__(self, "per_step", per_step)
-        if np.any(per_step < 0) or not np.all(np.isfinite(per_step)):
-            raise ValueError("step sizes must be finite and non-negative")
+        if self.K < 1:
+            raise ValueError(f"K must be >= 1, got {self.K}")
+        eta = np.float64(self.base * self.K ** -self.exponent)
+        if not 0.0 <= eta < np.inf:
+            raise ValueError(f"step size must be finite and non-negative, got {eta}")
+        object.__setattr__(self, "eta", eta)
+
+
+def check_same_K(schedule: AnnealingSchedule, steps: StepSizeScheme) -> None:
+    """Raise ValueError unless ``schedule`` and ``steps`` are for chains of one length."""
+    if steps.K != schedule.K:
+        raise ValueError(f"step scheme has K={steps.K}, schedule has K={schedule.K}")
 
 
 def make_stepsize_scheme(a: float, c: float, K: int) -> StepSizeScheme:
-    """Constant scheme eta_k = a * K**(-c)."""
+    """Constant scheme eta = a * K**(-c)."""
     if a <= 0:
         raise ValueError(f"base step size must be positive, got {a}")
     if c < 0:
         raise ValueError(f"exponent must be non-negative, got {c}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
     return StepSizeScheme(base=a, exponent=c, K=K)
 
 
 def constant_steps(eta: float, K: int) -> StepSizeScheme:
-    """Constant eta for all steps; eta = 0 is allowed (degenerate chain)."""
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
+    """Step size eta for every step; eta = 0 is allowed (degenerate chain)."""
     return StepSizeScheme(base=eta, exponent=0.0, K=K)

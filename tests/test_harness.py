@@ -654,7 +654,13 @@ def test_gap_sweeps_script_checks_out_dir_before_running(tmp_path, capsys, monke
     assert str(out_dir) in err
 
 
-@pytest.mark.parametrize("text", ["n = 1_000_000_000_000_000", "K_grid = [8, 1_000_000_000_000_000]"])
+@pytest.mark.parametrize("text", [
+    "n = 1_000_000_000_000_000",
+    "K_grid = [8, 1_000_000_000_000_000]",
+    # beyond what numpy can address at all
+    "K_grid = [8, 2_000_000_000_000_000_000]",
+    'mode = "mc"\nmc_chains = 2_000_000_000_000_000_000',
+])
 def test_cli_sweep_size_too_large_to_allocate(tmp_path, capsys, text):
     # numpy refuses these sizes before it allocates anything
     cfg_path = tmp_path / "huge.toml"
@@ -746,6 +752,10 @@ def test_cli_check_reversible(capsys, monkeypatch):
     (["chain", "--K", str(10**15)], 2),
     (["check-reversible", "--K", str(10**15)], 2),
     (["check-reversible", "--d", str(10**13)], 2),
+    # sizes beyond what numpy can address at all
+    (["chain", "--K", str(2 * 10**18)], 2),
+    (["check-reversible", "--K", str(10**19)], 2),
+    (["oracles", "--chains", str(2 * 10**18)], 2),
 ])
 def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
     assert cli_main(argv) == code

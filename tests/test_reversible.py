@@ -354,7 +354,7 @@ def _oracle_forward(target, schedule, steps, config, s0, theta0, v0):
     th, vv, s = float_to_fixed(theta0), float_to_fixed(v0), s0
     L = float(-target.log_p0(fixed_to_float(th)))
     for k in range(1, schedule.K + 1):
-        eta = steps.per_step[k - 1]
+        eta = steps.eta
         half = 0.5 * eta
         v_before = vv / 2**48
         th = checked(th + fixed(half * v_before, k), k)
@@ -562,6 +562,10 @@ def test_backward_rejects_float_state():
     with pytest.raises(ValueError, match="integer state"):
         reversible_backward(target, schedule, steps, config, fwd.theta.astype(object),
                             fwd.fixed.v, fwd.seed, fwd.buffer)
+    # so must steps for another chain length
+    with pytest.raises(ValueError, match="step scheme has K=11, schedule has K=10"):
+        reversible_backward(target, schedule, constant_steps(0.12, 11), config, fwd.fixed, None,
+                            fwd.seed, fwd.buffer)
     # rejected before anything was popped: the buffer still reverses the chain
     th, _, s = reversible_backward(target, schedule, steps, config, fwd.fixed.theta.astype(np.int64),
                                    fwd.fixed.v, fwd.seed, fwd.buffer)

@@ -178,6 +178,9 @@ def test_chain_requires_rng_or_full_noise(toy_model):
     steps = constant_steps(0.1, 2)
     with pytest.raises(ValueError):
         dais_chain(target, schedule, steps, CFG)
+    # the schedule and the step sizes must be for one chain length
+    with pytest.raises(ValueError, match="step scheme has K=3, schedule has K=2"):
+        dais_chain(target, schedule, constant_steps(0.1, 3), CFG, generator(0))
 
 
 # ------------------------------------------------------- batched chain core
@@ -186,7 +189,7 @@ def _per_step_chains(target, schedule, steps, config, theta, v, eps):
     """Independent slow path: `leapfrog`, kinetic energies, then `_refresh_with_noise` per step."""
     L = -target.log_p0(theta)
     for k in range(1, schedule.K + 1):
-        theta, v_hat = leapfrog(theta, v, steps.per_step[k - 1], schedule.betas[k], target)
+        theta, v_hat = leapfrog(theta, v, steps.eta, schedule.betas[k], target)
         L = L + 0.5 * ((v * v).sum(axis=-1) - (v_hat * v_hat).sum(axis=-1))
         v = _refresh_with_noise(v_hat, config.gamma, eps[:, k - 1, :])
     return theta, v, L + target.log_f(1.0, theta)
