@@ -229,15 +229,18 @@ class _RotatedChain:
         """Refreshment scale of (mu_theta, mu_v, S_tt, S_tv, S_vv); S_vv also gains 1 - gamma^2."""
         return np.array([1.0, self.gamma, 1.0, self.gamma, self.gamma**2])
 
-    def step_maps(self, betas: np.ndarray, etas: np.ndarray):
+    def step_maps(self, betas: np.ndarray, etas: np.ndarray, maps: np.ndarray) -> np.ndarray:
         """Per-mode affine maps of T steps of cells with betas (T, cells) and one eta each (cells,).
 
-        Returns maps (T, 5, 5, cells, d) and shifts (T, 5, cells, d) taking the
-        pre-refreshment state after step k-1 to the one after step k: the
-        refreshment (v scaled by gamma, 1 - gamma^2 injected), then the
-        leapfrog map of ``update_matrices`` at beta_k, then the noise.
+        Writes the maps into ``maps`` (5, 5, T, cells, d) and returns the
+        shifts (T, 5, cells, d); together they take the pre-refreshment state
+        after step k-1 to the one after step k: the refreshment (v scaled by
+        gamma, 1 - gamma^2 injected), then the leapfrog map of
+        ``update_matrices`` at beta_k, then the noise.  The refreshment
+        scales are multiplied into the 13 non-zero coefficients as they are
+        written; the other 12 entries of ``maps`` are never written and must
+        be zero.
         """
-        T = betas.shape[0]
         beta = betas[:, :, None]
         eta = etas[:, None]
         ell = self.p + beta * self.lam  # annealed precision
@@ -245,23 +248,23 @@ class _RotatedChain:
         A = 1.0 - (0.5 * eta**2) * ell
         B = eta - (0.25 * eta**3) * ell
         C = -eta * ell
-        maps = np.zeros((T, 5, 5) + ell.shape[1:])
-        maps[:, 0, 0], maps[:, 0, 1], maps[:, 1, 0], maps[:, 1, 1] = A, B, C, A
-        maps[:, 2, 2], maps[:, 2, 3], maps[:, 2, 4] = A * A, 2.0 * A * B, B * B
-        maps[:, 3, 2], maps[:, 3, 3], maps[:, 3, 4] = A * C, A * A + B * C, A * B
-        maps[:, 4, 2], maps[:, 4, 3], maps[:, 4, 4] = C * C, 2.0 * A * C, A * A
-        shifts = np.empty((T, 5) + ell.shape[1:])
+        g, g2 = self.gamma, self.gamma**2
+        AA, AB, BB = A * A, A * B, B * B
+        maps[0, 0], maps[0, 1], maps[1, 0], maps[1, 1] = A, B * g, C, A * g
+        maps[2, 2], maps[2, 3], maps[2, 4] = AA, 2.0 * A * B * g, BB * g2
+        maps[3, 2], maps[3, 3], maps[3, 4] = A * C, (AA + B * C) * g, AB * g2
+        maps[4, 2], maps[4, 3], maps[4, 4] = C * C, 2.0 * A * C * g, AA * g2
+        shifts = np.empty((betas.shape[0], 5) + ell.shape[1:])
         shifts[:, 0] = (0.5 * eta**2) * shift
         shifts[:, 1] = eta * shift
-        shifts[:, 2] = (0.25 * eta**4) * self.noise
-        shifts[:, 3] = (0.5 * eta**3) * self.noise
-        shifts[:, 4] = eta**2 * self.noise
-        shifts += (1.0 - self.gamma**2) * maps[:, :, 4]
-        maps *= self.refresh[:, None, None]
-        return maps, shifts
+        shifts[:, 2] = (0.25 * eta**4) * self.noise + (1.0 - g2) * BB
+        shifts[:, 3] = (0.5 * eta**3) * self.noise + (1.0 - g2) * AB
+        shifts[:, 4] = eta**2 * self.noise + (1.0 - g2) * AA
+        return shifts
 
 
-# mode-steps per block of precomputed step maps (bounds the engine's memory)
+# mode-steps per block of step maps: sets the engine's memory, 25 doubles per
+# mode-step, and the grouping of the kinetic sums, so their bits
 _BLOCK_MODE_STEPS = 1 << 14
 
 
@@ -320,6 +323,9 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     energy = np.full(Ks.size, float(d))  # E|v|^2 of the refreshed momentum
     kinetic = np.zeros(Ks.size)
     ok = np.ones(Ks.size, dtype=bool)
+    # every block's step maps are a view of this buffer; a block of T steps
+    # of m cells fills T * m * d <= max(_BLOCK_MODE_STEPS, m * d) columns
+    map_buffer = np.zeros((5, 5, max(_BLOCK_MODE_STEPS, Ks.size * d)))
 
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,11 +333,12 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
             lo = int(np.searchsorted(Ks, k + 1))
             stop = min(int(Ks[lo]), k + max(1, _BLOCK_MODE_STEPS // ((Ks.size - lo) * d)))
             block_betas = np.stack([b[k + 1 : stop + 1] for b in betas[lo:]], axis=1)
-            maps, shifts = chain.step_maps(block_betas, etas[lo:])
+            maps = map_buffer[:, :, : block_betas.size * d].reshape((5, 5) + block_betas.shape + (d,))
+            shifts = chain.step_maps(block_betas, etas[lo:], maps)
             hats = np.empty_like(shifts)
             x = state[:, lo:]
             for t in range(stop - k):
-                x = np.einsum("ijcd,jcd->icd", maps[t], x, out=hats[t])
+                x = np.einsum("ijcd,jcd->icd", maps[:, :, t], x, out=hats[t])
                 x += shifts[t]
             state[:, lo:] = x
             refreshed = hats * chain.refresh[:, None, None]

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,10 @@ def test_sweep_gaps_matches_dense_oracle(gamma, noise_kind):
 @pytest.mark.parametrize("gamma,a,K,reason", [
     (0.0, 90.0, 128, "overflowed"),  # as in the sweep's divergent-cell test
     (1.0, 3.0, 5, "positive semi-definiteness"),  # finite, but the covariance turns indefinite
+    # with damping a moderate step size turns the covariance indefinite before
+    # anything overflows; eta = 1e80 overflows the step maps at step 1
+    (0.5, 1e80, 64, "overflowed"),
+    (0.9, 1e80, 4, "overflowed"),
 ])
 def test_sweep_gaps_divergent_cell_is_nan(gamma, a, K, reason):
     # the failed cell is nan; the other cells of the same call are unaffected
@@ -185,6 +192,54 @@ def test_sweep_gaps_divergent_cell_is_nan(gamma, a, K, reason):
     assert np.isnan(gaps[1])
     for i in (0, 2):
         assert gaps[i] == pytest.approx(dense_gap(model, gamma, steps[i]), rel=ENGINE_RTOL, abs=0.0)
+
+
+SWEEP_PINNED_DIGEST = "f0f6a0135af4800155e399ed533a1ee1048dc803734f93fd744e55db4fe87d5c"
+
+
+def test_sweep_gaps_pinned_to_parent_digest():
+    # every bit of the engine's gaps: the step maps may be built in any way
+    # that leaves the arithmetic of each gap unchanged
+    h = hashlib.sha256()
+    for model, batch in ((isotropic_model(), 5), (gen_blr_data(1000, 10, 7), 100)):
+        # mixed K, unsorted, so the active suffix shrinks between blocks
+        steps = [make_stepsize_scheme(a, c, K)
+                 for a, c, K in [(1.1, 0.25, 4096), (0.5, 0.5, 1), (1.0, 1 / 3, 64), (1.1, 0.5, 1024),
+                                 (0.3, 0.0, 7), (1.0, 0.25, 300), (1.1, 1 / 3, 4096)]]
+        for gamma in (0.0, 0.5, 0.9, 1.0):
+            for noise in (None, additive_noise_cov(model, batch)):
+                h.update(repr(sweep_gaps(model, gamma, steps, noise=noise).tolist()).encode())
+    assert h.hexdigest() == SWEEP_PINNED_DIGEST
+
+
+@pytest.mark.parametrize("block_mode_steps", [1, 7, 64])
+@pytest.mark.parametrize("gamma,noise_kind", [(0.0, None), (0.5, "matrix"), (0.9, "vector")])
+def test_sweep_gaps_block_edges(monkeypatch, block_mode_steps, gamma, noise_kind):
+    # small blocks force many block shapes, down to one step whose cells x
+    # modes exceed the block size
+    monkeypatch.setattr("dais.moments._BLOCK_MODE_STEPS", block_mode_steps)
+    model = isotropic_model()
+    noise = engine_noise(noise_kind, model)
+    steps = [make_stepsize_scheme(a, c, K) for a, c, K in ENGINE_CELLS]
+    gaps = sweep_gaps(model, gamma, steps, noise=noise)
+    for s, gap in zip(steps, gaps):
+        assert gap == pytest.approx(dense_gap(model, gamma, s, noise), rel=ENGINE_RTOL, abs=0.0)
+
+
+def test_sweep_gaps_peak_memory():
+    # one panel: 21 cells, d = 10, K up to 4096; the traced peak was 10.4 MiB
+    # when every block allocated its own step maps
+    model = gen_blr_data(1000, 10, 7)
+    noise = additive_noise_cov(model, 100)
+    steps = [make_stepsize_scheme(1.1, c, K) for c in (0.25, 1 / 3, 0.5)
+             for K in (64, 128, 256, 512, 1024, 2048, 4096)]
+    tracemalloc.start()
+    try:
+        sweep_gaps(model, 0.0, steps, noise=noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 def test_sweep_gaps_rejects_non_isotropic_prior():
