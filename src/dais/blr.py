@@ -36,8 +36,11 @@ class BlrModel:
             raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
         if mu_p.shape != (d,) or Lambda_p.shape != (d, d):
             raise ValueError("prior dimensions do not match the design matrix")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        for name, value in (("X", X), ("y", y), ("mu_p", mu_p), ("Lambda_p", Lambda_p)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+        if not 0 < self.sigma2 < np.inf:  # NaN fails too
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if not np.allclose(Lambda_p, Lambda_p.T, atol=1e-10):
             raise ValueError("Lambda_p must be symmetric")
         np.linalg.cholesky(Lambda_p)  # raises if not positive definite

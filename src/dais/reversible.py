@@ -10,10 +10,12 @@ Exact reversal needs exact arithmetic, so the state lives in int64 fixed
 point with ``FRAC_BITS`` = 48 fraction bits.  Every state entry and increment
 must stay below 2^62, i.e. |theta|, |v| < 2^14 = 16384, so that no sum wraps;
 leaving that range raises ``NumericalFailure`` with the step index.  Each
-range check is screened by a squared norm, one dot product that can only pass
-in-range values; the exact check runs only when the screen fails.  Each
-leapfrog sub-step adds a rounded increment that depends only on the other
-variable, so running the same step with the step size negated undoes it bit for bit.
+range check is screened by a squared norm, one ``ndarray.dot`` per value that
+only in-range values pass; the exact check runs only when the screen fails.
+A step size of at most 1/2 bounds every drift increment outright, so the
+drifts then skip their screens.  Each leapfrog sub-step adds a rounded
+increment that depends only on the other variable, so running the same step
+with the step size negated undoes it bit for bit.
 The only contracting operation, the momentum damping v = gamma * v_hat, is
 performed as an exactly invertible rational multiply: gamma is quantized to
 n / 2^q, the remainder bits destroyed by the division are pushed onto a
@@ -44,13 +46,14 @@ _SCALE = float(1 << FRAC_BITS)
 _LIMIT = 1 << 62  # |fixed-point value| bound; sums of two in-range values fit int64
 # Norm screens in front of the exact range checks: a squared norm below the
 # screen bounds every entry, because each square is at most the sum, float
-# rounding is monotone and NaN or inf fail the comparison.  x @ x < 2^124
-# gives |x_i| < 2^62 for a float increment x; view @ view < 2^28 gives
+# rounding is monotone and NaN or inf fail the comparison.  x.dot(x) < 2^124
+# gives |x_i| < 2^62 for a float increment x; view.dot(view) < 2^28 gives
 # |state_i| < 2^62 for the float view state / 2^48 of an int64 state.
 _INC_SCREEN = 2.0**124
 _VIEW_SCREEN = 2.0**28
 BLOCK_STEPS = 256  # refresh increments are drawn, scaled and checked per block of steps
 GAMMA_DENOM_BITS = 16
+_DENOM = 1 << GAMMA_DENOM_BITS
 BUFFER_MAGIC = b"DAISREV1"
 # a Philox state with an empty output buffer and no cached 32-bit word
 _PHILOX_FRESH = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -107,11 +110,21 @@ class InfoBuffer:
         return self.exchange(np.zeros(self.n_slots, dtype=np.int64), 1, modulus).astype(object)
 
     def exchange(self, values: np.ndarray, push_mod: int, pop_mod: int) -> np.ndarray:
-        """``push`` then ``pop`` of int64 rows in one pass over the slots."""
-        out = values.tolist()
-        store = self._store
-        for i, v in enumerate(out):
-            store[i], out[i] = divmod(store[i] * push_mod + v, pop_mod)
+        """``push`` then ``pop`` of int64 rows in one pass over the slots.
+
+        A 2^GAMMA_DENOM_BITS side is a shift and a mask, as on both sides of
+        the chain's damping; ``divmod`` is left for the other moduli.
+        """
+        rows = values.tolist()
+        if push_mod == _DENOM:
+            pairs = [divmod((s << GAMMA_DENOM_BITS) + r, pop_mod) for s, r in zip(self._store, rows)]
+        elif pop_mod == _DENOM:
+            pairs = [((t := s * push_mod + r) >> GAMMA_DENOM_BITS, t & (_DENOM - 1))
+                     for s, r in zip(self._store, rows)]
+        else:
+            pairs = [divmod(s * push_mod + r, pop_mod) for s, r in zip(self._store, rows)]
+        store, out = zip(*pairs) if pairs else ((), ())
+        self._store = list(store)
         return np.array(out, dtype=np.int64)
 
     def bit_size(self) -> int:
@@ -143,6 +156,8 @@ class InfoBuffer:
         off += 8
         if depth < 0:
             raise BufferCorruption(f"negative op depth {depth}")
+        if n_slots > (len(blob) - off) // 4:  # each page needs a 4-byte length: reject before allocating
+            raise BufferCorruption(f"{n_slots} pages claimed by a {len(blob)}-byte buffer")
         buf = cls(n_slots)
         vals = []
         for _ in range(n_slots):
@@ -179,26 +194,6 @@ def _in_range(x: np.ndarray, step=None) -> np.ndarray:
 def _to_fixed(scaled, step=None) -> np.ndarray:
     """Round an already 2^FRAC_BITS-scaled float array to int64, half to even."""
     return _in_range(np.rint(scaled), step).astype(np.int64)
-
-
-def _increment(x: np.ndarray, step):
-    """``_to_fixed(x, step)`` and the screen's x @ x.
-
-    The exact check runs only if the screen fails.
-    """
-    norm = x @ x
-    return (np.rint(x).astype(np.int64) if norm < _INC_SCREEN else _to_fixed(x, step)), norm
-
-
-def _check_state(state: np.ndarray, view: np.ndarray, step) -> float:
-    """Raise unless every |state| < 2^62; ``view`` is its float view state / 2^48.
-
-    Returns the screen's view @ view; the exact check runs only if the screen fails.
-    """
-    norm = view @ view
-    if not norm < _VIEW_SCREEN:
-        _in_range(state, step)
-    return norm
 
 
 def float_to_fixed(x) -> np.ndarray:
@@ -251,16 +246,29 @@ class _FixedPointChain:
     def __init__(self, target: AnnealedTarget, schedule: AnnealingSchedule,
                  steps: StepSizeScheme, config: TransitionConfig):
         check_same_K(schedule, steps)
-        self.target = target
-        self.dim = target.dim
+        self.grad_log_f = target.grad_log_f
+        self.dim = d = target.dim
         self.betas = schedule.betas
         self.eta = steps.eta * _SCALE  # exact: folds the fixed-point scale in
         self.num, self.den, self.gamma_eff = quantize_gamma(config.gamma)
         self.noise_scale = np.sqrt(1.0 - self.gamma_eff * self.gamma_eff)
         # |vv| <= num 2^61 / den keeps q = vv // num in [-2^62 / den, 2^62 / den),
-        # so undamping's q * den cannot wrap; this is that bound on the float view
+        # so undamping's q << 16 cannot wrap; this is that bound on the float view
         self._undamp_screen = (self.num * 2.0 ** (61 - FRAC_BITS) / self.den) ** 2
+        # every scalar operand as a row of d copies: a ufunc on two arrays skips
+        # numpy's per-call scalar conversion and rounds exactly as the scalar form
+        self._kick_h = {sign: np.full(d, sign * self.eta) for sign in (1, -1)}
+        self._drift_h = {sign: np.full(d, 0.5 * sign * self.eta) for sign in (1, -1)}
+        # a drift reads the view of a state in [-2^62, 2^62], so |v| <= 2^14 and its
+        # fixed-point increment is at most |steps.eta| 2^61: within 2^60 for
+        # |steps.eta| <= 1/2, with no screen
+        self._short_drift = abs(0.5 * self.eta) * 2.0**14 <= 2.0**60
+        self._unscale = np.full(d, 1.0 / _SCALE)  # x * 2^-48 == x / 2^48 exactly
+        self._num_row = np.full(d, self.num, dtype=np.int64)
+        self._shift_row = np.full(d, GAMMA_DENOM_BITS, dtype=np.int64)
+        self._mask_row = np.full(d, self.den - 1, dtype=np.int64)
         self._gen = np.random.Generator(np.random.Philox())  # re-keyed per draw, not rebuilt
+        self._philox_state = {**_PHILOX_FRESH, "state": {"counter": [0] * 4, "key": [0, 0]}}
 
     def leapfrog(self, th, vv, v_before, k: int, sign: int):
         """Leapfrog step k for sign +1, its exact inverse for sign -1.
@@ -273,35 +281,39 @@ class _FixedPointChain:
         ``v_before`` is the float view vv / 2^48.  Returns the new (th, vv)
         and the float view of vv after the kick.
         """
-        h = sign * self.eta
-        half = 0.5 * h
-        inc, _ = _increment(half * v_before, k)
-        th = th + inc
-        midpoint = th / _SCALE
-        th_norm = _check_state(th, midpoint, k)
-        grad = self.target.grad_log_f(self.betas[k], midpoint)
+        drift_h = self._drift_h[sign]
+        x = v_before * drift_h
+        th = th + (np.rint(x).astype(np.int64) if self._short_drift or x.dot(x) < _INC_SCREEN
+                   else _to_fixed(x, k))
+        midpoint = th * self._unscale
+        th_norm = midpoint.dot(midpoint)
+        if not th_norm < _VIEW_SCREEN:
+            _in_range(th, k)
+        grad = self.grad_log_f(self.betas[k], midpoint)
         # a zero step still rejects a non-finite gradient, without computing 0 * inf
-        kick = h * grad if h else np.where(np.isfinite(grad), 0.0, np.nan)
-        if kick @ kick < _INC_SCREEN:  # the screen also passes only finite gradients
+        kick = grad * self._kick_h[sign] if self.eta else np.where(np.isfinite(grad), 0.0, np.nan)
+        if kick.dot(kick) < _INC_SCREEN:  # the screen also passes only finite gradients
             kick = np.rint(kick).astype(np.int64)
         elif not np.isfinite(grad).all():
             raise NumericalFailure("non-finite gradient", step=k, midpoint=midpoint)
         else:
             kick = _to_fixed(kick, k)
         vv = vv + kick
-        v_after = vv / _SCALE
-        _check_state(vv, v_after, k)
-        inc, inc_norm = _increment(half * v_after, k)
-        th = th + inc
-        # |th| <= 2^61 before this drift and |inc| <= 2^60 keep |th| below 2^62
-        if not (th_norm < _VIEW_SCREEN / 4 and inc_norm < _INC_SCREEN / 16):
+        v_after = vv * self._unscale
+        if not v_after.dot(v_after) < _VIEW_SCREEN:
+            _in_range(vv, k)
+        x = v_after * drift_h
+        inc_small = self._short_drift or x.dot(x) < _INC_SCREEN / 16  # |inc| <= 2^60
+        th = th + (np.rint(x).astype(np.int64) if inc_small or x.dot(x) < _INC_SCREEN else _to_fixed(x, k))
+        # |th| < 2^61 before this drift and |inc| <= 2^60 keep |th| below 2^62
+        if not (inc_small and th_norm < _VIEW_SCREEN / 4):
             _in_range(th, k)
         return th, vv, v_after
 
     def seed_noise(self, s: int, dim: int) -> np.ndarray:
         """``seed_noise(s, dim)`` drawn by re-keying this chain's generator."""
-        key = {"counter": [0] * 4, "key": [s & MASK64, 0]}
-        self._gen.bit_generator.state = {**_PHILOX_FRESH, "state": key}
+        self._philox_state["state"]["key"][0] = s & MASK64
+        self._gen.bit_generator.state = self._philox_state
         return self._gen.standard_normal(dim)
 
     def noise_block(self, seeds) -> np.ndarray:
@@ -323,14 +335,16 @@ class _FixedPointChain:
         Returns vv and its float view.
         """
         if self.gamma_eff != 1.0:
-            q, r = np.divmod(vv, self.den)
-            vv = q * self.num + buffer.exchange(r, self.den, self.num)
+            # q, r = divmod(vv, 2^16) as an arithmetic shift and a mask
+            r = buffer.exchange(vv & self._mask_row, self.den, self.num)
+            vv = (vv >> self._shift_row) * self._num_row + r
             buffer.depth += 1
         if i >= len(noise):
             raise _overflow(k)
         vv = vv + noise[i]
-        view = vv / _SCALE
-        _check_state(vv, view, k)
+        view = vv * self._unscale
+        if not view.dot(view) < _VIEW_SCREEN:
+            _in_range(vv, k)
         return vv, view
 
     def unrefresh(self, vv, noise, i: int, buffer: InfoBuffer, k: int):
@@ -338,19 +352,21 @@ class _FixedPointChain:
         if i >= len(noise):
             raise _overflow(k)
         vv = vv - noise[i]
-        view = vv / _SCALE
-        norm = _check_state(vv, view, k)
+        view = vv * self._unscale
+        norm = view.dot(view)
+        if not norm < _VIEW_SCREEN:
+            _in_range(vv, k)
         if self.gamma_eff == 1.0:
             return vv, view
         if buffer.depth <= 0:
             raise BufferCorruption("buffer drained past its push depth")
-        q, r = np.divmod(vv, self.num)
+        q, r = np.divmod(vv, self._num_row)
         if not (norm < self._undamp_screen
-                or -_LIMIT // self.den <= q.min() <= q.max() < _LIMIT // self.den):  # else q * den wraps
+                or -_LIMIT // self.den <= q.min() <= q.max() < _LIMIT // self.den):  # else q << 16 wraps
             raise NumericalFailure(f"fixed-point overflow at step {k} undoing the damping", step=k)
         buffer.depth -= 1
-        vv = q * self.den + buffer.exchange(r, self.num, self.den)
-        return vv, vv / _SCALE
+        vv = (q << self._shift_row) + buffer.exchange(r, self.num, self.den)
+        return vv, vv * self._unscale
 
 
 @dataclass

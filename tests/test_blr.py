@@ -306,3 +306,23 @@ def test_model_validation():
         BlrModel(X=[[1.0]], y=[1.0, 2.0], sigma2=1.0, mu_p=[0.0], Lambda_p=[[1.0]])
     with pytest.raises(np.linalg.LinAlgError):
         BlrModel(X=[[1.0]], y=[1.0], sigma2=1.0, mu_p=[0.0], Lambda_p=[[-1.0]])
+
+
+_FINITE_MODEL = {"X": [[1.0, 0.0], [0.0, 2.0]], "y": [1.0, -1.0], "sigma2": 0.5,
+                 "mu_p": [0.0, 0.0], "Lambda_p": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["sigma2", "X", "y", "mu_p", "Lambda_p"])
+def test_model_rejects_non_finite_inputs(field, bad):
+    # one non-finite entry would otherwise surface later as a nan log marginal likelihood
+    kwargs = dict(_FINITE_MODEL)
+    if field == "sigma2":
+        kwargs[field] = bad
+    else:
+        value = np.array(kwargs[field])
+        value.flat[-1] = bad
+        kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        BlrModel(**kwargs)
+    assert np.isfinite(exact_log_ml(BlrModel(**_FINITE_MODEL)))

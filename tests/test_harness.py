@@ -726,6 +726,16 @@ def test_cli_check_reversible(capsys, monkeypatch):
     assert lines[1].startswith(f"buffer bits = {InfoBuffer.from_bytes(blob).bit_size()} ")
 
 
+def test_cli_check_reversible_default_stdout_pinned(capsys):
+    # the default run (d = 10, K = 1000, gamma = 0.9, seed 0), byte for byte
+    assert cli_main(["check-reversible"]) == 0
+    assert capsys.readouterr().out == (
+        "bit-exact: true\n"
+        "buffer bits = 1610 (0.1610 per parameter-step, log2(1/gamma) = 0.1520)\n"
+        "serialized buffer bytes = 270\n"
+        "effective gamma = 0.89999390\n")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["check-reversible", "--gamma", "0"], 2),
     (["check-reversible", "--gamma", "1.5"], 2),

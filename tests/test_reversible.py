@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from dais import (
     reversible_forward,
 )
 from dais.cli import main as cli_main
-from dais.reversible import BLOCK_STEPS, MASK64, _FixedPointChain, backward_seed, forward_seed, seed_noise
+from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointChain, backward_seed,
+                             forward_seed, seed_noise)
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):
@@ -132,6 +134,7 @@ def test_quantize_gamma_rounds_down():
 
 
 # ---------------------------------------------------------------- round trip
+
 
 @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
 def test_fixedpoint_round_trip_exact(gamma):
@@ -415,6 +418,35 @@ def test_screen_fallback_keeps_large_in_range_states():
     _assert_matches_oracle(target, schedule, steps, config, 77, theta0, v0)
 
 
+class _FlatTarget:
+    """Zero log density and gradient: momenta drift freely and no kick reins them in."""
+
+    dim = 3
+
+    def grad_log_f(self, beta, theta):
+        return np.zeros_like(theta)
+
+    def log_f(self, beta, theta):
+        return 0.0
+
+    def log_p0(self, theta):
+        return 0.0
+
+
+@pytest.mark.parametrize("eta, K, theta0, v0", [
+    # drift increments near 4500 > 2^12: past the 2^60 triangle bound, inside the 2^124 screen
+    (0.75, 2, [-8000.0, 8000.0, 0.0], [1.2e4, -1.2e4, 100.0]),
+    # drift increments near 15200: the 2^124 screen fails too and the exact check decides
+    (1.9, 1, [-1.5e4, 1.5e4, -1.5e4], [1.6e4, -1.6e4, 1.6e4]),
+])
+def test_long_step_drifts_keep_their_screens(eta, K, theta0, v0):
+    # |eta| > 1/2 leaves the drift increments without the short-step bound
+    assert 0.5 * eta * np.abs(v0).max() >= 2**12
+    schedule, steps = make_linear_schedule(K), constant_steps(eta, K)
+    _assert_matches_oracle(_FlatTarget(), schedule, steps, TransitionConfig(gamma=0.9), 31,
+                           np.array(theta0), np.array(v0))
+
+
 class _SpikedTarget:
     """``target`` with its gradient at one bridge point beta replaced by ``value``."""
 
@@ -510,6 +542,16 @@ def test_non_finite_gradient_reports_step_and_midpoint(eta, value):
     assert np.array_equal(info.value.midpoint, oracle.value.midpoint)
 
 
+def test_long_step_drift_past_int64_raises_at_its_step():
+    # from rest, a unit gradient and eta = 10^4 kick v to 10^4 (in range); the
+    # second drift's increment, 5 10^7, would wrap int64 unless its screen stops it
+    target, schedule, steps, config = _setup(d=2, K=1, eta=1e4)
+    spiked = _SpikedTarget(target, schedule.betas[1], 1.0)
+    with pytest.raises(NumericalFailure, match="fixed-point overflow or non-finite value at step") as info:
+        reversible_forward(spiked, schedule, steps, config, 1, theta0=np.zeros(2), v0=np.zeros(2))
+    assert info.value.step == 1
+
+
 def test_forward_overflow_raises_with_step():
     # |theta| near 2^14 and a step that pushes it past: no silent int64 wraparound
     target, schedule, steps, config = _setup(d=2, K=20, eta=3.0)
@@ -575,6 +617,7 @@ def test_backward_rejects_float_state():
 
 # -------------------------------------------------------------------- buffer
 
+
 def test_buffer_rows_object_and_int64_agree():
     # push/pop accept object and int64 rows alike; exchange is push then pop
     num, den, _ = quantize_gamma(0.9)
@@ -595,6 +638,35 @@ def test_buffer_rows_object_and_int64_agree():
     for row, p in zip(rows[::-1], popped[::-1]):
         assert restored.exchange(p, num, den).tolist() == row.tolist()
     assert restored.to_bytes() == InfoBuffer(6).to_bytes()
+
+
+@pytest.mark.parametrize("push_mod, pop_mod", [(2**16, 58982), (58982, 2**16), (3, 7)],
+                         ids=["damping", "undamping", "general"])
+def test_buffer_exchange_matches_python_divmod(push_mod, pop_mod):
+    # plain big-integer divmod per slot is the reference, from deep random slots
+    rng = np.random.default_rng(push_mod + pop_mod)
+    d = 7
+    ref = [int.from_bytes(rng.bytes(500), "little") | 1 << 4000 for _ in range(d)]
+    buffer = InfoBuffer.from_bytes(_blob(0, [v.to_bytes(501, "little") for v in ref]))
+    for row in rng.integers(0, push_mod, size=(2000, d)):
+        expected = []
+        for i, r in enumerate(row.tolist()):
+            ref[i], out = divmod(ref[i] * push_mod + r, pop_mod)
+            expected.append(out)
+        popped = buffer.exchange(row, push_mod, pop_mod)
+        assert popped.dtype == np.int64
+        assert popped.tolist() == expected
+    assert buffer.to_bytes() == _blob(0, [v.to_bytes((v.bit_length() + 7) // 8, "little") for v in ref])
+
+
+def test_damping_shift_and_mask_match_floor_divmod():
+    # the chain splits vv into q 2^16 + r with an arithmetic shift and a mask
+    vv = np.array([-(2**62 - 1), -(2**16) - 1, -1, 0, 1, 2**16, 2**62 - 1], dtype=np.int64)
+    shift = np.full(vv.shape, GAMMA_DENOM_BITS, dtype=np.int64)
+    q, r = np.divmod(vv, 2**16)
+    assert (vv >> shift).tolist() == q.tolist()
+    assert (vv & np.full(vv.shape, 2**16 - 1, dtype=np.int64)).tolist() == r.tolist()
+    assert ((q << shift) + r).tolist() == vv.tolist()
 
 
 def test_buffer_bit_accounting_window():
@@ -645,6 +717,20 @@ def test_buffer_serialization_bad_magic():
     for blob in malformed:
         with pytest.raises(BufferCorruption):
             InfoBuffer.from_bytes(blob)
+
+
+def test_buffer_page_count_past_the_blob_rejected_before_allocating():
+    # a 26-byte blob whose header claims 10^7 pages: each page needs 4 bytes at least
+    blob = _blob(0, [(256).to_bytes(2, "little")])
+    blob = blob[:8] + struct.pack("<I", 10**7) + blob[12:]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BufferCorruption, match="pages claimed"):
+            InfoBuffer.from_bytes(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_buffer_underflow_detected():
