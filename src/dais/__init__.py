@@ -15,7 +15,6 @@ from .blr import (
     blr_grad,
     blr_minibatch_grad,
     blr_target,
-    derive_posterior,
     exact_log_ml,
     update_matrices,
 )
@@ -44,26 +43,22 @@ from .reversible import (
     FixedPointState,
     ForwardResult,
     InfoBuffer,
-    fixed_to_float,
     float_to_fixed,
     quantize_gamma,
     reversible_backward,
     reversible_forward,
 )
-from .rng import generator, keyed_generator, substreams
+from .rng import generator, substreams
 from .sampler import (
     NumericalFailure,
     TransitionConfig,
     dais_bound_mc,
     dais_chain,
-    leapfrog,
-    refresh,
     sample_chains,
 )
 from .schedules import (
     AnnealingSchedule,
     StepSizeScheme,
-    constant_steps,
     make_linear_schedule,
     make_stepsize_scheme,
 )

@@ -89,11 +89,6 @@ def annealed_posterior(model: BlrModel, beta: float) -> AnnealedGaussian:
     return AnnealedGaussian(beta=float(beta), mu=mu, Lambda=Lambda)
 
 
-def derive_posterior(model: BlrModel) -> AnnealedGaussian:
-    """Posterior at beta = 1."""
-    return annealed_posterior(model, 1.0)
-
-
 def _chol_logdet(mat: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(mat)))))
 
@@ -106,7 +101,7 @@ def exact_log_ml(model: BlrModel) -> float:
             - (1/2) mu_p^T Lambda_p mu_p
     with log-determinants taken through Cholesky factors.
     """
-    post = derive_posterior(model)
+    post = annealed_posterior(model, 1.0)
     logdet_ratio = _chol_logdet(model.Lambda_p) - _chol_logdet(post.Lambda)
     return float(
         -0.5 * model.n * np.log(2 * np.pi * model.sigma2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blr import BlrModel, derive_posterior, update_matrices, _chol_logdet
+from .blr import BlrModel, annealed_posterior, update_matrices, _chol_logdet
 from .sampler import NumericalFailure
 from .schedules import StepSizeScheme, check_same_K, make_linear_schedule
 from .targets import check_noise_cov
@@ -50,7 +50,7 @@ class JointMoments:
         return self.Sigma[self.dim :, self.dim :]
 
 
-def propagate_moments(model: BlrModel, schedule=None, steps=None, gamma: float = 0.0, noise=None):
+def propagate_moments(model: BlrModel, schedule, steps, gamma: float = 0.0, noise=None):
     """Propagate exact joint moments through a K-step chain.
 
     Starts at mean (mu_p, 0) and covariance blockdiag(Sigma_p, I).  Each step
@@ -59,11 +59,11 @@ def propagate_moments(model: BlrModel, schedule=None, steps=None, gamma: float =
     covariance [[eta^4/4 S, eta^3/2 S], [eta^3/2 S, eta^2 S]], records the
     pre-refreshment momentum moments, then applies the refreshment map
     (v-block scaled by gamma, (1 - gamma^2) I injected).  Returns K+1
-    JointMoments.  ``schedule=None`` (K = 0) returns the initial moments
-    only.  Identity mass throughout.
+    JointMoments, the initial moments first.  Identity mass throughout.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    check_same_K(schedule, steps)
     d = model.d
     sigma_eps = None if noise is None else check_noise_cov(noise, d)
 
@@ -73,12 +73,6 @@ def propagate_moments(model: BlrModel, schedule=None, steps=None, gamma: float =
     Sigma[:d, :d] = 0.5 * (Sigma_p + Sigma_p.T)
     Sigma[d:, d:] = np.eye(d)
     out = [JointMoments(mu[:d].copy(), mu[d:].copy(), Sigma.copy())]
-    if schedule is None or steps is None:
-        if (schedule is None) != (steps is None):
-            raise ValueError("schedule and steps must be given together")
-        return out
-    check_same_K(schedule, steps)
-
     eta = steps.eta
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, schedule.K + 1):
@@ -133,7 +127,7 @@ def expected_kinetic_sum(moments) -> float:
 def _check_match(model, moments, schedule):
     if moments[0].dim != model.d:
         raise ValueError(f"moments have dim {moments[0].dim}, model has d={model.d}")
-    if schedule is not None and len(moments) != schedule.K + 1:
+    if len(moments) != schedule.K + 1:
         raise ValueError(f"{len(moments)} moment entries for a K={schedule.K} schedule")
 
 
@@ -172,8 +166,7 @@ def expected_bound(model: BlrModel, moments, schedule) -> float:
     e_p0_K = _expected_log_gaussian(mu_K, Sigma_K, model.mu_p, model.Lambda_p, logdet_cov_p)
     first = moments[0]
     e_p0_0 = _expected_log_gaussian(first.mu_theta, first.Sigma_theta, model.mu_p, model.Lambda_p, logdet_cov_p)
-    kinetic = expected_kinetic_sum(moments) if len(moments) > 1 else 0.0
-    return float(e_lik + e_p0_K - e_p0_0 + kinetic)
+    return float(e_lik + e_p0_K - e_p0_0 + expected_kinetic_sum(moments))
 
 
 @dataclass(frozen=True)
@@ -197,14 +190,13 @@ class GapBreakdown:
 def gap_breakdown(model: BlrModel, moments, schedule) -> GapBreakdown:
     """Closed-form gap between the exact log marginal likelihood and E[L]."""
     _check_match(model, moments, schedule)
-    post = derive_posterior(model)
+    post = annealed_posterior(model, 1.0)
     last = moments[-1]
     delta = last.mu_theta - post.mu
     term1 = 0.5 * float(delta @ post.Lambda @ delta)
     term2 = 0.5 * float(np.trace(post.Lambda @ last.Sigma_theta)) - 0.5 * model.d
     logdet_ratio = _chol_logdet(model.Lambda_p) - _chol_logdet(post.Lambda)
-    kinetic = expected_kinetic_sum(moments) if len(moments) > 1 else 0.0
-    term3 = 0.5 * logdet_ratio - kinetic
+    term3 = 0.5 * logdet_ratio - expected_kinetic_sum(moments)
     return GapBreakdown(term1=term1, term2=term2, term3=term3)
 
 
@@ -312,7 +304,9 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     order = np.argsort([s.K for s in steps_list], kind="stable")
     Ks = np.array([steps_list[i].K for i in order])
     etas = np.array([steps_list[i].eta for i in order])
-    betas = [make_linear_schedule(int(K)).betas for K in Ks]
+    # built for its size check alone: a K whose schedule numpy cannot allocate
+    # raises MemoryError here, as on the dense path, instead of starting K steps
+    make_linear_schedule(int(Ks[-1]))
     # Each cell's per-mode state (mu_theta, mu_v, S_tt, S_tv, S_vv) is kept
     # before refreshment; step maps fold in the previous refreshment.  The
     # start (mu_p, 0), blockdiag(Sigma_p, I) is its own refreshment.
@@ -332,7 +326,7 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
         while k < Ks[-1]:
             lo = int(np.searchsorted(Ks, k + 1))
             stop = min(int(Ks[lo]), k + max(1, _BLOCK_MODE_STEPS // ((Ks.size - lo) * d)))
-            block_betas = np.stack([b[k + 1 : stop + 1] for b in betas[lo:]], axis=1)
+            block_betas = np.arange(k + 1, stop + 1)[:, None] / Ks[lo:]  # beta_k = k / K, as in the schedule
             maps = map_buffer[:, :, : block_betas.size * d].reshape((5, 5) + block_betas.shape + (d,))
             shifts = chain.step_maps(block_betas, etas[lo:], maps)
             hats = np.empty_like(shifts)
@@ -353,7 +347,7 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
             ok[lo:] &= np.all(low >= -PSD_TOL, axis=(0, 2))
             k = stop
 
-        post = derive_posterior(model)
+        post = annealed_posterior(model, 1.0)
         post_prec = p + lam
         delta = state[0] - post.mu @ Q
         term1 = 0.5 * np.sum(post_prec * delta * delta, axis=1)

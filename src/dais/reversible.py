@@ -249,7 +249,8 @@ class _FixedPointChain:
         self.grad_log_f = target.grad_log_f
         self.dim = d = target.dim
         self.betas = schedule.betas
-        self.eta = steps.eta * _SCALE  # exact: folds the fixed-point scale in
+        with np.errstate(over="ignore"):  # an eta past the range fails step 1's range check
+            self.eta = steps.eta * _SCALE  # exact: folds the fixed-point scale in
         self.num, self.den, self.gamma_eff = quantize_gamma(config.gamma)
         self.noise_scale = np.sqrt(1.0 - self.gamma_eff * self.gamma_eff)
         # |vv| <= num 2^61 / den keeps q = vv // num in [-2^62 / den, 2^62 / den),

@@ -71,27 +71,16 @@ def leapfrog(theta, v, eta, beta, target: AnnealedTarget):
     return theta_new, v_hat
 
 
-def _refresh_with_noise(v_hat, gamma, z):
-    """v = gamma * v_hat + sqrt(1 - gamma^2) z for pre-drawn z."""
-    return gamma * v_hat + np.sqrt(1.0 - gamma * gamma) * z
-
-
-def refresh(v_hat, gamma, rng: np.random.Generator):
-    """Partial momentum refreshment; leaves N(0, I) invariant for any gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return _refresh_with_noise(v_hat, gamma, rng.standard_normal(np.shape(v_hat)))
-
-
 def _run_chains(target, schedule, steps, config, theta, v, eps):
     """Shared chain core over a batch: theta/v (..., d), eps (..., K, d).
 
     Returns (theta_K, v_K, L) with L accumulated as
     -log p_0(theta_0) + sum_k [log pi(v_hat_k) - log pi(v_{k-1})] + log f_1(theta_K).
-    Each step is `leapfrog` followed by `_refresh_with_noise`, written out
-    so that the step constants are formed once per call.  A non-finite
-    gradient makes v_hat, and so L, non-finite at the same step, so the one
-    finiteness check per step is on L.
+    Each step is `leapfrog` followed by the partial refreshment
+    v = gamma v_hat + sqrt(1 - gamma^2) eps_k, which leaves N(0, I)
+    invariant, written out so that the step constants are formed once per
+    call.  A non-finite gradient makes v_hat, and so L, non-finite at the
+    same step, so the one finiteness check per step is on L.
     """
     check_same_K(schedule, steps)
     betas = schedule.betas

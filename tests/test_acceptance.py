@@ -15,7 +15,6 @@ from dais import (
     TransitionConfig,
     annealed_posterior,
     blr_target,
-    constant_steps,
     dais_bound_mc,
     exact_log_ml,
     expected_bound,
@@ -24,8 +23,6 @@ from dais import (
     gap_breakdown,
     gen_blr_data,
     generator,
-    keyed_generator,
-    leapfrog,
     make_linear_schedule,
     make_stepsize_scheme,
     propagate_moments,
@@ -41,6 +38,9 @@ from dais import (
 from dais.blr import additive_noise_cov
 from dais.harness import ResultRow
 from dais.reversible import forward_seed, seed_noise
+from dais.rng import keyed_generator
+from dais.sampler import leapfrog
+from dais.schedules import constant_steps
 
 from conftest import random_model
 

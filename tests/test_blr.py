@@ -8,14 +8,13 @@ from dais import (
     blr_grad,
     blr_minibatch_grad,
     blr_target,
-    derive_posterior,
     exact_log_ml,
     gen_blr_data,
     generator,
-    leapfrog,
     update_matrices,
     TransitionConfig,
 )
+from dais.sampler import leapfrog
 
 from conftest import central_difference, random_model
 
@@ -30,13 +29,13 @@ def empty_model():
 # ---------------------------------------------------------------- posterior
 
 def test_toy_posterior_hand_values(toy_model):
-    post = derive_posterior(toy_model)
+    post = annealed_posterior(toy_model, 1.0)
     assert post.Lambda[0, 0] == pytest.approx(2.0)
     assert post.mu[0] == pytest.approx(0.5)
 
 
 def test_empty_data_posterior_is_prior(empty_model):
-    post = derive_posterior(empty_model)
+    post = annealed_posterior(empty_model, 1.0)
     assert np.allclose(post.mu, empty_model.mu_p)
     assert np.allclose(post.Lambda, empty_model.Lambda_p)
 
@@ -44,7 +43,7 @@ def test_empty_data_posterior_is_prior(empty_model):
 def test_posterior_mean_between_prior_and_data_means():
     # precision-weighted mean is a convex combination in d=1
     model = BlrModel(X=[[1.0], [1.0]], y=[2.0, 2.0], sigma2=1.0, mu_p=[-1.0], Lambda_p=[[3.0]])
-    post = derive_posterior(model)
+    post = annealed_posterior(model, 1.0)
     assert -1.0 <= post.mu[0] <= 2.0
 
 
@@ -52,10 +51,11 @@ def test_annealed_endpoints(toy_model):
     at0 = annealed_posterior(toy_model, 0.0)
     assert np.allclose(at0.mu, toy_model.mu_p)
     assert np.allclose(at0.Lambda, toy_model.Lambda_p)
-    at1 = annealed_posterior(toy_model, 1.0)
-    post = derive_posterior(toy_model)
-    assert np.allclose(at1.mu, post.mu)
-    assert np.allclose(at1.Lambda, post.Lambda)
+    # the posterior: Lambda_p + X^T X / sigma2, mean solving the normal equations
+    m = toy_model
+    at1 = annealed_posterior(m, 1.0)
+    assert np.allclose(at1.Lambda, m.Lambda_p + m.X.T @ m.X / m.sigma2)
+    assert np.allclose(at1.Lambda @ at1.mu, m.Lambda_p @ m.mu_p + m.X.T @ m.y / m.sigma2)
 
 
 def test_annealed_midpoint_hand_values(toy_model):
@@ -255,7 +255,8 @@ def test_update_matrices_fixed_point(toy_model):
 def test_affine_trajectory_equivalence_any_gamma():
     # whole trajectories agree when the generic chain and the affine maps
     # consume the same refresh noise, for damped and undamped momentum
-    from dais import constant_steps, dais_chain, make_linear_schedule
+    from dais import dais_chain, make_linear_schedule
+    from dais.schedules import constant_steps
 
     rng = generator(29)
     model = random_model(rng, n=10, d=3)

@@ -1,11 +1,14 @@
 """Every name the benchmark and the panel script import from dais resolves.
 
 The files are parsed, not run, so trimming the package's exports cannot
-silently break ``bench/`` or ``scripts/``.
+silently break ``bench/`` or ``scripts/``.  README's list of helpers that
+only tests use is checked against the package as well.
 """
 
 import ast
 import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,22 @@ def test_consumers_import_from_dais():
     # guards the parse: the benchmark and the panel script do import the package
     names = {name for path in CONSUMERS for _, name in _dais_imports(path)}
     assert {"run_sweep", "dais_bound_mc", "reversible_forward", "cli"} <= names
+
+
+def _readme_test_only_helpers():
+    """The backticked names in README's sentence on helpers that only tests use."""
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    found = re.search(r"Helpers that only tests use \((.*?)\) are imported from their modules", text)
+    assert found, "README no longer has the sentence on test-only helpers"
+    return re.findall(r"`(\w+)`", found.group(1))
+
+
+def test_readme_test_only_helpers_stay_out_of_the_top_level():
+    import dais
+
+    names = _readme_test_only_helpers()
+    assert {"leapfrog", "fixed_to_float", "keyed_generator", "constant_steps"} <= set(names)
+    modules = [importlib.import_module(f"dais.{info.name}") for info in pkgutil.iter_modules(dais.__path__)]
+    for name in names:
+        assert not hasattr(dais, name), f"{name} is exported from the top-level dais package"
+        assert any(hasattr(module, name) for module in modules), f"no dais module defines {name}"

@@ -2,6 +2,7 @@ import functools
 import json
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -701,9 +702,35 @@ def test_cli_sweep_tuning_failure_exit_code(tmp_path, capsys):
 
 
 def test_cli_chain_runs(capsys):
+    # byte for byte, as printed when the exact values came from the dense engine
     assert cli_main(["chain", "--K", "16", "--n", "100", "--d", "2", "--seed", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "exact log ML" in out
+    assert capsys.readouterr().out == (
+        "K=16 eta=0.15 gamma=0.0\n"
+        "L (single chain)      = -147.050578\n"
+        "exact log ML          = -147.173607\n"
+        "E[L] (closed form)    = -147.622142\n"
+        "expected gap          = 0.448535\n"
+        "|theta_K|             = 0.5786\n")
+
+
+def test_cli_chain_peak_memory(capsys):
+    # the exact values need O(d) state per step, not K + 1 dense 2d x 2d covariances
+    # (33 MB traced for this run on the dense engine)
+    tracemalloc.start()
+    try:
+        assert cli_main(["chain", "--d", "20", "--K", "2000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_cli_chain_exact_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("dais.cli.sweep_gaps", lambda model, gamma, steps: np.array([np.nan]))
+    assert cli_main(["chain", "--K", "16", "--n", "100", "--d", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("numerical failure: exact moment propagation")
 
 
 def test_cli_check_reversible(capsys, monkeypatch):
@@ -766,6 +793,7 @@ def test_cli_check_reversible_default_stdout_pinned(capsys):
     (["chain", "--K", str(2 * 10**18)], 2),
     (["check-reversible", "--K", str(10**19)], 2),
     (["oracles", "--chains", str(2 * 10**18)], 2),
+    (["check-reversible", "--eta", "1e300", "--K", "5"], 3),  # eta * 2^48 overflows a double
 ])
 def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
     assert cli_main(argv) == code

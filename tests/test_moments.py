@@ -11,13 +11,11 @@ from dais import (
     TransitionConfig,
     annealed_posterior,
     blr_target,
-    constant_steps,
     exact_log_ml,
     expected_bound,
     gap_breakdown,
     gen_blr_data,
     generator,
-    leapfrog,
     make_linear_schedule,
     make_stepsize_scheme,
     propagate_moments,
@@ -27,6 +25,8 @@ from dais import (
 )
 from dais.blr import additive_noise_cov
 from dais.moments import expected_kinetic_sum
+from dais.sampler import leapfrog
+from dais.schedules import constant_steps
 
 from conftest import dense_gap, random_model
 
@@ -69,8 +69,8 @@ def closed_recursions(model, schedule, eta):
 
 def test_initial_moments_only():
     model = gen_blr_data(20, 3, 0)
-    moments = propagate_moments(model)
-    assert len(moments) == 1
+    moments = propagate_moments(model, make_linear_schedule(1), constant_steps(0.1, 1))
+    assert len(moments) == 2
     m0 = moments[0]
     assert np.allclose(m0.mu_theta, model.mu_p)
     assert np.allclose(m0.mu_v, 0.0)
@@ -254,6 +254,9 @@ def test_sweep_gaps_empty_and_invalid():
     assert sweep_gaps(model, 0.0, []).shape == (0,)
     with pytest.raises(ValueError):
         sweep_gaps(model, 1.5, [make_stepsize_scheme(0.3, 0.25, 4)])
+    # a chain whose schedule numpy cannot allocate is refused before any step runs
+    with pytest.raises(MemoryError):
+        sweep_gaps(model, 0.0, [make_stepsize_scheme(0.3, 0.25, 4), make_stepsize_scheme(0.3, 0.25, 10**15)])
 
 
 # ------------------------------------------------------------ kinetic sum

@@ -12,13 +12,10 @@ from dais import (
     NumericalFailure,
     TransitionConfig,
     blr_target,
-    constant_steps,
     dais_chain,
-    fixed_to_float,
     float_to_fixed,
     gen_blr_data,
     generator,
-    keyed_generator,
     make_linear_schedule,
     quantize_gamma,
     reversible_backward,
@@ -26,7 +23,9 @@ from dais import (
 )
 from dais.cli import main as cli_main
 from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointChain, backward_seed,
-                             forward_seed, seed_noise)
+                             fixed_to_float, forward_seed, seed_noise)
+from dais.rng import keyed_generator
+from dais.schedules import constant_steps
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,24 +9,22 @@ from dais import (
     TransitionConfig,
     annealed_posterior,
     blr_target,
-    constant_steps,
     dais_bound_mc,
     dais_chain,
     exact_log_ml,
     gen_blr_data,
     generator,
-    leapfrog,
     make_linear_schedule,
     make_stepsize_scheme,
     noisy_gradient,
-    refresh,
     sample_chains,
     update_matrices,
 )
 
 from dais.blr import additive_noise_cov
 from dais.cli import main as cli_main
-from dais.sampler import _draw_inputs, _refresh_with_noise, _run_chains
+from dais.sampler import _draw_inputs, _run_chains, leapfrog
+from dais.schedules import constant_steps
 
 from conftest import random_model
 
@@ -92,25 +92,31 @@ def test_leapfrog_nonfinite_gradient_raises(toy_model):
 
 # ----------------------------------------------------------------- refresh
 
+def _refreshed(gamma, n, K, seed, dim=3):
+    """v_0, the refresh noise and v_K of `sample_chains` at eta = 0, where each step only refreshes."""
+    target = _prior_only_target(dim)
+    _, v0, eps = _draw_inputs(target, K, n, generator(seed))
+    _, v, _ = sample_chains(target, make_linear_schedule(K), constant_steps(0.0, K),
+                            TransitionConfig(gamma=gamma), n, generator(seed))
+    return v0, eps, v
+
+
 def test_refresh_gamma_one_keeps_momentum():
-    v_hat = np.array([1.0, -2.0])
-    out = refresh(v_hat, 1.0, generator(0))
-    assert np.allclose(out, v_hat)
+    v0, _, v = _refreshed(1.0, 5, 4, 0)
+    assert np.array_equal(v, v0)
 
 
 def test_refresh_gamma_zero_independent():
-    v_hat = np.array([100.0, -100.0])
-    out = refresh(v_hat, 0.0, generator(0))
-    assert np.all(np.abs(out) < 10)
+    # the momentum is the last step's fresh draw, whatever came before
+    _, eps, v = _refreshed(0.0, 5, 4, 0)
+    assert np.array_equal(v, eps[:, -1])
 
 
 def test_refresh_preserves_momentum_law():
-    # if v_hat ~ N(0, I) then v ~ N(0, I) for every gamma
-    rng = generator(42)
+    # v_0 ~ N(0, I), so v_K ~ N(0, I) for every gamma
     n = 100000
     for gamma in (0.0, 0.5, 0.9, 1.0):
-        v_hat = rng.standard_normal((n, 3))
-        v = refresh(v_hat, gamma, rng)
+        _, _, v = _refreshed(gamma, n, 3, 42)
         emp = np.cov(v.T)
         se = np.sqrt((1.0 + np.eye(3)) / n)
         assert np.all(np.abs(emp - np.eye(3)) < 4 * se + 1e-3)
@@ -186,12 +192,12 @@ def test_chain_requires_rng_or_full_noise(toy_model):
 # ------------------------------------------------------- batched chain core
 
 def _per_step_chains(target, schedule, steps, config, theta, v, eps):
-    """Independent slow path: `leapfrog`, kinetic energies, then `_refresh_with_noise` per step."""
+    """Independent slow path: `leapfrog`, kinetic energies, then the refreshment per step."""
     L = -target.log_p0(theta)
     for k in range(1, schedule.K + 1):
         theta, v_hat = leapfrog(theta, v, steps.eta, schedule.betas[k], target)
         L = L + 0.5 * ((v * v).sum(axis=-1) - (v_hat * v_hat).sum(axis=-1))
-        v = _refresh_with_noise(v_hat, config.gamma, eps[:, k - 1, :])
+        v = config.gamma * v_hat + np.sqrt(1.0 - config.gamma * config.gamma) * eps[:, k - 1, :]
     return theta, v, L + target.log_f(1.0, theta)
 
 
@@ -317,3 +323,28 @@ def test_bound_mc_propagates_chain_id(toy_model):
 def test_config_validation():
     with pytest.raises(ValueError):
         TransitionConfig(gamma=1.5)
+
+
+# ------------------------------------------------------------------ digest
+
+# sha256 of the outputs below; any change to the sampler's draws or arithmetic moves it
+SAMPLER_PINNED_DIGEST = "4abbd8ea81c848e5f90e0429df358beb188a4cc4dd0e77e3eb8f8db02bd31322"
+
+
+def test_sampler_outputs_pinned_digest():
+    h = hashlib.sha256()
+
+    def put(*arrays):
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+
+    d, K, n = 4, 40, 16
+    model = gen_blr_data(200, d, 13)
+    clean = blr_target(model)
+    schedule, steps = make_linear_schedule(K), make_stepsize_scheme(0.3, 0.25, K)
+    put(*dais_chain(clean, schedule, steps, TransitionConfig(gamma=0.9), generator(3)))
+    put(*sample_chains(clean, schedule, steps, TransitionConfig(gamma=0.9), n, generator(5)))
+    noisy = noisy_gradient(clean, additive_noise_cov(model, 50), generator(7))
+    put(*sample_chains(noisy, schedule, steps, TransitionConfig(gamma=0.0), n, generator(11)))
+    put(*dais_bound_mc(clean, schedule, steps, TransitionConfig(gamma=0.5), n, generator(17)))
+    assert h.hexdigest() == SAMPLER_PINNED_DIGEST

@@ -4,10 +4,10 @@ from hypothesis import given, strategies as st
 
 from dais import (
     StepSizeScheme,
-    constant_steps,
     make_linear_schedule,
     make_stepsize_scheme,
 )
+from dais.schedules import constant_steps
 
 
 def test_linear_schedule_quarters():
