@@ -9,22 +9,29 @@ step, and mini-batch gradients all have closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .targets import Gaussian, GeometricTarget, geometric_target
+from .sampler import NumericalFailure
+from .targets import Gaussian, GeometricTarget, _as_spd, _check_beta, geometric_target
 
 
 @dataclass(frozen=True)
 class BlrModel:
-    """Design matrix X (n x d), targets y (n,), observation variance, prior."""
+    """Design matrix X (n x d), targets y (n,), observation variance, prior.
+
+    Derived: ``Lambda_lld`` = X^T X / sigma2 and ``Xty_over_s2`` = X^T y / sigma2,
+    which equals Lambda_lld mu_* and stays well defined when X^T X is singular.
+    """
 
     X: np.ndarray
     y: np.ndarray
     sigma2: float
     mu_p: np.ndarray
     Lambda_p: np.ndarray
+    Lambda_lld: np.ndarray = field(init=False, repr=False, compare=False)
+    Xty_over_s2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -34,25 +41,23 @@ class BlrModel:
         d = X.shape[1] if X.size else mu_p.size
         if X.shape[0] != y.size:
             raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
-        if mu_p.shape != (d,) or Lambda_p.shape != (d, d):
+        if mu_p.shape != (d,):
             raise ValueError("prior dimensions do not match the design matrix")
         for name, value in (("X", X), ("y", y), ("mu_p", mu_p), ("Lambda_p", Lambda_p)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
         if not 0 < self.sigma2 < np.inf:  # NaN fails too
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if not np.allclose(Lambda_p, Lambda_p.T, atol=1e-10):
-            raise ValueError("Lambda_p must be symmetric")
+        Lambda_p = _as_spd(Lambda_p, d, "Lambda_p")
         np.linalg.cholesky(Lambda_p)  # raises if not positive definite
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "mu_p", mu_p)
-        object.__setattr__(self, "Lambda_p", 0.5 * (Lambda_p + Lambda_p.T))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        # cached derived quantities; X^T y / sigma2 equals Lambda_lld mu_*,
-        # which stays well defined even when X^T X is singular
-        object.__setattr__(self, "_Lambda_lld", X.T @ X / self.sigma2)
-        object.__setattr__(self, "_Xty_over_s2", X.T @ y / self.sigma2)
+        sigma2 = float(self.sigma2)
+        with np.errstate(over="ignore"):
+            Lambda_lld, Xty_over_s2 = X.T @ X / sigma2, X.T @ y / sigma2
+        if not (np.isfinite(Lambda_lld).all() and np.isfinite(Xty_over_s2).all()):
+            raise NumericalFailure(f"X^T X / sigma2 or X^T y / sigma2 overflows at sigma2 = {sigma2!r}")
+        for name, value in (("X", X), ("y", y), ("mu_p", mu_p), ("Lambda_p", Lambda_p), ("sigma2", sigma2),
+                            ("Lambda_lld", Lambda_lld), ("Xty_over_s2", Xty_over_s2)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -61,10 +66,6 @@ class BlrModel:
     @property
     def d(self) -> int:
         return self.mu_p.size
-
-    @property
-    def Lambda_lld(self) -> np.ndarray:
-        return self._Lambda_lld
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,10 @@ def annealed_posterior(model: BlrModel, beta: float) -> AnnealedGaussian:
     The mean solves Lambda mu = Lambda_p mu_p + beta X^T y / sigma2; the
     least-squares point is never materialized, so singular X^T X is fine.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    beta = _check_beta(beta)
     Lambda = model.Lambda_p + beta * model.Lambda_lld
-    mu = np.linalg.solve(Lambda, model.Lambda_p @ model.mu_p + beta * model._Xty_over_s2)
-    return AnnealedGaussian(beta=float(beta), mu=mu, Lambda=Lambda)
+    mu = np.linalg.solve(Lambda, model.Lambda_p @ model.mu_p + beta * model.Xty_over_s2)
+    return AnnealedGaussian(beta=beta, mu=mu, Lambda=Lambda)
 
 
 def _chol_logdet(mat: np.ndarray) -> float:
@@ -114,8 +114,7 @@ def exact_log_ml(model: BlrModel) -> float:
 
 def blr_grad(model: BlrModel, beta: float, theta: np.ndarray) -> np.ndarray:
     """Annealed log-density gradient -Lambda_p (theta - mu_p) + (beta/sigma2) X^T (y - X theta)."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    beta = _check_beta(beta)
     theta = np.asarray(theta, dtype=float)
     grad = -(theta - model.mu_p) @ model.Lambda_p
     if beta != 0.0 and model.n:
@@ -131,8 +130,7 @@ def blr_minibatch_grad(model, beta, theta, batch_indices=None, batch_size=None, 
     pass explicit ``batch_indices`` or a ``batch_size`` plus ``rng`` to draw
     a batch uniformly with replacement.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    beta = _check_beta(beta)
     if batch_indices is None:
         if batch_size is None or rng is None:
             raise ValueError("need batch_indices, or batch_size and rng")
@@ -169,13 +167,13 @@ class UpdateMatrices:
 
 def update_matrices(model: BlrModel, beta: float, eta: float) -> UpdateMatrices:
     """Matrices of the affine leapfrog map at (beta, eta), identity mass."""
-    ann = annealed_posterior(model, beta)
-    d = model.d
-    eye = np.eye(d)
-    A = eye - 0.5 * eta**2 * ann.Lambda
-    B = eta * eye - 0.25 * eta**3 * ann.Lambda
-    C = -eta * ann.Lambda
-    lam_mu = ann.Lambda @ ann.mu
+    beta = _check_beta(beta)
+    Lambda = model.Lambda_p + beta * model.Lambda_lld
+    lam_mu = model.Lambda_p @ model.mu_p + beta * model.Xty_over_s2  # Lambda times the mean, with no solve
+    eye = np.eye(model.d)
+    A = eye - 0.5 * eta**2 * Lambda
+    B = eta * eye - 0.25 * eta**3 * Lambda
+    C = -eta * Lambda
     return UpdateMatrices(A=A, B=B, C=C, D=A.copy(), c_vec=0.5 * eta**2 * lam_mu, e_vec=eta * lam_mu)
 
 
@@ -195,7 +193,7 @@ def blr_target(model: BlrModel) -> GeometricTarget:
     if model.n == 0:
         return geometric_target(prior, None, None)
     const = -0.5 * model.n * np.log(2 * np.pi * model.sigma2)
-    Xty_over_s2 = model._Xty_over_s2
+    Xty_over_s2 = model.Xty_over_s2
     Lambda_lld = model.Lambda_lld
 
     def log_lik(theta):

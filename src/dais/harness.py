@@ -229,8 +229,8 @@ TUNE_GRID = tuple(np.round(np.arange(0.05, 1.501, 0.05), 3))
 TUNE_STABILITY_FRACTION = 0.7
 
 
-def tune_stepsize_base(model: BlrModel, gamma: float, K_min: int, c_list, grid=TUNE_GRID) -> float:
-    """Pick the constant a minimizing the summed exact gap at the smallest K.
+def tune_stepsize_base(model: BlrModel, gamma: float, K_min: int, c_list) -> float:
+    """Pick the constant a on ``TUNE_GRID`` minimizing the summed exact gap at the smallest K.
 
     Tuned once per (model, gamma) on the noise-free gap (tuning against the
     noisy gap would push a toward zero) and held fixed across the sweep.
@@ -240,7 +240,7 @@ def tune_stepsize_base(model: BlrModel, gamma: float, K_min: int, c_list, grid=T
     ``sweep_gaps`` call.
     """
     eta_max = TUNE_STABILITY_FRACTION * stability_limit(model)
-    candidates = [a for a in grid if not max(make_stepsize_scheme(a, c, K_min).eta for c in c_list) > eta_max]
+    candidates = [a for a in TUNE_GRID if not max(make_stepsize_scheme(a, c, K_min).eta for c in c_list) > eta_max]
     steps = [make_stepsize_scheme(a, c, K_min) for a in candidates for c in c_list]
     gaps = sweep_gaps(model, gamma, steps).reshape(len(candidates), len(c_list))
     best_a, best_val = None, np.inf
@@ -295,6 +295,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     count.  Sampled cells run in ``(c, K)`` order on one shared target; a
     noisy cell wraps it with its own noise stream.
     """
+    check_addressable(config.K_grid[-1] + 1)  # the longest chain's schedule, as AnnealingSchedule checks
     model = gen_blr_data(config.n, config.d, config.seed, sigma2=config.sigma2)
     noise = None if config.batch_size is None else additive_noise_cov(model, config.batch_size)
     a = config.a if config.a is not None else tune_stepsize_base(
@@ -319,18 +320,14 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     return [_row(config, K, c, gap, 0.0, elapsed_ms) for (c, K), gap in zip(cells, gaps)]
 
 
-def fit_loglog_slope(rows, K_min: int | None = None):
+def fit_loglog_slope(rows):
     """Least-squares slope of log(gap) against log(K).
 
-    Pass the rows of one curve (one c).  Rows below ``K_min`` or with
-    non-positive / non-finite gaps are dropped; fewer than three remaining
-    rows raises InsufficientData.  Returns (slope, intercept, r2).
+    Pass the rows of one curve (one c).  Rows with non-positive or
+    non-finite gaps are dropped; fewer than three remaining rows raises
+    InsufficientData.  Returns (slope, intercept, r2).
     """
-    pts = [
-        (row.K, row.gap)
-        for row in rows
-        if (K_min is None or row.K >= K_min) and np.isfinite(row.gap) and row.gap > 0
-    ]
+    pts = [(row.K, row.gap) for row in rows if np.isfinite(row.gap) and row.gap > 0]
     if len(pts) < 3:
         raise InsufficientData(f"need >= 3 usable rows, have {len(pts)}")
     logK = np.log([p[0] for p in pts])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blr import BlrModel, annealed_posterior, update_matrices, _chol_logdet
-from .sampler import NumericalFailure
+from .sampler import NumericalFailure, check_gamma
 from .schedules import StepSizeScheme, check_same_K, make_linear_schedule
 from .targets import check_noise_cov
 
@@ -61,8 +61,7 @@ def propagate_moments(model: BlrModel, schedule, steps, gamma: float = 0.0, nois
     (v-block scaled by gamma, (1 - gamma^2) I injected).  Returns K+1
     JointMoments, the initial moments first.  Identity mass throughout.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    check_gamma(gamma)
     check_same_K(schedule, steps)
     d = model.d
     sigma_eps = None if noise is None else check_noise_cov(noise, d)
@@ -279,8 +278,7 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     runs max K times.  Any other prior raises ``ValueError``: use
     ``propagate_moments`` and ``gap_breakdown`` for it.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    check_gamma(gamma)
     steps_list = list(steps_list)
     d = model.d
     p = model.Lambda_p[0, 0]
@@ -295,7 +293,7 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
         p=p,
         lam=lam,
         prior_shift=p * (model.mu_p @ Q),
-        data_shift=model._Xty_over_s2 @ Q,
+        data_shift=model.Xty_over_s2 @ Q,
         noise=np.zeros(d) if noise is None else np.einsum("ji,jk,ki->i", Q, check_noise_cov(noise, d), Q),
         gamma=gamma,
     )

@@ -216,8 +216,8 @@ class FixedPointState:
         return fixed_to_float(self.theta), fixed_to_float(self.v)
 
 
-def quantize_gamma(gamma: float, denom_bits: int = GAMMA_DENOM_BITS):
-    """Largest rational n / 2^denom_bits not exceeding gamma.
+def quantize_gamma(gamma: float):
+    """Largest rational n / 2^GAMMA_DENOM_BITS not exceeding gamma.
 
     Rounding down keeps the per-step buffer cost at or above log2(1/gamma),
     so measured bits land in the documented [log2(1/gamma), log2(1/gamma)+1]
@@ -225,13 +225,12 @@ def quantize_gamma(gamma: float, denom_bits: int = GAMMA_DENOM_BITS):
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1] for rational damping, got {gamma}")
-    den = 1 << denom_bits
-    num = int(np.floor(gamma * den))
+    num = int(np.floor(gamma * _DENOM))
     if num == 0:
         raise ValueError("gamma too small to quantize; use naive storage instead")
     if gamma == 1.0:
-        num = den
-    return num, den, num / den
+        num = _DENOM
+    return num, _DENOM, num / _DENOM
 
 
 class _FixedPointChain:

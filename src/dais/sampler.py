@@ -44,8 +44,13 @@ class TransitionConfig:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        check_gamma(self.gamma)
+
+
+def check_gamma(gamma) -> None:
+    """Raise ValueError unless the momentum damping ``gamma`` lies in [0, 1]."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
 
 
 def leapfrog(theta, v, eta, beta, target: AnnealedTarget):

@@ -2,7 +2,8 @@
 
 The files are parsed, not run, so trimming the package's exports cannot
 silently break ``bench/`` or ``scripts/``.  README's list of helpers that
-only tests use is checked against the package as well.
+only tests use is checked against the package as well, and every package
+module must use each name it imports.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 CONSUMERS = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+MODULES = sorted(path for path in (ROOT / "src" / "dais").glob("*.py") if path.name != "__init__.py")
 
 
 def _dais_imports(path):
@@ -63,3 +65,17 @@ def test_readme_test_only_helpers_stay_out_of_the_top_level():
     for name in names:
         assert not hasattr(dais, name), f"{name} is exported from the top-level dais package"
         assert any(hasattr(module, name) for module in modules), f"no dais module defines {name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    # the package has no linter; this parse catches an import whose last use was removed
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"

@@ -508,7 +508,7 @@ def test_fit_filters_and_errors():
     with pytest.raises(InsufficientData):
         fit_loglog_slope(rows)
     with pytest.raises(InsufficientData):
-        fit_loglog_slope([], K_min=1)
+        fit_loglog_slope([])
 
 
 # --------------------------------------------------------------------- csv
@@ -661,6 +661,9 @@ def test_gap_sweeps_script_checks_out_dir_before_running(tmp_path, capsys, monke
     # beyond what numpy can address at all
     "K_grid = [8, 2_000_000_000_000_000_000]",
     'mode = "mc"\nmc_chains = 2_000_000_000_000_000_000',
+    # a K past the float range, in every mode
+    *(pytest.param(f'mode = "{mode}"\nK_grid = [8, 1{"0" * 400}]', id=f"{mode} K=10^400")
+      for mode in ("exact", "theory", "mc")),
 ])
 def test_cli_sweep_size_too_large_to_allocate(tmp_path, capsys, text):
     # numpy refuses these sizes before it allocates anything
@@ -671,6 +674,18 @@ def test_cli_sweep_size_too_large_to_allocate(tmp_path, capsys, text):
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("out of memory: ") and len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_sweep_sigma2_whose_statistics_overflow(tmp_path, capsys):
+    # positive and finite, so the config accepts it, but X^T X / sigma2 overflows
+    cfg_path = tmp_path / "tiny.toml"
+    cfg_path.write_text("n = 100\nd = 2\nK_grid = [8, 16]\nc_list = [0.25]\nsigma2 = 1e-320\n")
+    out_path = tmp_path / "x.csv"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 3  # warnings are errors
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("numerical failure: ") and len(captured.err.strip().splitlines()) == 1
+    assert not out_path.exists()
 
 
 def test_cli_sweep_missing_config(tmp_path):
@@ -803,8 +818,10 @@ def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
 
 
 def test_cli_oracles_smoke(capsys):
-    code = cli_main(["oracles", "--chains", "4000"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "[PASS]" in out
-    assert "[FAIL]" not in out
+    # byte for byte, as printed when the exact gaps came from the dense engine
+    assert cli_main(["oracles", "--chains", "4000"]) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] unbiasedness E[exp(L - log Z)] = 1: mean=0.99944 se=0.00907\n"
+        "[PASS] lower bound mean L <= log Z: mean L=-1.87137 log Z=-1.51551\n"
+        "[PASS] exact vs sampled gap at K=16: exact=24.3358 mc=25.4570 se=0.7916\n"
+        "[PASS] exact vs sampled gap at K=64: exact=16.3287 mc=15.3988 se=0.5616\n")
