@@ -62,11 +62,6 @@ from .schedules import (
     make_linear_schedule,
     make_stepsize_scheme,
 )
-from .targets import (
-    AnnealedTarget,
-    Gaussian,
-    geometric_target,
-    noisy_gradient,
-)
+from .targets import AnnealedTarget, noisy_gradient
 
 __version__ = "0.1.0"

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampler import NumericalFailure
-from .targets import Gaussian, GeometricTarget, _as_spd, _check_beta, geometric_target
+from .targets import AnnealedTarget
+
+
+def _check_beta(beta) -> float:
+    beta = float(beta)
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class BlrModel:
         y = np.asarray(self.y, dtype=float).reshape(-1)
         mu_p = np.atleast_1d(np.asarray(self.mu_p, dtype=float))
         Lambda_p = np.atleast_2d(np.asarray(self.Lambda_p, dtype=float))
-        d = X.shape[1] if X.size else mu_p.size
+        d = X.shape[1]
         if X.shape[0] != y.size:
             raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} entries")
         if mu_p.shape != (d,):
@@ -48,7 +55,11 @@ class BlrModel:
                 raise ValueError(f"{name} must be finite")
         if not 0 < self.sigma2 < np.inf:  # NaN fails too
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        Lambda_p = _as_spd(Lambda_p, d, "Lambda_p")
+        if Lambda_p.shape != (d, d):
+            raise ValueError(f"Lambda_p must be {d}x{d}, got {Lambda_p.shape}")
+        if not np.allclose(Lambda_p, Lambda_p.T, atol=1e-10):
+            raise ValueError("Lambda_p must be symmetric")
+        Lambda_p = 0.5 * (Lambda_p + Lambda_p.T)
         np.linalg.cholesky(Lambda_p)  # raises if not positive definite
         sigma2 = float(self.sigma2)
         with np.errstate(over="ignore"):
@@ -117,7 +128,7 @@ def blr_grad(model: BlrModel, beta: float, theta: np.ndarray) -> np.ndarray:
     beta = _check_beta(beta)
     theta = np.asarray(theta, dtype=float)
     grad = -(theta - model.mu_p) @ model.Lambda_p
-    if beta != 0.0 and model.n:
+    if beta != 0.0:
         grad = grad + (beta / model.sigma2) * (model.y - theta @ model.X.T) @ model.X
     return grad
 
@@ -177,7 +188,50 @@ def update_matrices(model: BlrModel, beta: float, eta: float) -> UpdateMatrices:
     return UpdateMatrices(A=A, B=B, C=C, D=A.copy(), c_vec=0.5 * eta**2 * lam_mu, e_vec=eta * lam_mu)
 
 
-def blr_target(model: BlrModel) -> GeometricTarget:
+class _BlrTarget(AnnealedTarget):
+    """log f_beta(theta) = log N(theta; mu_p, Lambda_p^{-1}) + beta * log p(y | X, theta)."""
+
+    def __init__(self, model: BlrModel):
+        self.model = model
+        chol = np.linalg.cholesky(model.Lambda_p)
+        # cov factor F with F F^T = Lambda_p^{-1}: inverse transpose of the precision factor
+        self._cov_factor = np.linalg.solve(chol.T, np.eye(model.d))
+        self._log_det_cov = -2.0 * np.sum(np.log(np.diag(chol)))
+        self._neg_Lambda_p = -model.Lambda_p  # delta @ -P: the bits of -delta @ P, one op fewer
+        self._log_lik_const = -0.5 * model.n * np.log(2 * np.pi * model.sigma2)
+
+    @property
+    def dim(self) -> int:
+        return self.model.d
+
+    def log_f(self, beta, theta):
+        beta = _check_beta(beta)
+        out = self.log_p0(theta)
+        if beta != 0.0:
+            m = self.model
+            resid = m.y - np.asarray(theta, float) @ m.X.T
+            out = out + beta * (self._log_lik_const - 0.5 * np.sum(resid * resid, axis=-1) / m.sigma2)
+        return out
+
+    def grad_log_f(self, beta, theta):
+        beta = _check_beta(beta)
+        theta = np.asarray(theta, dtype=float)
+        out = (theta - self.model.mu_p) @ self._neg_Lambda_p
+        if beta != 0.0:
+            out = out + beta * (self.model.Xty_over_s2 - theta @ self.model.Lambda_lld)
+        return out
+
+    def sample_p0(self, rng, size=None):
+        shape = (self.dim,) if size is None else (size, self.dim)
+        return self.model.mu_p + rng.standard_normal(shape) @ self._cov_factor.T
+
+    def log_p0(self, theta):
+        delta = np.asarray(theta, dtype=float) - self.model.mu_p
+        quad = np.sum((delta @ self.model.Lambda_p) * delta, axis=-1)
+        return -0.5 * (self.dim * np.log(2 * np.pi) + self._log_det_cov + quad)
+
+
+def blr_target(model: BlrModel) -> AnnealedTarget:
     """Annealed-target view of the model for the generic samplers.
 
     The likelihood keeps its normalization constant so that the weight at
@@ -189,21 +243,7 @@ def blr_target(model: BlrModel) -> GeometricTarget:
     quadratic y^T y - 2 theta^T X^T y + theta^T X^T X theta cancels badly
     near the least-squares point.
     """
-    prior = Gaussian(model.mu_p, precision=model.Lambda_p)
-    if model.n == 0:
-        return geometric_target(prior, None, None)
-    const = -0.5 * model.n * np.log(2 * np.pi * model.sigma2)
-    Xty_over_s2 = model.Xty_over_s2
-    Lambda_lld = model.Lambda_lld
-
-    def log_lik(theta):
-        resid = model.y - np.asarray(theta, float) @ model.X.T
-        return const - 0.5 * np.sum(resid * resid, axis=-1) / model.sigma2
-
-    def grad_log_lik(theta):
-        return Xty_over_s2 - np.asarray(theta, float) @ Lambda_lld
-
-    return geometric_target(prior, log_lik, grad_log_lik)
+    return _BlrTarget(model)
 
 
 def additive_noise_cov(model: BlrModel, batch_size: int) -> np.ndarray:
@@ -221,6 +261,10 @@ def additive_noise_cov(model: BlrModel, batch_size: int) -> np.ndarray:
         raise ValueError("additive noise is undefined for empty data")
     mu_star = np.linalg.lstsq(model.X, model.y, rcond=None)[0]
     resid = model.y - model.X @ mu_star
-    contrib = (model.n / model.sigma2) * model.X * resid[:, None]
-    centered = contrib - contrib.mean(axis=0)
-    return (centered.T @ centered) / (model.n * batch_size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        contrib = (model.n / model.sigma2) * model.X * resid[:, None]
+        centered = contrib - contrib.mean(axis=0)
+        cov = (centered.T @ centered) / (model.n * batch_size)
+    if not np.isfinite(cov).all():
+        raise NumericalFailure(f"the mini-batch noise covariance overflows at sigma2 = {model.sigma2!r}")
+    return cov

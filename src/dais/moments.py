@@ -152,15 +152,12 @@ def expected_bound(model: BlrModel, moments, schedule) -> float:
     _check_match(model, moments, schedule)
     last = moments[-1]
     mu_K, Sigma_K = last.mu_theta, last.Sigma_theta
-    if model.n:
-        resid = model.y - model.X @ mu_K
-        e_lik = (
-            -0.5 * model.n * np.log(2 * np.pi * model.sigma2)
-            - 0.5 * resid @ resid / model.sigma2
-            - 0.5 * np.trace(model.Lambda_lld @ Sigma_K)
-        )
-    else:
-        e_lik = 0.0
+    resid = model.y - model.X @ mu_K
+    e_lik = (
+        -0.5 * model.n * np.log(2 * np.pi * model.sigma2)
+        - 0.5 * resid @ resid / model.sigma2
+        - 0.5 * np.trace(model.Lambda_lld @ Sigma_K)
+    )
     logdet_cov_p = -_chol_logdet(model.Lambda_p)
     e_p0_K = _expected_log_gaussian(mu_K, Sigma_K, model.mu_p, model.Lambda_p, logdet_cov_p)
     first = moments[0]

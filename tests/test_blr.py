@@ -4,6 +4,7 @@ from scipy import integrate
 
 from dais import (
     BlrModel,
+    additive_noise_cov,
     annealed_posterior,
     blr_grad,
     blr_minibatch_grad,
@@ -100,6 +101,12 @@ def test_exact_log_ml_against_quadrature(toy_model):
 
 def test_exact_log_ml_empty_data(empty_model):
     assert exact_log_ml(empty_model) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_additive_noise_rejects_empty_data(empty_model):
+    # the noise is a population covariance over rows, so it needs at least one
+    with pytest.raises(ValueError, match="empty data"):
+        additive_noise_cov(empty_model, 5)
 
 
 def test_exact_log_ml_quadrature_random_d1():
@@ -307,6 +314,11 @@ def test_model_validation():
         BlrModel(X=[[1.0]], y=[1.0, 2.0], sigma2=1.0, mu_p=[0.0], Lambda_p=[[1.0]])
     with pytest.raises(np.linalg.LinAlgError):
         BlrModel(X=[[1.0]], y=[1.0], sigma2=1.0, mu_p=[0.0], Lambda_p=[[-1.0]])
+    # a design matrix with no columns fixes d = 0, whatever the prior says
+    with pytest.raises(ValueError, match="prior dimensions do not match the design matrix"):
+        BlrModel(X=np.zeros((3, 0)), y=[1.0, 2.0, 3.0], sigma2=1.0, mu_p=[0.0], Lambda_p=[[1.0]])
+    with pytest.raises(ValueError, match="prior dimensions do not match the design matrix"):
+        BlrModel(X=[[]], y=[1.0], sigma2=1.0, mu_p=[0.0, 0.0], Lambda_p=np.eye(2))
 
 
 _FINITE_MODEL = {"X": [[1.0, 0.0], [0.0, 2.0]], "y": [1.0, -1.0], "sigma2": 0.5,

@@ -2,8 +2,8 @@
 
 The files are parsed, not run, so trimming the package's exports cannot
 silently break ``bench/`` or ``scripts/``.  README's list of helpers that
-only tests use is checked against the package as well, and every package
-module must use each name it imports.
+only tests use and its sentence on custom targets are checked against the
+package as well, and every package module must use each name it imports.
 """
 
 import ast
@@ -65,6 +65,26 @@ def test_readme_test_only_helpers_stay_out_of_the_top_level():
     for name in names:
         assert not hasattr(dais, name), f"{name} is exported from the top-level dais package"
         assert any(hasattr(module, name) for module in modules), f"no dais module defines {name}"
+
+
+def _readme_paragraph(opening):
+    """README's paragraph that contains ``opening``, on one line."""
+    paragraphs = (ROOT / "README.md").read_text(encoding="utf-8").split("\n\n")
+    found = [" ".join(p.split()) for p in paragraphs if opening in " ".join(p.split())]
+    assert len(found) == 1, f"README has {len(found)} paragraphs with {opening!r}"
+    return found[0]
+
+
+def test_readme_custom_target_sentence_matches_the_interface():
+    import dais
+
+    text = _readme_paragraph("Custom targets implement `AnnealedTarget`")
+    methods = re.search(r"Custom targets implement `AnnealedTarget` \((.*?)\)", text).group(1)
+    assert set(re.findall(r"`(\w+)`", methods)) == dais.AnnealedTarget.__abstractmethods__
+    callables = set(re.findall(r"`([a-z_]\w*)\(", text))  # `N(0, sigma_eps)` is notation, not a call
+    assert {"blr_target", "noisy_gradient"} <= callables
+    for name in callables:
+        assert callable(getattr(dais, name, None)), f"README calls {name}, which dais does not export"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

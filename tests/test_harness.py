@@ -688,6 +688,23 @@ def test_cli_sweep_sigma2_whose_statistics_overflow(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("sigma2", ["1e-160", "1e-307"])
+@pytest.mark.parametrize("mode", ["exact", "theory", "mc"])
+def test_cli_sweep_noise_covariance_that_overflows(tmp_path, capsys, mode, sigma2):
+    # X^T X / sigma2 stays finite, so the model is built, but the mini-batch
+    # noise covariance scales as (n / sigma2)^2 and overflows: in its final
+    # product at 1e-160, already in n / sigma2 at 1e-307
+    cfg_path = tmp_path / "tiny.toml"
+    cfg_path.write_text(f'n = 100\nd = 2\nK_grid = [8, 16]\nc_list = [0.25]\nsigma2 = {sigma2}\n'
+                        f'batch_size = 10\nmode = "{mode}"\n')
+    out_path = tmp_path / "x.csv"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 3  # warnings are errors
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("numerical failure: ") and len(captured.err.strip().splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_cli_sweep_missing_config(tmp_path):
     assert cli_main(["sweep", "--config", str(tmp_path / "nope.toml"),
                      "--out", str(tmp_path / "x.csv")]) == 2

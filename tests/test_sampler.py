@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dais import (
+    BlrModel,
     NumericalFailure,
     TransitionConfig,
     annealed_posterior,
@@ -33,9 +34,8 @@ CFG = TransitionConfig(gamma=0.0)
 
 
 def _prior_only_target(dim=2):
-    from dais import Gaussian, geometric_target
-
-    return geometric_target(Gaussian(mean=np.zeros(dim), precision=np.eye(dim)), None, None)
+    # no observations, so every f_beta is the standard normal prior
+    return blr_target(BlrModel(X=np.zeros((0, dim)), y=[], sigma2=1.0, mu_p=np.zeros(dim), Lambda_p=np.eye(dim)))
 
 
 # ---------------------------------------------------------------- leapfrog
