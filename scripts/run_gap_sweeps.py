@@ -27,12 +27,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", help="directory for the CSV files")
     parser.add_argument("--with-mc", action="store_true",
-                        help="add sampled rows (100 chains per cell; slower)")
-    parser.add_argument("--mc-chains", type=int, default=100,
-                        help="chains per sampled cell (>= 2, for a standard error)")
+                        help="add sampled rows (the config's mc_chains per cell, 100 by default; slower)")
     args = parser.parse_args(argv)
-    if args.mc_chains < 2:
-        parser.error(f"argument --mc-chains: {args.mc_chains} must be >= 2")
 
     here = Path(__file__).parent
     out_dir = Path(args.out_dir)
@@ -55,7 +51,7 @@ def main(argv=None) -> int:
         modes = {"exact": rows}
         modes["theory"] = run_sweep(replace(base, mode="theory"))
         if args.with_mc:
-            modes["mc"] = run_sweep(replace(base, mode="mc", mc_chains=args.mc_chains))
+            modes["mc"] = run_sweep(replace(base, mode="mc"))
 
         all_rows = [row for mode_rows in modes.values() for row in mode_rows]
         out_path = out_dir / f"{panel}.csv"

@@ -81,9 +81,8 @@ class BlrModel:
 
 @dataclass(frozen=True)
 class AnnealedGaussian:
-    """Gaussian N(mu, Lambda^{-1}) along the bridge at inverse temperature beta."""
+    """Gaussian N(mu, Lambda^{-1}) along the bridge at one inverse temperature."""
 
-    beta: float
     mu: np.ndarray
     Lambda: np.ndarray
 
@@ -97,7 +96,7 @@ def annealed_posterior(model: BlrModel, beta: float) -> AnnealedGaussian:
     beta = _check_beta(beta)
     Lambda = model.Lambda_p + beta * model.Lambda_lld
     mu = np.linalg.solve(Lambda, model.Lambda_p @ model.mu_p + beta * model.Xty_over_s2)
-    return AnnealedGaussian(beta=beta, mu=mu, Lambda=Lambda)
+    return AnnealedGaussian(mu=mu, Lambda=Lambda)
 
 
 def _chol_logdet(mat: np.ndarray) -> float:
@@ -165,13 +164,14 @@ class UpdateMatrices:
     """Affine form of one leapfrog step on a Gaussian annealed density.
 
     theta_k = A theta_{k-1} + B v_{k-1} + c_vec
-    v_hat_k = C theta_{k-1} + D v_{k-1} + e_vec
+    v_hat_k = C theta_{k-1} + A v_{k-1} + e_vec
+
+    The momentum block equals the position block A for identity mass.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray
     c_vec: np.ndarray
     e_vec: np.ndarray
 
@@ -185,7 +185,7 @@ def update_matrices(model: BlrModel, beta: float, eta: float) -> UpdateMatrices:
     A = eye - 0.5 * eta**2 * Lambda
     B = eta * eye - 0.25 * eta**3 * Lambda
     C = -eta * Lambda
-    return UpdateMatrices(A=A, B=B, C=C, D=A.copy(), c_vec=0.5 * eta**2 * lam_mu, e_vec=eta * lam_mu)
+    return UpdateMatrices(A=A, B=B, C=C, c_vec=0.5 * eta**2 * lam_mu, e_vec=eta * lam_mu)
 
 
 class _BlrTarget(AnnealedTarget):

@@ -131,6 +131,7 @@ def _cmd_sweep(args) -> int:
     failed = sum(row.failed for row in rows)
     print(f"wrote {len(rows)} rows to {args.out} ({failed} failed cells)")
     if rows and failed == len(rows):
+        print(f"numerical failure: all {failed} sweep cells failed", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

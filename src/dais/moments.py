@@ -76,7 +76,7 @@ def propagate_moments(model: BlrModel, schedule, steps, gamma: float = 0.0, nois
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, schedule.K + 1):
             maps = update_matrices(model, schedule.betas[k], eta)
-            T = np.block([[maps.A, maps.B], [maps.C, maps.D]])
+            T = np.block([[maps.A, maps.B], [maps.C, maps.A]])
             shift = np.concatenate([maps.c_vec, maps.e_vec])
             mu = T @ mu + shift
             Sigma = T @ Sigma @ T.T

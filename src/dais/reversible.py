@@ -223,13 +223,9 @@ def quantize_gamma(gamma: float):
     so measured bits land in the documented [log2(1/gamma), log2(1/gamma)+1]
     window.  Returns (numerator, denominator, effective gamma).
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1] for rational damping, got {gamma}")
+    if not 1.0 / _DENOM <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [2^-{GAMMA_DENOM_BITS}, 1] for rational damping, got {gamma}")
     num = int(np.floor(gamma * _DENOM))
-    if num == 0:
-        raise ValueError("gamma too small to quantize; use naive storage instead")
-    if gamma == 1.0:
-        num = _DENOM
     return num, _DENOM, num / _DENOM
 
 
@@ -371,10 +367,8 @@ class _FixedPointChain:
 
 @dataclass
 class ForwardResult:
-    """Output of `reversible_forward`: float views plus the exact state."""
+    """Output of `reversible_forward`; ``fixed.to_floats()`` gives the float state."""
 
-    theta: np.ndarray
-    v: np.ndarray
     seed: int
     buffer: InfoBuffer
     bound: float
@@ -429,9 +423,7 @@ def reversible_forward(
                                          (after * after).sum(axis=-1).tolist()):
                 L += 0.5 * (q_before - q_after)
     L = float(L + target.log_f(1.0, fixed_to_float(th)))
-    fixed = FixedPointState(th, vv)
-    tf, vf = fixed.to_floats()
-    return ForwardResult(tf, vf, s, buffer, L, fixed, chain.gamma_eff)
+    return ForwardResult(s, buffer, L, FixedPointState(th, vv), chain.gamma_eff)
 
 
 def _as_fixed(x, dim: int) -> np.ndarray:

@@ -36,21 +36,16 @@ def make_linear_schedule(K: int) -> AnnealingSchedule:
 
 @dataclass(frozen=True)
 class StepSizeScheme:
-    """One leapfrog step size eta = base * K**(-exponent) for all K steps.
+    """One leapfrog step size ``eta`` for all K steps; eta = 0 gives the
+    degenerate chains that tests use."""
 
-    ``eta`` is derived, never passed; base = 0 gives the degenerate
-    (eta = 0) chains that tests use.
-    """
-
-    base: float
-    exponent: float
     K: int
-    eta: np.float64 = field(init=False)
+    eta: np.float64
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        eta = np.float64(self.base * self.K ** -self.exponent)
+        eta = np.float64(self.eta)
         if not 0.0 <= eta < np.inf:
             raise ValueError(f"step size must be finite and non-negative, got {eta}")
         object.__setattr__(self, "eta", eta)
@@ -68,9 +63,6 @@ def make_stepsize_scheme(a: float, c: float, K: int) -> StepSizeScheme:
         raise ValueError(f"base step size must be positive, got {a}")
     if c < 0:
         raise ValueError(f"exponent must be non-negative, got {c}")
-    return StepSizeScheme(base=a, exponent=c, K=K)
-
-
-def constant_steps(eta: float, K: int) -> StepSizeScheme:
-    """Step size eta for every step; eta = 0 is allowed (degenerate chain)."""
-    return StepSizeScheme(base=eta, exponent=0.0, K=K)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    return StepSizeScheme(K, np.float64(a * K ** -c))

@@ -243,7 +243,6 @@ def test_update_matrices_small_step_limits(toy_model):
     eta = 1e-6
     maps = update_matrices(toy_model, 0.5, eta)
     assert np.allclose(maps.A, np.eye(1), atol=1e-11)
-    assert np.allclose(maps.D, np.eye(1), atol=1e-11)
     assert np.allclose(maps.B, eta * np.eye(1), atol=1e-11)
     assert np.allclose(maps.C, 0.0, atol=1e-5)
     assert np.allclose(maps.c_vec, 0.0, atol=1e-11)
@@ -262,15 +261,14 @@ def test_update_matrices_fixed_point(toy_model):
 def test_affine_trajectory_equivalence_any_gamma():
     # whole trajectories agree when the generic chain and the affine maps
     # consume the same refresh noise, for damped and undamped momentum
-    from dais import dais_chain, make_linear_schedule
-    from dais.schedules import constant_steps
+    from dais import StepSizeScheme, dais_chain, make_linear_schedule
 
     rng = generator(29)
     model = random_model(rng, n=10, d=3)
     target = blr_target(model)
     K, eta = 24, 0.15
     schedule = make_linear_schedule(K)
-    steps = constant_steps(eta, K)
+    steps = StepSizeScheme(K, eta)
     for gamma in (0.0, 0.6, 1.0):
         theta0 = rng.standard_normal(3)
         v0 = rng.standard_normal(3)
@@ -282,7 +280,7 @@ def test_affine_trajectory_equivalence_any_gamma():
             maps = update_matrices(model, schedule.betas[k], eta)
             theta, v_hat = (
                 maps.A @ theta + maps.B @ v + maps.c_vec,
-                maps.C @ theta + maps.D @ v + maps.e_vec,
+                maps.C @ theta + maps.A @ v + maps.e_vec,
             )
             v = gamma * v_hat + np.sqrt(1 - gamma**2) * eps[k - 1]
         assert np.allclose(theta_K, theta, atol=1e-10)
@@ -302,7 +300,7 @@ def test_update_matrices_match_generic_leapfrog_random():
         maps = update_matrices(model, beta, eta)
         t_new, v_hat = leapfrog(theta, v, eta, beta, target)
         assert np.allclose(t_new, maps.A @ theta + maps.B @ v + maps.c_vec, atol=1e-12)
-        assert np.allclose(v_hat, maps.C @ theta + maps.D @ v + maps.e_vec, atol=1e-12)
+        assert np.allclose(v_hat, maps.C @ theta + maps.A @ v + maps.e_vec, atol=1e-12)
 
 
 # ----------------------------------------------------------------- validation

@@ -8,6 +8,7 @@ from dais import (
     BlrModel,
     GapBreakdown,
     NumericalFailure,
+    StepSizeScheme,
     TransitionConfig,
     annealed_posterior,
     blr_target,
@@ -26,7 +27,6 @@ from dais import (
 from dais.blr import additive_noise_cov
 from dais.moments import expected_kinetic_sum
 from dais.sampler import leapfrog
-from dais.schedules import constant_steps
 
 from conftest import dense_gap, random_model
 
@@ -69,7 +69,7 @@ def closed_recursions(model, schedule, eta):
 
 def test_initial_moments_only():
     model = gen_blr_data(20, 3, 0)
-    moments = propagate_moments(model, make_linear_schedule(1), constant_steps(0.1, 1))
+    moments = propagate_moments(model, make_linear_schedule(1), StepSizeScheme(1, 0.1))
     assert len(moments) == 2
     m0 = moments[0]
     assert np.allclose(m0.mu_theta, model.mu_p)
@@ -84,7 +84,7 @@ def test_full_refresh_matches_closed_recursions():
     model = random_model(rng, n=30, d=3)
     K, eta = 32, 0.12
     schedule = make_linear_schedule(K)
-    moments = propagate_moments(model, schedule, constant_steps(eta, K), gamma=0.0)
+    moments = propagate_moments(model, schedule, StepSizeScheme(K, eta), gamma=0.0)
     mus, Sigmas, mu_vs, Sigma_vs = closed_recursions(model, schedule, eta)
     for k in range(K + 1):
         assert np.allclose(moments[k].mu_theta, mus[k], atol=1e-10)
@@ -102,7 +102,7 @@ def test_partial_refresh_matches_sampled_chains():
     model = gen_blr_data(50, 2, 9)
     K, eta, gamma = 32, 0.15, 0.9
     schedule = make_linear_schedule(K)
-    steps = constant_steps(eta, K)
+    steps = StepSizeScheme(K, eta)
     moments = propagate_moments(model, schedule, steps, gamma=gamma)
     from dais import sample_chains
 
@@ -123,13 +123,13 @@ def test_partial_refresh_matches_sampled_chains():
 def test_propagation_rejects_mismatched_steps():
     model = gen_blr_data(10, 2, 1)
     with pytest.raises(ValueError):
-        propagate_moments(model, make_linear_schedule(4), constant_steps(0.1, 5), 0.0)
+        propagate_moments(model, make_linear_schedule(4), StepSizeScheme(5, 0.1), 0.0)
 
 
 def test_propagation_psd_guard_raises():
     model = gen_blr_data(100, 2, 2)
     schedule = make_linear_schedule(200)
-    steps = constant_steps(5.0, 200)  # unstable: covariance explodes
+    steps = StepSizeScheme(200, 5.0)  # unstable: covariance explodes
     with pytest.raises(NumericalFailure):
         propagate_moments(model, schedule, steps, 0.0)
 
@@ -265,7 +265,7 @@ def test_kinetic_sum_zero_step():
     model = gen_blr_data(20, 2, 3)
     K = 8
     schedule = make_linear_schedule(K)
-    moments = propagate_moments(model, schedule, constant_steps(0.0, K), gamma=0.0)
+    moments = propagate_moments(model, schedule, StepSizeScheme(K, 0.0), gamma=0.0)
     assert expected_kinetic_sum(moments) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -278,7 +278,7 @@ def test_kinetic_sum_stationary_prior_target():
     )
     K = 16
     schedule = make_linear_schedule(K)
-    moments = propagate_moments(empty, schedule, constant_steps(0.0, K), gamma=0.0)
+    moments = propagate_moments(empty, schedule, StepSizeScheme(K, 0.0), gamma=0.0)
     assert expected_kinetic_sum(moments) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -289,7 +289,7 @@ def test_kinetic_sum_matches_chain_average():
     target = blr_target(model)
     K, eta = 64, 0.25
     schedule = make_linear_schedule(K)
-    steps = constant_steps(eta, K)
+    steps = StepSizeScheme(K, eta)
     moments = propagate_moments(model, schedule, steps, gamma=0.0)
     predicted = expected_kinetic_sum(moments)
 
@@ -309,7 +309,7 @@ def test_kinetic_sum_matches_chain_average():
 
 def test_kinetic_sum_requires_prerefresh_moments():
     model = gen_blr_data(10, 2, 5)
-    moments = propagate_moments(model, make_linear_schedule(2), constant_steps(0.1, 2), 0.0)
+    moments = propagate_moments(model, make_linear_schedule(2), StepSizeScheme(2, 0.1), 0.0)
     broken = [moments[0], type(moments[1])(
         mu_theta=moments[1].mu_theta, mu_v=moments[1].mu_v, Sigma=moments[1].Sigma
     )]
@@ -323,7 +323,7 @@ def test_expected_bound_zero_step_is_prior_elbo(toy_model):
     # eta = 0: theta_K ~ p_0 exactly, so E[L] = log Z - gap(eta=0)
     K = 4
     schedule = make_linear_schedule(K)
-    moments = propagate_moments(toy_model, schedule, constant_steps(0.0, K), 0.0)
+    moments = propagate_moments(toy_model, schedule, StepSizeScheme(K, 0.0), 0.0)
     bound = expected_bound(toy_model, moments, schedule)
     gap = gap_breakdown(toy_model, moments, schedule)
     assert bound == pytest.approx(exact_log_ml(toy_model) - gap.total, abs=1e-12)
@@ -342,7 +342,7 @@ def test_bound_and_gap_vanish_for_prior_target():
     )
     K = 8
     schedule = make_linear_schedule(K)
-    moments = propagate_moments(empty, schedule, constant_steps(0.0, K), 0.0)
+    moments = propagate_moments(empty, schedule, StepSizeScheme(K, 0.0), 0.0)
     assert expected_bound(empty, moments, schedule) == pytest.approx(0.0, abs=1e-12)
     gap = gap_breakdown(empty, moments, schedule)
     for term in (gap.term1, gap.term2, gap.term3, gap.total):
@@ -368,7 +368,7 @@ def test_expected_bound_matches_mc():
 def test_expected_bound_dimension_mismatch(toy_model):
     other = gen_blr_data(10, 3, 0)
     schedule = make_linear_schedule(2)
-    moments = propagate_moments(other, schedule, constant_steps(0.1, 2), 0.0)
+    moments = propagate_moments(other, schedule, StepSizeScheme(2, 0.1), 0.0)
     with pytest.raises(ValueError):
         expected_bound(toy_model, moments, schedule)
 
@@ -383,7 +383,7 @@ def test_gap_identity_random_models():
         eta = float(rng.uniform(0.0, 0.25))
         gamma = float(rng.uniform())
         schedule = make_linear_schedule(K)
-        steps = constant_steps(eta, K)
+        steps = StepSizeScheme(K, eta)
         moments = propagate_moments(model, schedule, steps, gamma)
         gap = gap_breakdown(model, moments, schedule)
         identity = exact_log_ml(model) - expected_bound(model, moments, schedule)
@@ -399,7 +399,7 @@ def test_noisy_moments_dominate_clean():
     model = gen_blr_data(60, 3, 41)
     K = 32
     schedule = make_linear_schedule(K)
-    steps = constant_steps(0.2, K)
+    steps = StepSizeScheme(K, 0.2)
     sigma_eps = 4.0 * np.eye(3)
     clean = propagate_moments(model, schedule, steps, 0.0)
     noisy = propagate_moments(model, schedule, steps, 0.0, noise=sigma_eps)
@@ -416,7 +416,7 @@ def test_noisy_vhat_trace_inflation_structure():
     model = gen_blr_data(30, 2, 42)
     K, eta = 8, 0.2
     schedule = make_linear_schedule(K)
-    steps = constant_steps(eta, K)
+    steps = StepSizeScheme(K, eta)
     sigma_eps = np.diag([1.0, 2.5])
     noisy = propagate_moments(model, schedule, steps, 0.0, noise=sigma_eps)
     eye = np.eye(2)
@@ -443,7 +443,7 @@ def test_gap_inflation_at_least_penalty():
 
 
 def test_stochastic_penalty_values():
-    steps = constant_steps(0.1, 10)
+    steps = StepSizeScheme(10, 0.1)
     assert stochastic_penalty(steps, np.zeros((2, 2))) == 0.0
     # constant eta = a / sqrt(K): penalty = a^2 t / 2 independent of K
     for K in (4, 400):

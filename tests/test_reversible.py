@@ -10,6 +10,7 @@ from dais import (
     BufferCorruption,
     InfoBuffer,
     NumericalFailure,
+    StepSizeScheme,
     TransitionConfig,
     blr_target,
     dais_chain,
@@ -25,14 +26,13 @@ from dais.cli import main as cli_main
 from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointChain, backward_seed,
                              fixed_to_float, forward_seed, seed_noise)
 from dais.rng import keyed_generator
-from dais.schedules import constant_steps
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):
     model = gen_blr_data(n, d, seed)
     target = blr_target(model)
     schedule = make_linear_schedule(K)
-    steps = constant_steps(eta, K)
+    steps = StepSizeScheme(K, eta)
     config = TransitionConfig(gamma=gamma)
     return target, schedule, steps, config
 
@@ -130,6 +130,11 @@ def test_quantize_gamma_rounds_down():
     assert 0.9 - eff < 1e-4
     num2, den2, eff2 = quantize_gamma(0.5)
     assert (num2, eff2) == (den2 // 2, 0.5)
+    assert quantize_gamma(1.0) == (2**16, 2**16, 1.0)
+    assert quantize_gamma(2.0**-16) == (1, 2**16, 2.0**-16)
+    for gamma in (0.0, np.nextafter(2.0**-16, 0.0), 1.5):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[2\^-16, 1\] for rational damping"):
+            quantize_gamma(gamma)
 
 
 # ---------------------------------------------------------------- round trip
@@ -163,7 +168,7 @@ def test_fixedpoint_round_trip_exact(gamma):
 def test_round_trip_property(d, K, gamma, eta, s0):
     # forward, serialize the buffer, backward: the start state comes back bit for bit
     target = blr_target(gen_blr_data(20, d, 0))
-    schedule, steps = make_linear_schedule(K), constant_steps(eta, K)
+    schedule, steps = make_linear_schedule(K), StepSizeScheme(K, eta)
     config = TransitionConfig(gamma=gamma)
     g = keyed_generator(s0)
     theta0 = target.sample_p0(g)
@@ -240,13 +245,14 @@ def test_degenerate_chain_inputs_unchanged():
     theta0 = np.zeros(4)
     v0 = np.ones(4)
     trivial_schedule = make_linear_schedule(1)
-    zero_steps = constant_steps(0.0, 1)
+    zero_steps = StepSizeScheme(1, 0.0)
     fwd = reversible_forward(
         target, trivial_schedule, zero_steps, TransitionConfig(gamma=1.0), 7,
         theta0=theta0, v0=v0,
     )
-    assert np.allclose(fwd.theta, theta0)
-    assert np.allclose(fwd.v, v0)
+    theta, v = fwd.fixed.to_floats()
+    assert np.allclose(theta, theta0)
+    assert np.allclose(v, v0)
 
 
 def _seed_noise_stream(s0, K, d):
@@ -274,8 +280,9 @@ def test_float_mode_matches_plain_chain():
     theta_K, v_K, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
                                        theta0=theta0, v0=v0, refresh_noise=eps)
     assert abs(fwd.bound - plain_L) <= 1e-8
-    assert np.max(np.abs(fwd.theta - theta_K)) <= 1e-8
-    assert np.max(np.abs(fwd.v - v_K)) <= 1e-8
+    theta, v = fwd.fixed.to_floats()
+    assert np.max(np.abs(theta - theta_K)) <= 1e-8
+    assert np.max(np.abs(v - v_K)) <= 1e-8
     assert fwd.seed == s
 
 
@@ -312,7 +319,7 @@ def test_outputs_pinned_to_parent_digest():
         cases += [(3, 80, 0.75, False), (5, 60, 0.9, True)]
         for d, K, gamma, seed_start in cases:
             target = blr_target(gen_blr_data(40, d, seed))
-            schedule, steps = make_linear_schedule(K), constant_steps(0.1, K)
+            schedule, steps = make_linear_schedule(K), StepSizeScheme(K, 0.1)
             config = TransitionConfig(gamma=gamma)
             g = generator((seed, d, K))
             s0 = int(g.integers(0, 2**63))
@@ -321,8 +328,9 @@ def test_outputs_pinned_to_parent_digest():
                 "v0": g.standard_normal(d)}
             fwd = reversible_forward(target, schedule, steps, config, s0, **start)
             blob = fwd.buffer.to_bytes()
+            theta, v = fwd.fixed.to_floats()
             put(repr(fwd.bound), blob, [int(x) for x in fwd.fixed.theta],
-                [int(x) for x in fwd.fixed.v], fwd.seed, fwd.theta.tolist(), fwd.v.tolist())
+                [int(x) for x in fwd.fixed.v], fwd.seed, theta.tolist(), v.tolist())
             th, vv, s = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
                                             fwd.seed, InfoBuffer.from_bytes(blob))
             put([int(x) for x in th], [int(x) for x in vv], s)
@@ -441,7 +449,7 @@ class _FlatTarget:
 def test_long_step_drifts_keep_their_screens(eta, K, theta0, v0):
     # |eta| > 1/2 leaves the drift increments without the short-step bound
     assert 0.5 * eta * np.abs(v0).max() >= 2**12
-    schedule, steps = make_linear_schedule(K), constant_steps(eta, K)
+    schedule, steps = make_linear_schedule(K), StepSizeScheme(K, eta)
     _assert_matches_oracle(_FlatTarget(), schedule, steps, TransitionConfig(gamma=0.9), 31,
                            np.array(theta0), np.array(v0))
 
@@ -594,18 +602,19 @@ def test_cli_overflow_is_one_line_exit_3(capsys):
 def test_backward_rejects_float_state():
     target, schedule, steps, config = _setup(d=3, K=10)
     fwd = reversible_forward(target, schedule, steps, config, 5)
+    theta, v = fwd.fixed.to_floats()
     with pytest.raises(ValueError, match="integer state"):
-        reversible_backward(target, schedule, steps, config, fwd.theta, fwd.v, fwd.seed, fwd.buffer)
+        reversible_backward(target, schedule, steps, config, theta, v, fwd.seed, fwd.buffer)
     with pytest.raises(ValueError, match="integer state"):
         reversible_backward(target, schedule, steps, config, fwd.fixed.theta[:2], fwd.fixed.v,
                             fwd.seed, fwd.buffer)
     # object arrays must hold integers too
     with pytest.raises(ValueError, match="integer state"):
-        reversible_backward(target, schedule, steps, config, fwd.theta.astype(object),
+        reversible_backward(target, schedule, steps, config, theta.astype(object),
                             fwd.fixed.v, fwd.seed, fwd.buffer)
     # so must steps for another chain length
     with pytest.raises(ValueError, match="step scheme has K=11, schedule has K=10"):
-        reversible_backward(target, schedule, constant_steps(0.12, 11), config, fwd.fixed, None,
+        reversible_backward(target, schedule, StepSizeScheme(11, 0.12), config, fwd.fixed, None,
                             fwd.seed, fwd.buffer)
     # rejected before anything was popped: the buffer still reverses the chain
     th, _, s = reversible_backward(target, schedule, steps, config, fwd.fixed.theta.astype(np.int64),

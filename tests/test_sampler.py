@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dais import (
     BlrModel,
     NumericalFailure,
+    StepSizeScheme,
     TransitionConfig,
     annealed_posterior,
     blr_target,
@@ -25,7 +26,6 @@ from dais import (
 from dais.blr import additive_noise_cov
 from dais.cli import main as cli_main
 from dais.sampler import _draw_inputs, _run_chains, leapfrog
-from dais.schedules import constant_steps
 
 from conftest import random_model
 
@@ -64,7 +64,7 @@ def test_leapfrog_matches_affine_form(toy_model):
     theta0, v0 = np.array([0.0]), np.array([0.0])
     theta, v_hat = leapfrog(theta0, v0, 0.1, 1.0, target)
     assert np.allclose(theta, maps.A @ theta0 + maps.B @ v0 + maps.c_vec, atol=1e-12)
-    assert np.allclose(v_hat, maps.C @ theta0 + maps.D @ v0 + maps.e_vec, atol=1e-12)
+    assert np.allclose(v_hat, maps.C @ theta0 + maps.A @ v0 + maps.e_vec, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,7 +96,7 @@ def _refreshed(gamma, n, K, seed, dim=3):
     """v_0, the refresh noise and v_K of `sample_chains` at eta = 0, where each step only refreshes."""
     target = _prior_only_target(dim)
     _, v0, eps = _draw_inputs(target, K, n, generator(seed))
-    _, v, _ = sample_chains(target, make_linear_schedule(K), constant_steps(0.0, K),
+    _, v, _ = sample_chains(target, make_linear_schedule(K), StepSizeScheme(K, 0.0),
                             TransitionConfig(gamma=gamma), n, generator(seed))
     return v0, eps, v
 
@@ -129,7 +129,7 @@ def test_chain_zero_step_collapses_to_elbo_sample(toy_model):
     # K=1, eta=0, gamma=0: kinetic terms cancel, L = log f_1(theta_0) - log p_0(theta_0)
     target = blr_target(toy_model)
     schedule = make_linear_schedule(1)
-    steps = constant_steps(0.0, 1)
+    steps = StepSizeScheme(1, 0.0)
     rng = generator(9)
     theta_K, _, bound = dais_chain(target, schedule, steps, CFG, rng)
     expected = float(target.log_f(1.0, theta_K) - target.log_p0(theta_K))
@@ -139,7 +139,7 @@ def test_chain_zero_step_collapses_to_elbo_sample(toy_model):
 def test_chain_prior_equals_posterior_mean_zero():
     target = _prior_only_target()
     schedule = make_linear_schedule(16)
-    steps = constant_steps(0.05, 16)
+    steps = StepSizeScheme(16, 0.05)
     mean, stderr = dais_bound_mc(target, schedule, steps, CFG, 4000, generator(21))
     assert abs(mean) <= 3 * stderr + 1e-4
 
@@ -149,7 +149,7 @@ def test_chain_unbiased_on_toy(toy_model):
     # acceptance run
     target = blr_target(toy_model)
     schedule = make_linear_schedule(8)
-    steps = constant_steps(0.2, 8)
+    steps = StepSizeScheme(8, 0.2)
     log_z = exact_log_ml(toy_model)
     _, _, L = sample_chains(target, schedule, steps, CFG, 50000, generator(2024))
     w = np.exp(L - log_z)
@@ -160,7 +160,7 @@ def test_chain_unbiased_on_toy(toy_model):
 def test_chain_with_injected_noise_reproducible(toy_model):
     target = blr_target(toy_model)
     schedule = make_linear_schedule(4)
-    steps = constant_steps(0.15, 4)
+    steps = StepSizeScheme(4, 0.15)
     theta0, v0 = np.array([0.3]), np.array([-0.8])
     eps = generator(5).standard_normal((4, 1))
     theta1, _, L1 = dais_chain(target, schedule, steps, CFG, theta0=theta0, v0=v0, refresh_noise=eps)
@@ -172,7 +172,7 @@ def test_chain_with_injected_noise_reproducible(toy_model):
 def test_chain_divergence_raises_with_step(toy_model):
     target = blr_target(toy_model)
     schedule = make_linear_schedule(50)
-    steps = constant_steps(50.0, 50)  # far beyond the stability limit
+    steps = StepSizeScheme(50, 50.0)  # far beyond the stability limit
     with pytest.raises(NumericalFailure) as err:
         dais_chain(target, schedule, steps, CFG, generator(0))
     assert err.value.step is not None or err.value.midpoint is not None
@@ -181,12 +181,12 @@ def test_chain_divergence_raises_with_step(toy_model):
 def test_chain_requires_rng_or_full_noise(toy_model):
     target = blr_target(toy_model)
     schedule = make_linear_schedule(2)
-    steps = constant_steps(0.1, 2)
+    steps = StepSizeScheme(2, 0.1)
     with pytest.raises(ValueError):
         dais_chain(target, schedule, steps, CFG)
     # the schedule and the step sizes must be for one chain length
     with pytest.raises(ValueError, match="step scheme has K=3, schedule has K=2"):
-        dais_chain(target, schedule, constant_steps(0.1, 3), CFG, generator(0))
+        dais_chain(target, schedule, StepSizeScheme(3, 0.1), CFG, generator(0))
 
 
 # ------------------------------------------------------- batched chain core
@@ -260,7 +260,7 @@ class _GradientBlowUp:
 
 def test_run_chains_failure_names_step_and_chain(toy_model):
     target = _GradientBlowUp(blr_target(toy_model), step=5, chain=3)
-    schedule, steps = make_linear_schedule(8), constant_steps(0.2, 8)
+    schedule, steps = make_linear_schedule(8), StepSizeScheme(8, 0.2)
     with pytest.raises(NumericalFailure, match=r"non-finite bound accumulator at step 5 \(chain 3\)") as err:
         sample_chains(target, schedule, steps, CFG, 6, generator(1))
     assert err.value.step == 5
@@ -282,7 +282,7 @@ def test_bound_mc_substreams_differ(toy_model):
     # the three child streams give every chain its own theta_0, v_0 and noise
     target = blr_target(toy_model)
     schedule = make_linear_schedule(4)
-    steps = constant_steps(0.1, 4)
+    steps = StepSizeScheme(4, 0.1)
     n = 6
     theta0, v0, eps = _draw_inputs(target, 4, n, generator(17))
     theta, _, L = sample_chains(target, schedule, steps, CFG, n, generator(17))
@@ -294,7 +294,7 @@ def test_bound_mc_substreams_differ(toy_model):
 def test_bound_mc_needs_two_chains(toy_model):
     target = blr_target(toy_model)
     with pytest.raises(ValueError):
-        dais_bound_mc(target, make_linear_schedule(2), constant_steps(0.1, 2), CFG, 1, generator(0))
+        dais_bound_mc(target, make_linear_schedule(2), StepSizeScheme(2, 0.1), CFG, 1, generator(0))
 
 
 def test_bound_mc_matches_expected_bound():
@@ -312,7 +312,7 @@ def test_bound_mc_matches_expected_bound():
 def test_bound_mc_propagates_chain_id(toy_model):
     target = blr_target(toy_model)
     schedule = make_linear_schedule(80)
-    steps = constant_steps(50.0, 80)
+    steps = StepSizeScheme(80, 50.0)
     with pytest.raises(NumericalFailure) as err:
         dais_bound_mc(target, schedule, steps, CFG, 8, generator(3))
     assert err.value.chain is not None

@@ -7,7 +7,6 @@ from dais import (
     make_linear_schedule,
     make_stepsize_scheme,
 )
-from dais.schedules import constant_steps
 
 
 def test_linear_schedule_quarters():
@@ -61,10 +60,12 @@ def test_stepsize_scheme_positive(a, c, K):
 
 
 def test_degenerate_zero_steps_allowed():
-    steps = constant_steps(0.0, 5)
+    steps = StepSizeScheme(5, 0.0)
     assert steps.eta == 0.0
 
 
 def test_stepsize_scheme_rejects_zero_steps():
     with pytest.raises(ValueError, match="K must be >= 1"):
-        StepSizeScheme(0.1, 0.0, 0)
+        StepSizeScheme(0, 0.1)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        make_stepsize_scheme(1.0, 0.25, 0)  # 0 ** -0.25 would divide by zero
