@@ -21,7 +21,7 @@ from .harness import ConfigError, ExperimentConfig, gen_blr_data, run_sweep, wri
 from .moments import sweep_gaps
 from .reversible import GAMMA_DENOM_BITS, float_to_fixed, reversible_backward, reversible_forward
 from .rng import MASK64, generator
-from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc, dais_chain, sample_chains
+from .sampler import NumericalFailure, TransitionConfig, chain_start, dais_bound_mc, dais_chain, sample_chains
 from .schedules import make_linear_schedule, make_stepsize_scheme
 
 EXIT_OK = 0
@@ -165,10 +165,7 @@ def _cmd_check_reversible(args) -> int:
     config = TransitionConfig(gamma=args.gamma)
     s0 = (args.seed * 2654435761 + 12345) & MASK64
 
-    g = generator((args.seed, 1))
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(args.d)
-
+    theta0, v0 = chain_start(target, generator((args.seed, 1)))
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     bits = fwd.buffer.bit_size()
     nbytes = len(fwd.buffer.to_bytes())

@@ -290,17 +290,18 @@ def _run_mc_cell(config, target, log_z, noise, a, K, c):
 def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     """Evaluate the gap over the (c, K) grid; failed cells become NaN rows.
 
-    Exact and theory cells are computed together by one ``sweep_gaps`` call,
-    and each row's ``elapsed_ms`` is that call's time divided by the cell
-    count.  Sampled cells run in ``(c, K)`` order on one shared target; a
-    noisy cell wraps it with its own noise stream.
+    Exact and theory gaps come from one ``sweep_gaps`` call: exact mode runs
+    every (c, K) cell, theory mode only the cells at the smallest K, whose
+    gaps it scales by (K / K_min) ** (2c - 1).  Each row's ``elapsed_ms`` is
+    the time of the call and the scaling divided by the row count.  Sampled
+    cells run in ``(c, K)`` order on one shared target; a noisy cell wraps
+    it with its own noise stream.
     """
     check_addressable(config.K_grid[-1] + 1)  # the longest chain's schedule, as AnnealingSchedule checks
     model = gen_blr_data(config.n, config.d, config.seed, sigma2=config.sigma2)
     noise = None if config.batch_size is None else additive_noise_cov(model, config.batch_size)
-    a = config.a if config.a is not None else tune_stepsize_base(
-        model, config.gamma, config.K_grid[0], config.c_list
-    )
+    K_min = config.K_grid[0]
+    a = config.a if config.a is not None else tune_stepsize_base(model, config.gamma, K_min, config.c_list)
     cells = [(c, K) for c in config.c_list for K in config.K_grid]
 
     if config.mode == "mc":
@@ -308,13 +309,11 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
         return [_run_mc_cell(config, target, log_z, noise, a, K, c) for c, K in cells]
 
     start = time.perf_counter()
-    if config.mode == "exact":
-        steps = [make_stepsize_scheme(a, c, K) for c, K in cells]
-        gaps = sweep_gaps(model, config.gamma, steps, noise=noise)
-    else:
-        K_min = config.K_grid[0]
-        steps = [make_stepsize_scheme(a, c, K_min) for c in config.c_list]
-        bases = dict(zip(config.c_list, sweep_gaps(model, config.gamma, steps, noise=noise)))
+    K_run = config.K_grid if config.mode == "exact" else (K_min,)
+    steps = [make_stepsize_scheme(a, c, K) for c in config.c_list for K in K_run]
+    gaps = sweep_gaps(model, config.gamma, steps, noise=noise)
+    if config.mode == "theory":  # each c's gap at K_min, extrapolated along the predicted power law
+        bases = dict(zip(config.c_list, gaps))
         gaps = [bases[c] * (K / K_min) ** theory_slope(c) for c, K in cells]
     elapsed_ms = 1000.0 * (time.perf_counter() - start) / len(cells)
     return [_row(config, K, c, gap, 0.0, elapsed_ms) for (c, K), gap in zip(cells, gaps)]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import MASK64, keyed_generator
-from .sampler import NumericalFailure, TransitionConfig
+from .sampler import NumericalFailure, TransitionConfig, chain_start
 from .schedules import AnnealingSchedule, StepSizeScheme, check_same_K
 from .targets import AnnealedTarget
 
@@ -75,7 +75,7 @@ def seed_noise(s: int, dim: int) -> np.ndarray:
 
 
 class BufferCorruption(RuntimeError):
-    """Buffer drained past its push depth or failed deserialization."""
+    """Buffer drained past its push depth, failed deserialization, or not the chain's own."""
 
 
 SLOT_SENTINEL = 1 << 8
@@ -391,15 +391,10 @@ def reversible_forward(
     beyond the current block of ``BLOCK_STEPS`` steps.  The chain is the
     plain sampler's chain at ``gamma_eff`` (config.gamma quantized down to
     n / 2^16) up to fixed-point rounding.  A ``theta0`` or ``v0`` left out is
-    drawn from a generator keyed by ``s0``, theta0 first.
+    drawn by `chain_start` from a generator keyed by ``s0``.
     """
     chain = _FixedPointChain(target, schedule, steps, config)
-    if theta0 is None or v0 is None:
-        g = keyed_generator(s0)
-        if theta0 is None:
-            theta0 = target.sample_p0(g)
-        if v0 is None:
-            v0 = g.standard_normal(chain.dim)
+    theta0, v0 = chain_start(target, keyed_generator(s0), theta0, v0)
     s = int(s0) & MASK64
     buffer = InfoBuffer(chain.dim)
     th = float_to_fixed(theta0)
@@ -454,12 +449,18 @@ def reversible_backward(
     ValueError.  Regenerates epsilon_k from the seed, undoes the
     refreshment through the buffer and the leapfrog step by running it
     backwards.  The returned theta_0 / v_0 are int64 fixed-point arrays.
+    A ``buffer`` of another chain's length or dimension raises
+    ``BufferCorruption`` before anything is popped.
     """
     chain = _FixedPointChain(target, schedule, steps, config)
     if isinstance(theta, FixedPointState):
         theta, v = theta.theta, theta.v
     th = _as_fixed(theta, chain.dim)
     vv = _as_fixed(v, chain.dim)
+    depth = schedule.K if chain.gamma_eff != 1.0 else 0  # one damping per forward step
+    if buffer.n_slots != chain.dim or buffer.depth != depth:
+        raise BufferCorruption(f"buffer holds {buffer.n_slots} slots at depth {buffer.depth}; a chain of "
+                               f"K={schedule.K} steps in d={chain.dim} needs {chain.dim} slots at depth {depth}")
     s = int(seed) & MASK64
     with np.errstate(over="ignore"):  # a screen that overflows to inf fails; the exact check decides
         for k0 in range(schedule.K, 0, -BLOCK_STEPS):

@@ -64,13 +64,7 @@ def leapfrog(theta, v, eta, beta, target: AnnealedTarget):
     half = theta + (0.5 * eta) * v
     grad = target.grad_log_f(beta, half)
     if not np.all(np.isfinite(grad)):
-        chain = None
-        mid = half
-        if np.ndim(grad) > 1:
-            bad = np.nonzero(~np.isfinite(grad).all(axis=-1))[0]
-            chain = int(bad[0])
-            mid = half[chain]
-        raise NumericalFailure("non-finite gradient in leapfrog", chain=chain, midpoint=mid)
+        raise NumericalFailure("non-finite gradient in leapfrog", midpoint=half)
     v_hat = v + eta * grad
     theta_new = half + (0.5 * eta) * v_hat
     return theta_new, v_hat
@@ -123,6 +117,19 @@ def _fail(L, step, half=None):
     raise NumericalFailure(f"non-finite bound accumulator {where}", step=step, chain=chain, midpoint=half)
 
 
+def chain_start(target: AnnealedTarget, rng, theta0=None, v0=None):
+    """One chain's start (theta_0, v_0) as float arrays of shape (dim,).
+
+    A missing theta_0 is drawn from p_0 with ``rng`` before a missing v_0.
+    """
+    theta0 = np.asarray(target.sample_p0(rng) if theta0 is None else theta0, dtype=float)
+    v0 = np.asarray(rng.standard_normal(target.dim) if v0 is None else v0, dtype=float)
+    for name, x in (("theta0", theta0), ("v0", v0)):
+        if x.shape != (target.dim,):
+            raise ValueError(f"{name} must have shape ({target.dim},), got {x.shape}")
+    return theta0, v0
+
+
 def dais_chain(
     target: AnnealedTarget,
     schedule: AnnealingSchedule,
@@ -139,25 +146,20 @@ def dais_chain(
     exp(L) is a single-sample unbiased estimate of the normalizing-constant
     ratio between the beta=1 and beta=0 densities.  ``theta0``, ``v0`` and
     ``refresh_noise`` (a (K, dim) array of standard normal draws) may be
-    supplied to pin the randomness; anything missing is
-    drawn from ``rng`` in the order theta_0, v_0, refresh noise.
+    supplied to pin the randomness; anything missing is drawn from ``rng``
+    in the order theta_0, v_0 (by `chain_start`), refresh noise.
     """
     d = target.dim
     if theta0 is None or v0 is None or refresh_noise is None:
         if rng is None:
             raise ValueError("rng is required unless theta0, v0 and refresh_noise are given")
-    if theta0 is None:
-        theta0 = target.sample_p0(rng)
-    if v0 is None:
-        v0 = rng.standard_normal(d)
+    theta0, v0 = chain_start(target, rng, theta0, v0)
     if refresh_noise is None:
         refresh_noise = rng.standard_normal((schedule.K, d))
     refresh_noise = np.asarray(refresh_noise, dtype=float)
     if refresh_noise.shape != (schedule.K, d):
         raise ValueError(f"refresh_noise must have shape ({schedule.K}, {d})")
-    theta, v, L = _run_chains(
-        target, schedule, steps, config, np.asarray(theta0, float), np.asarray(v0, float), refresh_noise
-    )
+    theta, v, L = _run_chains(target, schedule, steps, config, theta0, v0, refresh_noise)
     return theta, v, float(L)
 
 

@@ -4,6 +4,7 @@ import json
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,20 @@ def test_sweep_theory_mode_slope_arithmetic():
     assert time.perf_counter() - t0 < 1.0  # no sampling happens
     assert rows[1].gap / rows[0].gap == pytest.approx(0.5, abs=1e-12)
     assert all(row.stderr == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("extra", [dict(a=0.3), dict(batch_size=10, gamma=0.5)])
+def test_theory_rows_are_smallest_K_exact_gaps_extrapolated(extra):
+    # the theory rows at K_min are the exact sweep's gaps there; every other
+    # row scales that base by (K / K_min) ** (2c - 1)
+    cfg = ExperimentConfig(n=100, d=3, seed=5, K_grid=(8, 16, 64), c_list=(0.25, 1 / 3), **extra)
+    theory = run_sweep(replace(cfg, mode="theory"))
+    base = run_sweep(replace(cfg, mode="exact", K_grid=cfg.K_grid[:1]))
+    assert [(row.c, row.K) for row in theory] == [(c, K) for c in cfg.c_list for K in cfg.K_grid]
+    bases = {row.c: row.gap for row in base}
+    for row in theory:
+        assert np.isfinite(row.gap)
+        assert row.gap == bases[row.c] * (row.K / cfg.K_grid[0]) ** (2 * row.c - 1)
 
 
 def test_sweep_exact_vs_mc_consistency():
@@ -770,6 +785,18 @@ def test_cli_chain_runs(capsys):
         "|theta_K|             = 0.5786\n")
 
 
+def test_cli_chain_default_stdout_pinned(capsys):
+    # the default run (K = 64, c = 0.25, a = 0.3, n = 1000, d = 10, seed 0), byte for byte
+    assert cli_main(["chain"]) == 0
+    assert capsys.readouterr().out == (
+        "K=64 eta=0.106066 gamma=0.0\n"
+        "L (single chain)      = -1423.481030\n"
+        "exact log ML          = -1407.018494\n"
+        "E[L] (closed form)    = -1423.347198\n"
+        "expected gap          = 16.328704\n"
+        "|theta_K|             = 1.4066\n")
+
+
 def test_cli_chain_peak_memory(capsys):
     # the exact values need O(d) state per step, not K + 1 dense 2d x 2d covariances
     # (33 MB traced for this run on the dense engine)
@@ -865,5 +892,15 @@ def test_cli_oracles_smoke(capsys):
     assert capsys.readouterr().out == (
         "[PASS] unbiasedness E[exp(L - log Z)] = 1: mean=0.99944 se=0.00907\n"
         "[PASS] lower bound mean L <= log Z: mean L=-1.87137 log Z=-1.51551\n"
+        "[PASS] exact vs sampled gap at K=16: exact=24.3358 mc=25.4570 se=0.7916\n"
+        "[PASS] exact vs sampled gap at K=64: exact=16.3287 mc=15.3988 se=0.5616\n")
+
+
+def test_cli_oracles_default_stdout_pinned(capsys):
+    # the default run (20000 chains for the unbiasedness check, seed 0), byte for byte
+    assert cli_main(["oracles"]) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] unbiasedness E[exp(L - log Z)] = 1: mean=0.99937 se=0.00409\n"
+        "[PASS] lower bound mean L <= log Z: mean L=-1.87041 log Z=-1.51551\n"
         "[PASS] exact vs sampled gap at K=16: exact=24.3358 mc=25.4570 se=0.7916\n"
         "[PASS] exact vs sampled gap at K=64: exact=16.3287 mc=15.3988 se=0.5616\n")

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -195,6 +196,14 @@ def test_forward_draws_only_the_missing_start():
         assert th.tolist() == float_to_fixed(start[0]).tolist()
         assert vv.tolist() == float_to_fixed(start[1]).tolist()
         assert s == 21
+
+
+@pytest.mark.parametrize("name, shape", [("theta0", (1,)), ("theta0", (5,)), ("theta0", (2, 4)), ("v0", (1,))])
+def test_forward_start_shape_checked(name, shape):
+    # a start of any shape but (d,) is rejected by name, not broadcast or left to numpy
+    target, schedule, steps, config = _setup(d=4, K=5)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape (4,), got {shape}")):
+        reversible_forward(target, schedule, steps, config, 1, **{name: np.ones(shape)})
 
 
 def test_backward_accepts_raw_integer_arrays():
@@ -750,6 +759,33 @@ def test_buffer_underflow_detected():
     with pytest.raises(BufferCorruption):
         reversible_backward(target, schedule, steps, config, fwd.fixed, None, fwd.seed,
                             fwd.buffer)
+
+
+def _forward_chain(d, K):
+    """The chain spec of a (d, K) chain at gamma = 0.9, eta = 0.1, and its forward run from seed 31."""
+    chain = _setup(d=d, K=K, eta=0.1, gamma=0.9)
+    return chain, reversible_forward(*chain, 31)
+
+
+@pytest.mark.parametrize("chain_dK, buffer_dK", [((4, 20), (6, 20)), ((6, 20), (4, 20)),
+                                                 ((4, 10), (4, 20)), ((4, 20), (4, 10))])
+def test_backward_rejects_a_buffer_from_another_chain(chain_dK, buffer_dK):
+    # a buffer of another dimension or length is rejected before anything is popped
+    chain, fwd = _forward_chain(*chain_dK)
+    own_chain, own = _forward_chain(*buffer_dK)
+    blob = own.buffer.to_bytes()
+    buffer = InfoBuffer.from_bytes(blob)
+    (d, K), (n_slots, depth) = chain_dK, buffer_dK
+    with pytest.raises(BufferCorruption, match=re.escape(
+            f"buffer holds {n_slots} slots at depth {depth}; a chain of K={K} steps in d={d} needs")):
+        reversible_backward(*chain, fwd.fixed, None, fwd.seed, buffer)
+    assert buffer.to_bytes() == blob
+    # the buffer still reverses its own chain
+    th, vv, s = reversible_backward(*own_chain, own.fixed, None, own.seed, buffer)
+    g = keyed_generator(31)
+    assert th.tolist() == float_to_fixed(own_chain[0].sample_p0(g)).tolist()
+    assert vv.tolist() == float_to_fixed(g.standard_normal(n_slots)).tolist()
+    assert s == 31 and buffer.is_empty()
 
 
 def test_fixedpoint_gamma_zero_rejected():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,15 @@ def test_chain_requires_rng_or_full_noise(toy_model):
     # the schedule and the step sizes must be for one chain length
     with pytest.raises(ValueError, match="step scheme has K=3, schedule has K=2"):
         dais_chain(target, schedule, StepSizeScheme(3, 0.1), CFG, generator(0))
+
+
+@pytest.mark.parametrize("name, shape", [("theta0", (1,)), ("theta0", (5,)), ("theta0", (2, 4)), ("v0", (1,))])
+def test_chain_start_shape_checked(name, shape):
+    # a start of any shape but (d,) is rejected by name, not broadcast or left to numpy
+    target = blr_target(gen_blr_data(40, 4, 2))
+    schedule = make_linear_schedule(5)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape (4,), got {shape}")):
+        dais_chain(target, schedule, StepSizeScheme(5, 0.1), CFG, generator(0), **{name: np.ones(shape)})
 
 
 # ------------------------------------------------------- batched chain core
