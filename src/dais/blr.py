@@ -103,6 +103,12 @@ def _chol_logdet(mat: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(mat)))))
 
 
+def posterior_volume(model: BlrModel) -> tuple[AnnealedGaussian, float]:
+    """The posterior (beta = 1) and log|Lambda_p| - log|Lambda_post| = log(|Sigma_post| / |Sigma_p|)."""
+    post = annealed_posterior(model, 1.0)
+    return post, _chol_logdet(model.Lambda_p) - _chol_logdet(post.Lambda)
+
+
 def exact_log_ml(model: BlrModel) -> float:
     """Closed-form log marginal likelihood.
 
@@ -111,8 +117,7 @@ def exact_log_ml(model: BlrModel) -> float:
             - (1/2) mu_p^T Lambda_p mu_p
     with log-determinants taken through Cholesky factors.
     """
-    post = annealed_posterior(model, 1.0)
-    logdet_ratio = _chol_logdet(model.Lambda_p) - _chol_logdet(post.Lambda)
+    post, logdet_ratio = posterior_volume(model)
     return float(
         -0.5 * model.n * np.log(2 * np.pi * model.sigma2)
         + 0.5 * logdet_ratio
@@ -137,8 +142,8 @@ def blr_minibatch_grad(model, beta, theta, batch_indices=None, batch_size=None, 
 
     The likelihood part averages single-row estimators, each scaled by n:
     (beta n / (sigma2 b)) * sum_{i in batch} x_i (y_i - x_i^T theta).  Either
-    pass explicit ``batch_indices`` or a ``batch_size`` plus ``rng`` to draw
-    a batch uniformly with replacement.
+    pass explicit ``batch_indices``, a 1-d integer array, or a ``batch_size``
+    plus ``rng`` to draw a batch uniformly with replacement.
     """
     beta = _check_beta(beta)
     if batch_indices is None:
@@ -148,6 +153,8 @@ def blr_minibatch_grad(model, beta, theta, batch_indices=None, batch_size=None, 
     idx = np.asarray(batch_indices)
     if idx.size == 0:
         raise ValueError("batch must be non-empty")
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):  # a boolean mask miscounts the batch
+        raise ValueError(f"batch indices must be a 1-d integer array, got {idx.dtype} of shape {idx.shape}")
     if idx.min() < 0 or idx.max() >= model.n:
         raise ValueError(f"batch index out of range [0, {model.n})")
     theta = np.asarray(theta, dtype=float)
@@ -176,16 +183,23 @@ class UpdateMatrices:
     e_vec: np.ndarray
 
 
+def leapfrog_affine(eta, prec, prec_mean, one):
+    """(A, B, C, c_vec, e_vec) of `UpdateMatrices` at precision ``prec``; ``prec_mean`` is prec times the mean.
+
+    ``one`` is the identity: ``np.eye(d)`` for matrices, ``1.0`` for per-mode arrays of an eigenbasis.
+    """
+    A = one - 0.5 * eta**2 * prec
+    B = eta * one - 0.25 * eta**3 * prec
+    C = -eta * prec
+    return A, B, C, 0.5 * eta**2 * prec_mean, eta * prec_mean
+
+
 def update_matrices(model: BlrModel, beta: float, eta: float) -> UpdateMatrices:
     """Matrices of the affine leapfrog map at (beta, eta), identity mass."""
     beta = _check_beta(beta)
     Lambda = model.Lambda_p + beta * model.Lambda_lld
     lam_mu = model.Lambda_p @ model.mu_p + beta * model.Xty_over_s2  # Lambda times the mean, with no solve
-    eye = np.eye(model.d)
-    A = eye - 0.5 * eta**2 * Lambda
-    B = eta * eye - 0.25 * eta**3 * Lambda
-    C = -eta * Lambda
-    return UpdateMatrices(A=A, B=B, C=C, c_vec=0.5 * eta**2 * lam_mu, e_vec=eta * lam_mu)
+    return UpdateMatrices(*leapfrog_affine(eta, Lambda, lam_mu, np.eye(model.d)))
 
 
 class _BlrTarget(AnnealedTarget):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blr import BlrModel, annealed_posterior, update_matrices, _chol_logdet
+from .blr import BlrModel, leapfrog_affine, posterior_volume, update_matrices, _chol_logdet
 from .sampler import NumericalFailure, check_gamma
 from .schedules import StepSizeScheme, check_same_K, make_linear_schedule
 from .targets import check_noise_cov
@@ -74,6 +74,8 @@ def propagate_moments(model: BlrModel, schedule, steps, gamma: float = 0.0, nois
     out = [JointMoments(mu[:d].copy(), mu[d:].copy(), Sigma.copy())]
     eta = steps.eta
     with np.errstate(over="ignore", invalid="ignore"):
+        if sigma_eps is not None:  # each entry a coefficient times an entry of S, as in four scaled blocks
+            noise_block = np.kron([[0.25 * eta**4, 0.5 * eta**3], [0.5 * eta**3, eta**2]], sigma_eps)
         for k in range(1, schedule.K + 1):
             maps = update_matrices(model, schedule.betas[k], eta)
             T = np.block([[maps.A, maps.B], [maps.C, maps.A]])
@@ -81,10 +83,7 @@ def propagate_moments(model: BlrModel, schedule, steps, gamma: float = 0.0, nois
             mu = T @ mu + shift
             Sigma = T @ Sigma @ T.T
             if sigma_eps is not None:
-                Sigma[:d, :d] += 0.25 * eta**4 * sigma_eps
-                Sigma[:d, d:] += 0.5 * eta**3 * sigma_eps
-                Sigma[d:, :d] += 0.5 * eta**3 * sigma_eps
-                Sigma[d:, d:] += eta**2 * sigma_eps
+                Sigma += noise_block
             Sigma = 0.5 * (Sigma + Sigma.T)
             if not (np.all(np.isfinite(Sigma)) and np.all(np.isfinite(mu))):
                 raise NumericalFailure("moment propagation overflowed", step=k)
@@ -186,69 +185,45 @@ class GapBreakdown:
 def gap_breakdown(model: BlrModel, moments, schedule) -> GapBreakdown:
     """Closed-form gap between the exact log marginal likelihood and E[L]."""
     _check_match(model, moments, schedule)
-    post = annealed_posterior(model, 1.0)
+    post, logdet_ratio = posterior_volume(model)
     last = moments[-1]
     delta = last.mu_theta - post.mu
     term1 = 0.5 * float(delta @ post.Lambda @ delta)
     term2 = 0.5 * float(np.trace(post.Lambda @ last.Sigma_theta)) - 0.5 * model.d
-    logdet_ratio = _chol_logdet(model.Lambda_p) - _chol_logdet(post.Lambda)
     term3 = 0.5 * logdet_ratio - expected_kinetic_sum(moments)
     return GapBreakdown(term1=term1, term2=term2, term3=term3)
 
 
-@dataclass(frozen=True)
-class _RotatedChain:
-    """An isotropic-prior model and chain in the eigenbasis of X^T X / sigma2.
+def _mode_step_maps(p, lam, prior_shift, data_shift, noise, gamma, betas, etas, maps):
+    """Per-mode affine maps of T steps of cells with betas (T, cells) and one eta each (cells,).
 
-    ``lam``: eigenvalues; ``prior_shift``, ``data_shift``: Lambda_p mu_p and
-    X^T y / sigma2 in that basis; ``noise``: diag(Q^T Sigma_eps Q);
-    ``gamma``: momentum damping.
+    In the eigenbasis of X^T X / sigma2 (eigenvalues ``lam``) under prior
+    p I, ``prior_shift`` and ``data_shift`` are Lambda_p mu_p and X^T y /
+    sigma2 and ``noise`` is diag(Q^T Sigma_eps Q).  Writes the maps into
+    ``maps`` (5, 5, T, cells, d) and returns the shifts (T, 5, cells, d),
+    which take the pre-refreshment state after step k-1 to the one after
+    step k: the refreshment (v scaled by gamma, 1 - gamma^2 injected), the
+    leapfrog map of ``update_matrices`` at beta_k, then the noise.  The
+    refreshment scales multiply the 13 non-zero coefficients as they are
+    written; the other 12 entries of ``maps`` are never written: keep them 0.
     """
-
-    p: float
-    lam: np.ndarray
-    prior_shift: np.ndarray
-    data_shift: np.ndarray
-    noise: np.ndarray
-    gamma: float
-
-    @property
-    def refresh(self) -> np.ndarray:
-        """Refreshment scale of (mu_theta, mu_v, S_tt, S_tv, S_vv); S_vv also gains 1 - gamma^2."""
-        return np.array([1.0, self.gamma, 1.0, self.gamma, self.gamma**2])
-
-    def step_maps(self, betas: np.ndarray, etas: np.ndarray, maps: np.ndarray) -> np.ndarray:
-        """Per-mode affine maps of T steps of cells with betas (T, cells) and one eta each (cells,).
-
-        Writes the maps into ``maps`` (5, 5, T, cells, d) and returns the
-        shifts (T, 5, cells, d); together they take the pre-refreshment state
-        after step k-1 to the one after step k: the refreshment (v scaled by
-        gamma, 1 - gamma^2 injected), then the leapfrog map of
-        ``update_matrices`` at beta_k, then the noise.  The refreshment
-        scales are multiplied into the 13 non-zero coefficients as they are
-        written; the other 12 entries of ``maps`` are never written and must
-        be zero.
-        """
-        beta = betas[:, :, None]
-        eta = etas[:, None]
-        ell = self.p + beta * self.lam  # annealed precision
-        shift = self.prior_shift + beta * self.data_shift  # annealed precision times mean
-        A = 1.0 - (0.5 * eta**2) * ell
-        B = eta - (0.25 * eta**3) * ell
-        C = -eta * ell
-        g, g2 = self.gamma, self.gamma**2
-        AA, AB, BB = A * A, A * B, B * B
-        maps[0, 0], maps[0, 1], maps[1, 0], maps[1, 1] = A, B * g, C, A * g
-        maps[2, 2], maps[2, 3], maps[2, 4] = AA, 2.0 * A * B * g, BB * g2
-        maps[3, 2], maps[3, 3], maps[3, 4] = A * C, (AA + B * C) * g, AB * g2
-        maps[4, 2], maps[4, 3], maps[4, 4] = C * C, 2.0 * A * C * g, AA * g2
-        shifts = np.empty((betas.shape[0], 5) + ell.shape[1:])
-        shifts[:, 0] = (0.5 * eta**2) * shift
-        shifts[:, 1] = eta * shift
-        shifts[:, 2] = (0.25 * eta**4) * self.noise + (1.0 - g2) * BB
-        shifts[:, 3] = (0.5 * eta**3) * self.noise + (1.0 - g2) * AB
-        shifts[:, 4] = eta**2 * self.noise + (1.0 - g2) * AA
-        return shifts
+    beta = betas[:, :, None]
+    eta = etas[:, None]
+    ell = p + beta * lam  # annealed precision
+    shift = prior_shift + beta * data_shift  # annealed precision times mean
+    A, B, C, c, e = leapfrog_affine(eta, ell, shift, 1.0)
+    g, g2 = gamma, gamma**2
+    AA, AB, BB = A * A, A * B, B * B
+    maps[0, 0], maps[0, 1], maps[1, 0], maps[1, 1] = A, B * g, C, A * g
+    maps[2, 2], maps[2, 3], maps[2, 4] = AA, 2.0 * A * B * g, BB * g2
+    maps[3, 2], maps[3, 3], maps[3, 4] = A * C, (AA + B * C) * g, AB * g2
+    maps[4, 2], maps[4, 3], maps[4, 4] = C * C, 2.0 * A * C * g, AA * g2
+    shifts = np.empty((betas.shape[0], 5) + ell.shape[1:])
+    shifts[:, 0], shifts[:, 1] = c, e
+    shifts[:, 2] = (0.25 * eta**4) * noise + (1.0 - g2) * BB
+    shifts[:, 3] = (0.5 * eta**3) * noise + (1.0 - g2) * AB
+    shifts[:, 4] = eta**2 * noise + (1.0 - g2) * AA
+    return shifts
 
 
 # mode-steps per block of step maps: sets the engine's memory, 25 doubles per
@@ -286,14 +261,10 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     if not steps_list:
         return gaps
     lam, Q = np.linalg.eigh(model.Lambda_lld)
-    chain = _RotatedChain(
-        p=p,
-        lam=lam,
-        prior_shift=p * (model.mu_p @ Q),
-        data_shift=model.Xty_over_s2 @ Q,
-        noise=np.zeros(d) if noise is None else np.einsum("ji,jk,ki->i", Q, check_noise_cov(noise, d), Q),
-        gamma=gamma,
-    )
+    prior_shift, data_shift = p * (model.mu_p @ Q), model.Xty_over_s2 @ Q
+    mode_noise = np.zeros(d) if noise is None else np.einsum("ji,jk,ki->i", Q, check_noise_cov(noise, d), Q)
+    # refreshment scale of (mu_theta, mu_v, S_tt, S_tv, S_vv); S_vv also gains 1 - gamma^2
+    refresh = np.array([1.0, gamma, 1.0, gamma, gamma**2])
 
     # cells sorted by K: the cells still running at step k are a suffix
     order = np.argsort([s.K for s in steps_list], kind="stable")
@@ -323,14 +294,15 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
             stop = min(int(Ks[lo]), k + max(1, _BLOCK_MODE_STEPS // ((Ks.size - lo) * d)))
             block_betas = np.arange(k + 1, stop + 1)[:, None] / Ks[lo:]  # beta_k = k / K, as in the schedule
             maps = map_buffer[:, :, : block_betas.size * d].reshape((5, 5) + block_betas.shape + (d,))
-            shifts = chain.step_maps(block_betas, etas[lo:], maps)
+            shifts = _mode_step_maps(p, lam, prior_shift, data_shift, mode_noise, gamma,
+                                     block_betas, etas[lo:], maps)
             hats = np.empty_like(shifts)
             x = state[:, lo:]
             for t in range(stop - k):
                 x = np.einsum("ijcd,jcd->icd", maps[:, :, t], x, out=hats[t])
                 x += shifts[t]
             state[:, lo:] = x
-            refreshed = hats * chain.refresh[:, None, None]
+            refreshed = hats * refresh[:, None, None]
             refreshed[:, 4] += 1.0 - gamma**2
             energy_hat = np.sum(hats[:, 1] ** 2 + hats[:, 4], axis=2)
             energy_refreshed = np.sum(refreshed[:, 1] ** 2 + refreshed[:, 4], axis=2)
@@ -342,12 +314,12 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
             ok[lo:] &= np.all(low >= -PSD_TOL, axis=(0, 2))
             k = stop
 
-        post = annealed_posterior(model, 1.0)
+        post, logdet_ratio = posterior_volume(model)
         post_prec = p + lam
         delta = state[0] - post.mu @ Q
         term1 = 0.5 * np.sum(post_prec * delta * delta, axis=1)
         term2 = 0.5 * np.sum(post_prec * state[2], axis=1) - 0.5 * d
-        term3 = 0.5 * (_chol_logdet(model.Lambda_p) - _chol_logdet(post.Lambda)) - kinetic
+        term3 = 0.5 * logdet_ratio - kinetic
         total = term1 + term2 + term3
     gaps[order] = np.where(ok & np.isfinite(total), total, np.nan)
     return gaps

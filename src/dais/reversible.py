@@ -92,10 +92,12 @@ class InfoBuffer:
     buffer is all-sentinel, and the sentinel keeps the slot's leading
     constant positive so the physical size never undershoots the amortized
     log2(1/gamma) cost (the raw remainder stream carries a small negative
-    transient).
+    transient).  Every pushed or exchanged row is 1-d with one value per slot.
     """
 
     def __init__(self, n_slots: int):
+        if n_slots < 0:
+            raise ValueError(f"n_slots must be >= 0, got {n_slots}")
         self._store = [SLOT_SENTINEL] * n_slots  # one Python int per slot
         self.depth = 0  # completed damping ops not yet undone
 
@@ -103,8 +105,15 @@ class InfoBuffer:
     def n_slots(self) -> int:
         return len(self._store)
 
+    def _check_row(self, values: np.ndarray):
+        # zip would silently drop slots or values: one shape comparison, no per-value work
+        if values.shape != (len(self._store),):
+            raise ValueError(f"a buffer row needs shape ({len(self._store)},), got {values.shape}")
+
     def push(self, values, modulus: int):
-        self._store = [s * modulus + v for s, v in zip(self._store, np.asarray(values).tolist())]
+        values = np.asarray(values)
+        self._check_row(values)
+        self._store = [s * modulus + v for s, v in zip(self._store, values.tolist())]
 
     def pop(self, modulus: int) -> np.ndarray:
         return self.exchange(np.zeros(self.n_slots, dtype=np.int64), 1, modulus).astype(object)
@@ -115,6 +124,7 @@ class InfoBuffer:
         A 2^GAMMA_DENOM_BITS side is a shift and a mask, as on both sides of
         the chain's damping; ``divmod`` is left for the other moduli.
         """
+        self._check_row(values)
         rows = values.tolist()
         if push_mod == _DENOM:
             pairs = [divmod((s << GAMMA_DENOM_BITS) + r, pop_mod) for s, r in zip(self._store, rows)]

@@ -230,6 +230,12 @@ def test_minibatch_bad_index_rejected(toy_model):
         blr_minibatch_grad(toy_model, 0.5, np.zeros(1), batch_indices=[5])
     with pytest.raises(ValueError):
         blr_minibatch_grad(toy_model, 0.5, np.zeros(1), batch_indices=[])
+    # a boolean mask, a 2-d array and fractional indices are not a batch of row indices
+    two_rows = BlrModel(X=np.eye(2), y=[1.0, 0.0], sigma2=1.0, mu_p=np.zeros(2), Lambda_p=np.eye(2))
+    assert blr_minibatch_grad(two_rows, 1.0, np.zeros(2), batch_indices=[0]).tolist() == [2.0, 0.0]
+    for bad in (np.array([True, False]), [[0, 1]], [0.5]):
+        with pytest.raises(ValueError, match="1-d integer"):
+            blr_minibatch_grad(two_rows, 1.0, np.zeros(2), batch_indices=bad)
 
 
 def test_minibatch_drawn_batch(toy_model):

@@ -99,3 +99,32 @@ def test_module_uses_every_import(path):
             imported |= {alias.asname or alias.name for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and every method not named as a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            methods = [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+            yield from (name for name in methods if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_definition_is_referenced():
+    # the dead-code companion of the import check: a definition (not counted
+    # itself) needs one use by name in the package, its tests, the benchmark
+    # or the scripts, as a name, an attribute or an imported name
+    used = set()
+    for folder in ("src", "tests", "bench", "scripts"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    used |= {alias.name.split(".")[-1] for alias in node.names}
+    dead = [f"{path.name}: {name}" for path in MODULES
+            for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))) if name not in used]
+    assert not dead, f"defined but never referenced: {dead}"

@@ -23,6 +23,7 @@ from dais import (
     stochastic_penalty,
     sweep_gaps,
     theory_slope,
+    update_matrices,
 )
 from dais.blr import additive_noise_cov
 from dais.moments import expected_kinetic_sum
@@ -210,6 +211,28 @@ def test_sweep_gaps_pinned_to_parent_digest():
             for noise in (None, additive_noise_cov(model, batch)):
                 h.update(repr(sweep_gaps(model, gamma, steps, noise=noise).tolist()).encode())
     assert h.hexdigest() == SWEEP_PINNED_DIGEST
+
+
+DENSE_PINNED_DIGEST = "0bda8f305be5e8f23757bdd51cdc6150eceaf14060dc50c39411adb49c5ae0a4"
+
+
+def test_propagate_moments_pinned_digest():
+    # every bit of the dense oracle: each JointMoments field of each step and
+    # each UpdateMatrices field of each beta, on a general and an isotropic prior
+    h = hashlib.sha256()
+    for model, batch in ((random_model(np.random.default_rng(29), 30, 3), 5), (gen_blr_data(200, 5, 3), 20)):
+        schedule = make_linear_schedule(24)
+        steps = make_stepsize_scheme(0.6, 0.25, 24)
+        for beta in schedule.betas:
+            maps = update_matrices(model, beta, steps.eta)
+            for field in (maps.A, maps.B, maps.C, maps.c_vec, maps.e_vec):
+                h.update(field.tobytes())
+        for gamma in (0.0, 0.5, 0.9):
+            for noise in (None, additive_noise_cov(model, batch)):
+                for m in propagate_moments(model, schedule, steps, gamma, noise=noise):
+                    for field in (m.mu_theta, m.mu_v, m.Sigma, m.mu_vhat, m.Sigma_vhat):
+                        h.update(b"None" if field is None else field.tobytes())
+    assert h.hexdigest() == DENSE_PINNED_DIGEST
 
 
 @pytest.mark.parametrize("block_mode_steps", [1, 7, 64])

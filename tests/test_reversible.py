@@ -657,6 +657,19 @@ def test_buffer_rows_object_and_int64_agree():
     assert restored.to_bytes() == InfoBuffer(6).to_bytes()
 
 
+def test_buffer_rejects_rows_of_the_wrong_shape():
+    # a row longer or shorter than the slots, or not 1-d, must not drop values or slots
+    buffer = InfoBuffer(4)
+    for row in (np.arange(6), np.arange(2), np.arange(4).reshape(2, 2)):
+        with pytest.raises(ValueError, match="buffer row"):
+            buffer.push(row, 7)
+        with pytest.raises(ValueError, match="buffer row"):
+            buffer.exchange(row, 7, 5)
+    assert buffer.to_bytes() == InfoBuffer(4).to_bytes()
+    with pytest.raises(ValueError, match="n_slots"):
+        InfoBuffer(-3)
+
+
 @pytest.mark.parametrize("push_mod, pop_mod", [(2**16, 58982), (58982, 2**16), (3, 7)],
                          ids=["damping", "undamping", "general"])
 def test_buffer_exchange_matches_python_divmod(push_mod, pop_mod):
