@@ -137,19 +137,13 @@ def blr_grad(model: BlrModel, beta: float, theta: np.ndarray) -> np.ndarray:
     return grad
 
 
-def blr_minibatch_grad(model, beta, theta, batch_indices=None, batch_size=None, rng=None):
-    """Unbiased mini-batch estimate of `blr_grad`.
+def blr_minibatch_grad(model, beta, theta, batch_indices):
+    """Unbiased mini-batch estimate of `blr_grad` on the rows ``batch_indices``, a 1-d integer array.
 
     The likelihood part averages single-row estimators, each scaled by n:
-    (beta n / (sigma2 b)) * sum_{i in batch} x_i (y_i - x_i^T theta).  Either
-    pass explicit ``batch_indices``, a 1-d integer array, or a ``batch_size``
-    plus ``rng`` to draw a batch uniformly with replacement.
+    (beta n / (sigma2 b)) * sum_{i in batch} x_i (y_i - x_i^T theta).
     """
     beta = _check_beta(beta)
-    if batch_indices is None:
-        if batch_size is None or rng is None:
-            raise ValueError("need batch_indices, or batch_size and rng")
-        batch_indices = rng.integers(0, model.n, size=batch_size)
     idx = np.asarray(batch_indices)
     if idx.size == 0:
         raise ValueError("batch must be non-empty")

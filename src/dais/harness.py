@@ -17,7 +17,7 @@ import numbers
 import re
 import time
 import tomllib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .schedules import check_addressable, make_linear_schedule, make_stepsize_sc
 from .targets import noisy_gradient
 
 MODES = ("exact", "mc", "theory")
-CSV_HEADER = ("K", "c", "gamma", "mode", "batch_size", "gap", "stderr", "elapsed_ms", "seed")
 DEFAULT_K_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
 DEFAULT_C_LIST = (0.25, 1 / 3)
 
@@ -198,6 +197,9 @@ class ResultRow:
         return not np.isfinite(self.gap)
 
 
+CSV_HEADER = tuple(f.name for f in fields(ResultRow))
+
+
 def gen_blr_data(n: int, d: int, seed: int, sigma2: float = 1.0) -> BlrModel:
     """Synthetic regression data: X entries N(0, 0.01), y entries N(0, 1).
 
@@ -323,12 +325,14 @@ def fit_loglog_slope(rows):
     """Least-squares slope of log(gap) against log(K).
 
     Pass the rows of one curve (one c).  Rows with non-positive or
-    non-finite gaps are dropped; fewer than three remaining rows raises
-    InsufficientData.  Returns (slope, intercept, r2).
+    non-finite gaps are dropped; fewer than three remaining rows, or rows
+    that share one K, raise InsufficientData.  Returns (slope, intercept, r2).
     """
     pts = [(row.K, row.gap) for row in rows if np.isfinite(row.gap) and row.gap > 0]
     if len(pts) < 3:
         raise InsufficientData(f"need >= 3 usable rows, have {len(pts)}")
+    if len({K for K, _ in pts}) < 2:  # one K leaves the slope undetermined
+        raise InsufficientData(f"need usable rows at >= 2 distinct K, have only K = {pts[0][0]}")
     logK = np.log([p[0] for p in pts])
     logG = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(logK, logG, 1)
@@ -339,25 +343,13 @@ def fit_loglog_slope(rows):
     return float(slope), float(intercept), r2
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(rows) -> str:
-    """CSV text: fixed header, LF line endings, full-precision floats."""
+    """CSV text: the ``ResultRow`` fields in order, LF line endings, floats by ``repr``, None empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
-        writer.writerow([
-            row.K, _format_cell(row.c), _format_cell(row.gamma), row.mode,
-            _format_cell(row.batch_size), _format_cell(row.gap),
-            _format_cell(row.stderr), _format_cell(round(row.elapsed_ms, 3)), row.seed,
-        ])
+        writer.writerow(astuple(replace(row, elapsed_ms=round(row.elapsed_ms, 3))))
     return buf.getvalue()
 
 

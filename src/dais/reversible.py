@@ -92,7 +92,8 @@ class InfoBuffer:
     buffer is all-sentinel, and the sentinel keeps the slot's leading
     constant positive so the physical size never undershoots the amortized
     log2(1/gamma) cost (the raw remainder stream carries a small negative
-    transient).  Every pushed or exchanged row is 1-d with one value per slot.
+    transient).  Every pushed or exchanged row is a 1-d sequence with one
+    value per slot.
     """
 
     def __init__(self, n_slots: int):
@@ -105,26 +106,21 @@ class InfoBuffer:
     def n_slots(self) -> int:
         return len(self._store)
 
-    def _check_row(self, values: np.ndarray):
-        # zip would silently drop slots or values: one shape comparison, no per-value work
-        if values.shape != (len(self._store),):
-            raise ValueError(f"a buffer row needs shape ({len(self._store)},), got {values.shape}")
-
     def push(self, values, modulus: int):
-        values = np.asarray(values)
-        self._check_row(values)
-        self._store = [s * modulus + v for s, v in zip(self._store, values.tolist())]
+        self.exchange(values, modulus, 1)  # a pop modulo 1 takes nothing
 
     def pop(self, modulus: int) -> np.ndarray:
         return self.exchange(np.zeros(self.n_slots, dtype=np.int64), 1, modulus).astype(object)
 
-    def exchange(self, values: np.ndarray, push_mod: int, pop_mod: int) -> np.ndarray:
-        """``push`` then ``pop`` of int64 rows in one pass over the slots.
+    def exchange(self, values, push_mod: int, pop_mod: int) -> np.ndarray:
+        """Push ``values`` modulo ``push_mod``, then pop an int64 row modulo ``pop_mod``, in one pass.
 
         A 2^GAMMA_DENOM_BITS side is a shift and a mask, as on both sides of
         the chain's damping; ``divmod`` is left for the other moduli.
         """
-        self._check_row(values)
+        values = np.asarray(values)
+        if values.shape != (len(self._store),):  # zip would silently drop slots or values
+            raise ValueError(f"a buffer row needs shape ({len(self._store)},), got {values.shape}")
         rows = values.tolist()
         if push_mod == _DENOM:
             pairs = [divmod((s << GAMMA_DENOM_BITS) + r, pop_mod) for s, r in zip(self._store, rows)]

@@ -192,8 +192,12 @@ def _draw_inputs(target, K, n_chains, rng):
 
 
 def dais_bound_mc(target, schedule, steps, config, n_chains, rng):
-    """Mean and standard error of L over independent chains."""
+    """Mean and standard error of L over independent chains; a spread past the float range gives inf."""
     if n_chains < 2:
         raise ValueError("n_chains must be >= 2 for a standard error")
     _, _, L = sample_chains(target, schedule, steps, config, n_chains, rng)
-    return float(L.mean()), float(L.std(ddof=1) / np.sqrt(n_chains))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(L.mean())
+        if not np.isfinite(mean):
+            raise NumericalFailure(f"the mean of L over {n_chains} chains overflows")
+        return mean, float(L.std(ddof=1) / np.sqrt(n_chains))

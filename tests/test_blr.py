@@ -238,11 +238,6 @@ def test_minibatch_bad_index_rejected(toy_model):
             blr_minibatch_grad(two_rows, 1.0, np.zeros(2), batch_indices=bad)
 
 
-def test_minibatch_drawn_batch(toy_model):
-    g = blr_minibatch_grad(toy_model, 1.0, np.zeros(1), batch_size=4, rng=generator(3))
-    assert g.shape == (1,)
-
-
 # ----------------------------------------------------------- update matrices
 
 def test_update_matrices_small_step_limits(toy_model):

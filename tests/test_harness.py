@@ -4,6 +4,7 @@ import json
 import re
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -525,6 +526,9 @@ def test_fit_filters_and_errors():
         fit_loglog_slope(rows)
     with pytest.raises(InsufficientData):
         fit_loglog_slope([])
+    # three usable rows at one K determine no slope
+    with pytest.raises(InsufficientData, match="distinct K"):
+        fit_loglog_slope([replace(rows[0], K=64, gap=g) for g in (1.0, 2.0, 3.0)])
 
 
 # --------------------------------------------------------------------- csv
@@ -543,6 +547,23 @@ def test_csv_header_and_precision(tmp_path, small_exact_rows):
     # gaps round-trip through repr at full precision
     for line, row in zip(lines[1:], rows):
         assert float(line.split(",")[5]) == row.gap
+
+
+def test_csv_bytes_pinned_on_edge_rows():
+    # None is empty, floats are written by repr (nan, +-inf, -0.0, 1/3, 1.23e-05)
+    # and elapsed_ms is rounded to 3 decimals
+    rows = [
+        ResultRow(K=64, c=1 / 3, gamma=0.9, mode="mc", batch_size=None, gap=float("nan"),
+                  stderr=float("inf"), elapsed_ms=1.23456789, seed=7),
+        ResultRow(K=128, c=-0.0, gamma=0.0, mode="exact", batch_size=100, gap=1.23e-05, stderr=0.0,
+                  elapsed_ms=0.0004999, seed=0),
+        ResultRow(K=1, c=0.25, gamma=1.0, mode="theory", batch_size=None, gap=-0.0, stderr=float("-inf"),
+                  elapsed_ms=2.0005, seed=3),
+    ]
+    text = rows_to_csv(rows)
+    assert text.splitlines()[1] == "64,0.3333333333333333,0.9,mc,,nan,inf,1.235,7"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0de0a3c355ca6fefbeb2f32026381abba67ce2b725eaa816523c2d10787562a0")
 
 
 def test_csv_empty_batch_column(small_exact_rows):
@@ -884,6 +905,30 @@ def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+_STEEP_SWEEP = "n = 100\nd = 2\nK_grid = [64, 128]\nc_list = [0.0]\na = 5.0\nmc_chains = 20\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "exact"], 0),
+    (["sweep", "theory"], 0),
+    (["sweep", "mc"], 0),  # K = 64's chains stay finite but their spread overflows
+    (["chain", "--K", "3", "--a", "1e308", "--c", "0"], 3),
+    (["chain", "--K", "10", "--a", "5", "--c", "0", "--gamma", "0.99"], 3),
+    (["check-reversible", "--K", "3", "--eta", "1e5"], 3),
+], ids=["sweep-exact", "sweep-theory", "sweep-mc", "chain-huge-a", "chain-gamma-0.99", "check-reversible-huge-eta"])
+def test_cli_degenerate_step_sizes_print_no_warning(argv, code, tmp_path, capsys):
+    # at most the one stderr line of an error, and no warning text besides
+    if argv[0] == "sweep":
+        cfg_path = tmp_path / "steep.toml"
+        cfg_path.write_text(_STEEP_SWEEP + f'mode = "{argv[1]}"\n')
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "steep.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(argv) == code
+    assert [str(w.message) for w in caught] == []
+    assert len(capsys.readouterr().err.splitlines()) <= 1
 
 
 def test_cli_oracles_smoke(capsys):

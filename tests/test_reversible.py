@@ -670,6 +670,16 @@ def test_buffer_rejects_rows_of_the_wrong_shape():
         InfoBuffer(-3)
 
 
+def test_buffer_rows_may_be_any_1d_sequence():
+    # lists and tuples are rows as much as int64 arrays, for push and exchange alike
+    arrays, sequences = InfoBuffer(4), InfoBuffer(4)
+    arrays.push(np.arange(4), 7)
+    sequences.push([0, 1, 2, 3], 7)
+    assert arrays.exchange(np.arange(4), 7, 5).tolist() == sequences.exchange((0, 1, 2, 3), 7, 5).tolist()
+    assert arrays.exchange(np.arange(4), 7, 5).tolist() == sequences.exchange([0, 1, 2, 3], 7, 5).tolist()
+    assert arrays.to_bytes() == sequences.to_bytes()
+
+
 @pytest.mark.parametrize("push_mod, pop_mod", [(2**16, 58982), (58982, 2**16), (3, 7)],
                          ids=["damping", "undamping", "general"])
 def test_buffer_exchange_matches_python_divmod(push_mod, pop_mod):

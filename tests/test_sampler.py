@@ -328,6 +328,23 @@ def test_bound_mc_propagates_chain_id(toy_model):
     assert err.value.chain is not None
 
 
+def test_bound_mc_spread_past_float_range_is_inf_se():
+    # a = 5 at c = 0 diverges slowly enough that every L stays finite, but
+    # their squared spread does not: no overflow warning, stderr is inf
+    target = blr_target(gen_blr_data(100, 2, 0))
+    mean, stderr = dais_bound_mc(target, make_linear_schedule(64), make_stepsize_scheme(5.0, 0.0, 64),
+                                 CFG, 20, generator(1))
+    assert np.isfinite(mean) and mean < -1e160
+    assert stderr == np.inf
+
+
+def test_bound_mc_mean_past_float_range_raises(toy_model, monkeypatch):
+    monkeypatch.setattr("dais.sampler.sample_chains", lambda *args: (None, None, np.array([1e308, 1e308])))
+    with pytest.raises(NumericalFailure, match="mean of L"):
+        dais_bound_mc(blr_target(toy_model), make_linear_schedule(2), StepSizeScheme(2, 0.1), CFG, 2,
+                      generator(0))
+
+
 # ------------------------------------------------------------------ config
 
 def test_config_validation():
