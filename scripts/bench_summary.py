@@ -1,0 +1,74 @@
+"""Summarise the benchmark's seed-7 untraced records into one committed file, BENCH_<pr>.json.
+
+First run, at the commit to record,
+
+    python3 bench/run.py --workload all --seed 7 --seconds 15 --trace 0
+
+which leaves one record per workload in bench/results/; then
+
+    python3 scripts/bench_summary.py <pr>
+
+writes BENCH_<pr>.json at the repository root.  Per workload it holds the four
+end-to-end metrics with their sample counts, the pass times, whether every
+check passed and the failed share; beside them the commit and the src/dais
+line count the records were made at, and the number of names dais exports.
+A missing record, or records made at different code, exits 2 with one line.
+"""
+
+import argparse
+import ast
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "bench" / "results"  # where bench/run.py leaves its records
+PACKAGE_INIT = ROOT / "src" / "dais" / "__init__.py"
+WORKLOADS = ("exact-sweep", "mc-chains", "reversible")
+METRICS = ("setup_s", "wall_s", "work_per_s", "peak_rss_mb")
+
+
+def export_count() -> int:
+    """Names that the package's ``__init__.py`` imports, that is its top-level exports."""
+    tree = ast.parse(PACKAGE_INIT.read_text(encoding="utf-8"))
+    return sum(len(node.names) for node in tree.body if isinstance(node, ast.ImportFrom))
+
+
+def summarise(record: dict) -> dict:
+    metrics = {m: {k: record["end_to_end"][m][k] for k in ("value", "unit", "n")} for m in METRICS}
+    return {**metrics, "seconds": record["seconds"], "pass_seconds": record["pass_seconds"],
+            "correct": all(check["ok"] for check in record["checks"]), "failed_frac": record["failed_frac"]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("pr", type=int, help="number that names the output file")
+    args = parser.parse_args(argv)
+    records = {}
+    for name in WORKLOADS:
+        path = RESULTS / f"{name}-seed7-trace0.json"
+        if not path.is_file():
+            print(f"error: no benchmark record {path}; run bench/run.py --workload {name} --seed 7 --trace 0",
+                  file=sys.stderr)
+            return 2
+        records[name] = json.loads(path.read_text(encoding="utf-8"))
+    made_at = {(r["machine"]["git_sha"], r["machine"]["src_dais_lines"]) for r in records.values()}
+    if len(made_at) != 1:
+        print(f"error: the records were made at different code: {sorted(made_at, key=str)}", file=sys.stderr)
+        return 2
+    ((sha, lines),) = made_at
+    machine = records["exact-sweep"]["machine"]
+    summary = {
+        "pr": args.pr, "git_sha": sha, "src_dais_lines": lines,
+        "exports": export_count(),
+        "machine": {k: machine[k] for k in ("nproc", "openblas_threads", "python", "numpy")},
+        "workloads": {name: summarise(record) for name, record in records.items()},
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

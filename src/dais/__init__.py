@@ -12,7 +12,6 @@ from .blr import (
     BlrModel,
     additive_noise_cov,
     annealed_posterior,
-    blr_grad,
     blr_minibatch_grad,
     blr_target,
     exact_log_ml,
@@ -30,8 +29,6 @@ from .harness import (
     write_csv,
 )
 from .moments import (
-    GapBreakdown,
-    expected_bound,
     gap_breakdown,
     propagate_moments,
     stochastic_penalty,
@@ -40,7 +37,6 @@ from .moments import (
 )
 from .reversible import (
     BufferCorruption,
-    FixedPointState,
     ForwardResult,
     InfoBuffer,
     float_to_fixed,

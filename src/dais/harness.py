@@ -241,6 +241,8 @@ def tune_stepsize_base(model: BlrModel, gamma: float, K_min: int, c_list) -> flo
     are candidates with a failed cell.  All candidate cells go through one
     ``sweep_gaps`` call.
     """
+    if not len(c_list):
+        raise ValueError("c_list must be non-empty")
     eta_max = TUNE_STABILITY_FRACTION * stability_limit(model)
     candidates = [a for a in TUNE_GRID if not max(make_stepsize_scheme(a, c, K_min).eta for c in c_list) > eta_max]
     steps = [make_stepsize_scheme(a, c, K_min) for a in candidates for c in c_list]

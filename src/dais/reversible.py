@@ -69,11 +69,6 @@ def backward_seed(s: int) -> int:
     return (SEED_MULT_INV * (s - SEED_INC)) & MASK64
 
 
-def seed_noise(s: int, dim: int) -> np.ndarray:
-    """Standard normal vector fully determined by the seed state."""
-    return keyed_generator(s).standard_normal(dim)
-
-
 class BufferCorruption(RuntimeError):
     """Buffer drained past its push depth, failed deserialization, or not the chain's own."""
 
@@ -110,7 +105,7 @@ class InfoBuffer:
         self.exchange(values, modulus, 1)  # a pop modulo 1 takes nothing
 
     def pop(self, modulus: int) -> np.ndarray:
-        return self.exchange(np.zeros(self.n_slots, dtype=np.int64), 1, modulus).astype(object)
+        return self.exchange(np.zeros(self.n_slots, dtype=np.int64), 1, modulus)
 
     def exchange(self, values, push_mod: int, pop_mod: int) -> np.ndarray:
         """Push ``values`` modulo ``push_mod``, then pop an int64 row modulo ``pop_mod``, in one pass.
@@ -185,15 +180,11 @@ class InfoBuffer:
         return buf
 
 
-def _overflow(step=None) -> NumericalFailure:
-    where = "" if step is None else f" at step {step}"
-    return NumericalFailure(f"fixed-point overflow or non-finite value{where}", step=step)
-
-
 def _in_range(x: np.ndarray, step=None) -> np.ndarray:
     """``x`` itself once every entry is finite and below 2^62 in magnitude."""
     if not np.abs(x).max(initial=0) < _LIMIT:  # one reduction; NaN fails it too
-        raise _overflow(step)
+        where = "" if step is None else f" at step {step}"
+        raise NumericalFailure(f"fixed-point overflow or non-finite value{where}", step=step)
     return x
 
 
@@ -313,26 +304,20 @@ class _FixedPointChain:
         return th, vv, v_after
 
     def seed_noise(self, s: int, dim: int) -> np.ndarray:
-        """``seed_noise(s, dim)`` drawn by re-keying this chain's generator."""
+        """``keyed_generator(s).standard_normal(dim)``, drawn by re-keying this chain's generator."""
         self._philox_state["state"]["key"][0] = s & MASK64
         self._gen.bit_generator.state = self._philox_state
         return self._gen.standard_normal(dim)
 
     def noise_block(self, seeds) -> np.ndarray:
-        """Refresh increments sqrt(1 - gamma^2) eps(s) in fixed point, one row per seed.
-
-        Stops before the first row that leaves the 2^62 range: the step
-        that would add that row raises when it gets there.
-        """
+        """Refresh increments sqrt(1 - gamma^2) eps(s) in fixed point, one row per seed, range-checked as a block."""
         eps = np.empty((len(seeds), self.dim))
         for i, s in enumerate(seeds):
             eps[i] = self.seed_noise(s, self.dim)
-        inc = np.rint(self.noise_scale * _SCALE * eps)
-        ok = np.abs(inc).max(axis=1, initial=0) < _LIMIT  # exact per-row check; NaN fails it
-        return inc[: len(seeds) if ok.all() else int(ok.argmin())].astype(np.int64)
+        return _to_fixed(self.noise_scale * _SCALE * eps)
 
-    def refresh(self, vv, noise, i: int, buffer: InfoBuffer, k: int):
-        """vv <- about gamma_eff vv (exactly invertible through the buffer) plus noise[i].
+    def refresh(self, vv, inc, buffer: InfoBuffer, k: int):
+        """vv <- about gamma_eff vv (exactly invertible through the buffer) plus the row ``inc``.
 
         Returns vv and its float view.
         """
@@ -341,19 +326,15 @@ class _FixedPointChain:
             r = buffer.exchange(vv & self._mask_row, self.den, self.num)
             vv = (vv >> self._shift_row) * self._num_row + r
             buffer.depth += 1
-        if i >= len(noise):
-            raise _overflow(k)
-        vv = vv + noise[i]
+        vv = vv + inc
         view = vv * self._unscale
         if not view.dot(view) < _VIEW_SCREEN:
             _in_range(vv, k)
         return vv, view
 
-    def unrefresh(self, vv, noise, i: int, buffer: InfoBuffer, k: int):
+    def unrefresh(self, vv, inc, buffer: InfoBuffer, k: int):
         """Exact inverse of `refresh`."""
-        if i >= len(noise):
-            raise _overflow(k)
-        vv = vv - noise[i]
+        vv = vv - inc
         view = vv * self._unscale
         norm = view.dot(view)
         if not norm < _VIEW_SCREEN:
@@ -419,7 +400,7 @@ def reversible_forward(
             for i in range(len(seeds)):
                 before[i] = v
                 th, vv, after[i] = chain.leapfrog(th, vv, v, k0 + i, +1)
-                vv, v = chain.refresh(vv, noise, i, buffer, k0 + i)
+                vv, v = chain.refresh(vv, noise[i], buffer, k0 + i)
             for q_before, q_after in zip((before * before).sum(axis=-1).tolist(),
                                          (after * after).sum(axis=-1).tolist()):
                 L += 0.5 * (q_before - q_after)
@@ -476,6 +457,6 @@ def reversible_backward(
                 s = backward_seed(s)
             noise = chain.noise_block(seeds)
             for i in range(len(seeds)):
-                vv, v = chain.unrefresh(vv, noise, i, buffer, k0 - i)
+                vv, v = chain.unrefresh(vv, noise[i], buffer, k0 - i)
                 th, vv, _ = chain.leapfrog(th, vv, v, k0 - i, -1)
     return th, vv, s

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,14 @@ def check_addressable(*shape) -> None:
         raise MemoryError(f"Unable to allocate an array with shape {shape} and data type float64")
 
 
+def check_chain_length(K) -> None:
+    """Raise ValueError unless ``K`` is an integer (not a bool) of at least 1."""
+    if not isinstance(K, numbers.Integral) or isinstance(K, bool):
+        raise ValueError(f"K must be an integer, got {K!r}")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+
+
 @dataclass(frozen=True)
 class AnnealingSchedule:
     """Linear inverse-temperature grid beta_k = k / K, k = 0..K; ``betas`` is derived."""
@@ -23,8 +32,7 @@ class AnnealingSchedule:
     betas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        check_chain_length(self.K)
         check_addressable(self.K + 1)
         object.__setattr__(self, "betas", np.arange(self.K + 1) / self.K)
 
@@ -43,8 +51,7 @@ class StepSizeScheme:
     eta: np.float64
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        check_chain_length(self.K)
         eta = np.float64(self.eta)
         if not 0.0 <= eta < np.inf:
             raise ValueError(f"step size must be finite and non-negative, got {eta}")
@@ -63,6 +70,5 @@ def make_stepsize_scheme(a: float, c: float, K: int) -> StepSizeScheme:
         raise ValueError(f"base step size must be positive, got {a}")
     if c < 0:
         raise ValueError(f"exponent must be non-negative, got {c}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    check_chain_length(K)
     return StepSizeScheme(K, np.float64(a * K ** -c))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dais import BlrModel, gap_breakdown, make_linear_schedule, propagate_moments
+from dais.rng import keyed_generator
 
 
 @pytest.fixture
@@ -39,6 +40,11 @@ def random_model(rng, n, d):
     )
 
 
+def seed_noise(s, dim):
+    """Oracle: the reversible chain's refresh draw for seed state ``s``, from a freshly keyed stream."""
+    return keyed_generator(s).standard_normal(dim)
+
+
 def dense_gap(model, gamma, steps, noise=None):
     """Oracle: the dense 2d x 2d moment recursion and the closed-form gap."""
     schedule = make_linear_schedule(steps.K)
@@ -48,9 +54,9 @@ def dense_gap(model, gamma, steps, noise=None):
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
-def load_gap_sweeps_script():
-    """``scripts/run_gap_sweeps.py`` as a module, so tests can call its ``main``."""
-    spec = importlib.util.spec_from_file_location("run_gap_sweeps", SCRIPTS / "run_gap_sweeps.py")
+def load_script(name):
+    """``scripts/<name>.py`` as a module, so tests can call its ``main``."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script

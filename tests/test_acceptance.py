@@ -18,7 +18,6 @@ from dais import (
     blr_target,
     dais_bound_mc,
     exact_log_ml,
-    expected_bound,
     fit_loglog_slope,
     float_to_fixed,
     gap_breakdown,
@@ -38,11 +37,12 @@ from dais import (
 )
 from dais.blr import additive_noise_cov
 from dais.harness import ResultRow
-from dais.reversible import forward_seed, seed_noise
+from dais.moments import expected_bound
+from dais.reversible import forward_seed
 from dais.rng import keyed_generator
 from dais.sampler import leapfrog
 
-from conftest import random_model
+from conftest import random_model, seed_noise
 
 SEED = 7
 K_GRID = (64, 128, 256, 512, 1024, 2048, 4096)

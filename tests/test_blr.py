@@ -6,7 +6,6 @@ from dais import (
     BlrModel,
     additive_noise_cov,
     annealed_posterior,
-    blr_grad,
     blr_minibatch_grad,
     blr_target,
     exact_log_ml,
@@ -15,6 +14,7 @@ from dais import (
     update_matrices,
     TransitionConfig,
 )
+from dais.blr import blr_grad
 from dais.sampler import leapfrog
 
 from conftest import central_difference, random_model

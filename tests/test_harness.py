@@ -44,7 +44,7 @@ from dais.harness import (
 from dais.sampler import NumericalFailure
 from dais.cli import main as cli_main
 
-from conftest import SCRIPTS, dense_gap, load_gap_sweeps_script
+from conftest import SCRIPTS, dense_gap, load_script
 
 
 # ------------------------------------------------------------------- data
@@ -474,6 +474,11 @@ def test_tuned_base_matches_dense_loop(seed, gamma, batch_size):
         assert row.gap == pytest.approx(dense, rel=1e-9, abs=0.0)
 
 
+def test_tuning_needs_an_exponent():
+    with pytest.raises(ValueError, match="c_list must be non-empty"):
+        tune_stepsize_base(gen_blr_data(50, 2, 0), 0.0, 64, [])
+
+
 def test_sweep_sigma2_sets_observation_variance():
     base = dict(n=200, d=4, seed=3, K_grid=(8, 32), c_list=(0.25,), a=0.4)
     rows4 = run_sweep(ExperimentConfig(**base, sigma2=4.0))
@@ -662,7 +667,7 @@ def test_cli_sweep_out_in_working_directory(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("problem", ["out-dir is a file", "out-dir below a file", "out-dir not writable"])
 def test_gap_sweeps_script_checks_out_dir_before_running(tmp_path, capsys, monkeypatch, problem):
-    script = load_gap_sweeps_script()
+    script = load_script("run_gap_sweeps")
 
     def must_not_run(config):
         raise AssertionError("run_sweep called before --out-dir was checked")
@@ -688,7 +693,7 @@ SCRIPT_PINNED_DIGEST = "915cb04b8998b8131049d7abb4744ce3986152708dcddaea14b24995
 
 
 def test_gap_sweeps_script_output_pinned(tmp_path, capsys):
-    script = load_gap_sweeps_script()
+    script = load_script("run_gap_sweeps")
     assert script.main(["--out-dir", str(tmp_path)]) == 0
     h = hashlib.sha256()
     elapsed = CSV_HEADER.index("elapsed_ms")

@@ -6,14 +6,12 @@ import pytest
 
 from dais import (
     BlrModel,
-    GapBreakdown,
     NumericalFailure,
     StepSizeScheme,
     TransitionConfig,
     annealed_posterior,
     blr_target,
     exact_log_ml,
-    expected_bound,
     gap_breakdown,
     gen_blr_data,
     generator,
@@ -26,7 +24,7 @@ from dais import (
     update_matrices,
 )
 from dais.blr import additive_noise_cov
-from dais.moments import expected_kinetic_sum
+from dais.moments import GapBreakdown, expected_bound, expected_kinetic_sum
 from dais.sampler import leapfrog
 
 from conftest import dense_gap, random_model

@@ -25,8 +25,10 @@ from dais import (
 )
 from dais.cli import main as cli_main
 from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointChain, backward_seed,
-                             fixed_to_float, forward_seed, seed_noise)
+                             fixed_to_float, forward_seed)
 from dais.rng import keyed_generator
+
+from conftest import seed_noise
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):
@@ -98,9 +100,8 @@ def test_seed_noise_deterministic():
     for key, dim in zip(keys * 3, [1, 7, 100] * 5):
         expected = keyed_generator(key).standard_normal(dim)
         assert np.array_equal(chain.seed_noise(key, dim), expected)
-        assert np.array_equal(seed_noise(key, dim), expected)
     assert np.array_equal(chain.seed_noise(2**64 + 3, 5), chain.seed_noise(3, 5))
-    assert not np.array_equal(seed_noise(987654321, 6), seed_noise(987654322, 6))
+    assert not np.array_equal(chain.seed_noise(987654321, 6), chain.seed_noise(987654322, 6))
 
 
 # -------------------------------------------------------------- fixed point
@@ -511,24 +512,19 @@ def _refresh_overflow_setup(monkeypatch):
     return target, schedule, steps, config, s0, k_bad
 
 
-def test_refresh_overflow_raises_at_its_step_and_earlier_failures_win(monkeypatch):
+def test_oversize_refresh_increment_raises_instead_of_wrapping(monkeypatch):
+    # a refresh row past 2^62 fails its block's one range check, so no sum
+    # that adds it can wrap
     target, schedule, steps, config, s0, k_bad = _refresh_overflow_setup(monkeypatch)
-    theta0, v0 = np.zeros(2), np.zeros(2)
-    for tgt in (target, _SpikedTarget(target, schedule.betas[k_bad - 5], 1e30)):
-        with pytest.raises(NumericalFailure) as oracle:
-            _oracle_forward(tgt, schedule, steps, config, s0, theta0, v0)
-        with pytest.raises(NumericalFailure, match="fixed-point overflow or non-finite value at step") as info:
-            reversible_forward(tgt, schedule, steps, config, s0, theta0=theta0, v0=v0)
-        assert info.value.step == oracle.value.step
-    # the plain chain fails on the increment itself; the spiked kick fails first
-    assert str(oracle.value) == "increment overflow"
-    assert info.value.step == k_bad - 5
-    # the block holds only the rows before the bad one, so no bad row is ever cast
+    with pytest.raises(NumericalFailure, match="fixed-point overflow or non-finite value"):
+        reversible_forward(target, schedule, steps, config, s0, theta0=np.zeros(2), v0=np.zeros(2))
     chain = _FixedPointChain(target, schedule, steps, config)
     seeds = [s0]
     for _ in range(2 * BLOCK_STEPS):
         seeds.append(forward_seed(seeds[-1]))
-    assert len(chain.noise_block(seeds[BLOCK_STEPS + 1:])) == k_bad - BLOCK_STEPS - 1
+    assert len(chain.noise_block(seeds[1:BLOCK_STEPS + 1])) == BLOCK_STEPS
+    with pytest.raises(NumericalFailure, match="fixed-point overflow or non-finite value"):
+        chain.noise_block(seeds[BLOCK_STEPS + 1:])  # the block that holds step k_bad's seed
 
 
 @pytest.mark.parametrize("theta", [16383.99, 16372.0])

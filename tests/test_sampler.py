@@ -308,7 +308,8 @@ def test_bound_mc_needs_two_chains(toy_model):
 
 
 def test_bound_mc_matches_expected_bound():
-    from dais import expected_bound, gen_blr_data, propagate_moments
+    from dais import gen_blr_data, propagate_moments
+    from dais.moments import expected_bound
 
     model = gen_blr_data(200, 10, 31)
     target = blr_target(model)

@@ -69,3 +69,21 @@ def test_stepsize_scheme_rejects_zero_steps():
         StepSizeScheme(0, 0.1)
     with pytest.raises(ValueError, match="K must be >= 1"):
         make_stepsize_scheme(1.0, 0.25, 0)  # 0 ** -0.25 would divide by zero
+
+
+@pytest.mark.parametrize("K", [8.5, np.float64(8.0), True])
+def test_chain_length_must_be_an_integer(K):
+    # 8.5 once built betas ending past 1 and failed later; True ran a K = 1 chain
+    with pytest.raises(ValueError, match="K must be an integer"):
+        make_linear_schedule(K)
+    with pytest.raises(ValueError, match="K must be an integer"):
+        StepSizeScheme(K, 0.1)
+    with pytest.raises(ValueError, match="K must be an integer"):
+        make_stepsize_scheme(0.3, 0.25, K)
+
+
+def test_numpy_integer_chain_length_is_accepted():
+    K = np.int64(8)
+    assert make_linear_schedule(K).betas.tolist() == make_linear_schedule(8).betas.tolist()
+    assert make_stepsize_scheme(0.3, 0.25, K).eta == make_stepsize_scheme(0.3, 0.25, 8).eta
+    assert StepSizeScheme(K, 0.1).K == 8
