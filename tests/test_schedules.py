@@ -83,7 +83,9 @@ def test_chain_length_must_be_an_integer(K):
 
 
 def test_numpy_integer_chain_length_is_accepted():
+    # and held as a Python int: np.int64(8) ** -1 raises where 8 ** -1 is 0.125
     K = np.int64(8)
     assert make_linear_schedule(K).betas.tolist() == make_linear_schedule(8).betas.tolist()
-    assert make_stepsize_scheme(0.3, 0.25, K).eta == make_stepsize_scheme(0.3, 0.25, 8).eta
-    assert StepSizeScheme(K, 0.1).K == 8
+    for c in (0.25, 1):
+        assert make_stepsize_scheme(0.3, c, K).eta == make_stepsize_scheme(0.3, c, 8).eta
+    assert type(make_linear_schedule(K).K) is type(StepSizeScheme(K, 0.1).K) is int
