@@ -12,13 +12,22 @@ writes BENCH_<pr>.json at the repository root.  Per workload it holds the four
 end-to-end metrics with their sample counts, the pass times, whether every
 check passed and the failed share; beside them the commit and the src/dais
 line count the records were made at, and the number of names dais exports.
-A missing record, or records made at different code, exits 2 with one line.
+Under "runs" it records two end-to-end runs that have no workload, each made
+once here as a subprocess: the tier-1 suite (its wall time, exit code and
+last line, the pytest summary) and scripts/run_gap_sweeps.py --with-mc (its
+wall time and exit code; its CSVs go to a temporary directory).
+A missing record, or records made at different code, exits 2 with one line
+before anything is run.
 """
 
 import argparse
 import ast
 import json
+import os
+import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +47,26 @@ def summarise(record: dict) -> dict:
     metrics = {m: {k: record["end_to_end"][m][k] for k in ("value", "unit", "n")} for m in METRICS}
     return {**metrics, "seconds": record["seconds"], "pass_seconds": record["pass_seconds"],
             "correct": all(check["ok"] for check in record["checks"]), "failed_frac": record["failed_frac"]}
+
+
+def timed_run(argv: list) -> dict:
+    """Run ``argv`` from the repository root with src/ on the path; its wall time, exit code and last stdout line."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": wall_s, "exit_code": done.returncode, "last_line": lines[-1] if lines else ""}
+
+
+def end_to_end_runs() -> dict:
+    """The tier-1 suite and the sampled gap sweeps, one timed run each."""
+    tier1 = timed_run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"])
+    with tempfile.TemporaryDirectory() as out_dir:
+        sweeps = timed_run([sys.executable, "scripts/run_gap_sweeps.py", "--with-mc", "--out-dir", out_dir])
+    del sweeps["last_line"]  # a slope fit; the suite's last line is its pytest summary
+    return {"tier1": tier1, "gap_sweeps_with_mc": sweeps}
 
 
 def main(argv=None) -> int:
@@ -63,6 +92,7 @@ def main(argv=None) -> int:
         "exports": export_count(),
         "machine": {k: machine[k] for k in ("nproc", "openblas_threads", "python", "numpy")},
         "workloads": {name: summarise(record) for name, record in records.items()},
+        "runs": end_to_end_runs(),
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")

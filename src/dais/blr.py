@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sampler import NumericalFailure
+from .schedules import count
 from .targets import AnnealedTarget
 
 
@@ -263,8 +264,7 @@ def additive_noise_cov(model: BlrModel, batch_size: int) -> np.ndarray:
     is their population covariance divided by the batch size, i.e. the noise
     of a size-b batch drawn with replacement at the end of the bridge.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    batch_size = count("batch_size", batch_size)
     if model.n == 0:
         raise ValueError("additive noise is undefined for empty data")
     mu_star = np.linalg.lstsq(model.X, model.y, rcond=None)[0]

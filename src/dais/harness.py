@@ -25,7 +25,7 @@ from .blr import BlrModel, additive_noise_cov, blr_target, exact_log_ml
 from .moments import sweep_gaps, theory_slope
 from .rng import generator
 from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc
-from .schedules import check_addressable, make_linear_schedule, make_stepsize_scheme
+from .schedules import check_addressable, count, make_linear_schedule, make_stepsize_scheme
 from .targets import noisy_gradient
 
 MODES = ("exact", "mc", "theory")
@@ -206,8 +206,7 @@ def gen_blr_data(n: int, d: int, seed: int, sigma2: float = 1.0) -> BlrModel:
     Observation variance ``sigma2``, zero prior mean, identity prior
     precision; X and y are deterministic in (seed, n, d).
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
+    n, d = count("n", n), count("d", d)
     check_addressable(n, d)
     g = generator((seed, n, d))
     X = 0.1 * g.standard_normal((n, d))

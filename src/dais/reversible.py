@@ -33,7 +33,7 @@ import numpy as np
 
 from .rng import MASK64, keyed_generator
 from .sampler import NumericalFailure, TransitionConfig, chain_start
-from .schedules import AnnealingSchedule, StepSizeScheme, check_same_K
+from .schedules import AnnealingSchedule, StepSizeScheme, check_same_K, count
 from .targets import AnnealedTarget
 
 # odd multiplier => bijection on 64-bit states
@@ -92,9 +92,7 @@ class InfoBuffer:
     """
 
     def __init__(self, n_slots: int):
-        if n_slots < 0:
-            raise ValueError(f"n_slots must be >= 0, got {n_slots}")
-        self._store = [SLOT_SENTINEL] * n_slots  # one Python int per slot
+        self._store = [SLOT_SENTINEL] * count("n_slots", n_slots, low=0)  # one Python int per slot
         self.depth = 0  # completed damping ops not yet undone
 
     @property
@@ -102,15 +100,25 @@ class InfoBuffer:
         return len(self._store)
 
     def push(self, values, modulus: int):
+        """Push one residue per slot: ValueError, with nothing pushed, unless each lies in [0, modulus)."""
+        modulus = count("modulus", modulus)
+        if not all(0 <= v < modulus for v in np.ravel(values).tolist()):
+            raise ValueError(f"pushed values must lie in [0, {modulus})")
         self.exchange(values, modulus, 1)  # a pop modulo 1 takes nothing
 
     def pop(self, modulus: int) -> np.ndarray:
+        """Pop one residue per slot: BufferCorruption, with nothing popped, if a slot would drop below its sentinel."""
+        floor = SLOT_SENTINEL * count("modulus", modulus)
+        if min(self._store, default=floor) < floor:
+            raise BufferCorruption("buffer drained past its slot sentinel")
         return self.exchange(np.zeros(self.n_slots, dtype=np.int64), 1, modulus)
 
     def exchange(self, values, push_mod: int, pop_mod: int) -> np.ndarray:
         """Push ``values`` modulo ``push_mod``, then pop an int64 row modulo ``pop_mod``, in one pass.
 
-        A 2^GAMMA_DENOM_BITS side is a shift and a mask, as on both sides of
+        Unchecked, as the chain calls it on every step: ``values`` must be residues
+        modulo ``push_mod``, as the damping's are, and no slot's sentinel is guarded.  A
+        2^GAMMA_DENOM_BITS side is a shift and a mask, as on both sides of
         the chain's damping; ``divmod`` is left for the other moduli.
         """
         values = np.asarray(values)
@@ -341,8 +349,6 @@ class _FixedPointChain:
             _in_range(vv, k)
         if self.gamma_eff == 1.0:
             return vv, view
-        if buffer.depth <= 0:
-            raise BufferCorruption("buffer drained past its push depth")
         q, r = np.divmod(vv, self._num_row)
         if not (norm < self._undamp_screen
                 or -_LIMIT // self.den <= q.min() <= q.max() < _LIMIT // self.den):  # else q << 16 wraps

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substreams
-from .schedules import AnnealingSchedule, StepSizeScheme, check_addressable, check_same_K
+from .schedules import AnnealingSchedule, StepSizeScheme, check_addressable, check_same_K, count
 from .targets import AnnealedTarget
 
 
@@ -130,36 +130,17 @@ def chain_start(target: AnnealedTarget, rng, theta0=None, v0=None):
     return theta0, v0
 
 
-def dais_chain(
-    target: AnnealedTarget,
-    schedule: AnnealingSchedule,
-    steps: StepSizeScheme,
-    config: TransitionConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    theta0=None,
-    v0=None,
-    refresh_noise=None,
-):
+def dais_chain(target: AnnealedTarget, schedule: AnnealingSchedule, steps: StepSizeScheme,
+               config: TransitionConfig, rng: np.random.Generator):
     """Run one chain; returns (theta_K, v_K, L), as `sample_chains` does.
 
     exp(L) is a single-sample unbiased estimate of the normalizing-constant
-    ratio between the beta=1 and beta=0 densities.  ``theta0``, ``v0`` and
-    ``refresh_noise`` (a (K, dim) array of standard normal draws) may be
-    supplied to pin the randomness; anything missing is drawn from ``rng``
-    in the order theta_0, v_0 (by `chain_start`), refresh noise.
+    ratio between the beta=1 and beta=0 densities.  ``rng`` draws, in order,
+    theta_0 and v_0 (by `chain_start`), then the (K, dim) refresh noise.
     """
-    d = target.dim
-    if theta0 is None or v0 is None or refresh_noise is None:
-        if rng is None:
-            raise ValueError("rng is required unless theta0, v0 and refresh_noise are given")
-    theta0, v0 = chain_start(target, rng, theta0, v0)
-    if refresh_noise is None:
-        refresh_noise = rng.standard_normal((schedule.K, d))
-    refresh_noise = np.asarray(refresh_noise, dtype=float)
-    if refresh_noise.shape != (schedule.K, d):
-        raise ValueError(f"refresh_noise must have shape ({schedule.K}, {d})")
-    theta, v, L = _run_chains(target, schedule, steps, config, theta0, v0, refresh_noise)
+    theta0, v0 = chain_start(target, rng)
+    eps = rng.standard_normal((schedule.K, target.dim))
+    theta, v, L = _run_chains(target, schedule, steps, config, theta0, v0, eps)
     return theta, v, float(L)
 
 
@@ -180,8 +161,7 @@ def sample_chains(target, schedule, steps, config, n_chains, rng):
 
 def _draw_inputs(target, K, n_chains, rng):
     """theta_0 (n, d), v_0 (n, d) and refresh noise (n, K, d) from three child streams."""
-    if n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
+    n_chains = count("n_chains", n_chains)
     d = target.dim
     check_addressable(n_chains, K, d)
     g_theta, g_v, g_eps = substreams(rng, 3)
@@ -193,8 +173,7 @@ def _draw_inputs(target, K, n_chains, rng):
 
 def dais_bound_mc(target, schedule, steps, config, n_chains, rng):
     """Mean and standard error of L over independent chains; a spread past the float range gives inf."""
-    if n_chains < 2:
-        raise ValueError("n_chains must be >= 2 for a standard error")
+    n_chains = count("n_chains", n_chains, low=2)  # a standard error needs two chains
     _, _, L = sample_chains(target, schedule, steps, config, n_chains, rng)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(L.mean())

@@ -16,13 +16,13 @@ def check_addressable(*shape) -> None:
         raise MemoryError(f"Unable to allocate an array with shape {shape} and data type float64")
 
 
-def chain_length(K) -> int:
-    """``K`` as a Python int; ValueError unless it is an integer (not a bool) of at least 1."""
-    if not isinstance(K, numbers.Integral) or isinstance(K, bool):
-        raise ValueError(f"K must be an integer, got {K!r}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    return int(K)
+def count(name: str, value, low: int = 1) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an integer (not a bool) >= ``low``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class AnnealingSchedule:
     betas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "K", chain_length(self.K))
+        object.__setattr__(self, "K", count("K", self.K))
         check_addressable(self.K + 1)
         object.__setattr__(self, "betas", np.arange(self.K + 1) / self.K)
 
@@ -52,7 +52,7 @@ class StepSizeScheme:
     eta: np.float64
 
     def __post_init__(self):
-        object.__setattr__(self, "K", chain_length(self.K))
+        object.__setattr__(self, "K", count("K", self.K))
         eta = np.float64(self.eta)
         if not 0.0 <= eta < np.inf:
             raise ValueError(f"step size must be finite and non-negative, got {eta}")
@@ -71,5 +71,5 @@ def make_stepsize_scheme(a: float, c: float, K: int) -> StepSizeScheme:
         raise ValueError(f"base step size must be positive, got {a}")
     if c < 0:
         raise ValueError(f"exponent must be non-negative, got {c}")
-    K = chain_length(K)  # a Python int: numpy refuses np.int64 K ** -1
+    K = count("K", K)  # a Python int: numpy refuses np.int64 K ** -1
     return StepSizeScheme(K, np.float64(a * K ** -c))

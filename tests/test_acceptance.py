@@ -288,10 +288,9 @@ def test_criterion_09_reversibility():
     for k in range(K):
         s = forward_seed(s)
         eps[k] = seed_noise(s, d)
-    from dais import dais_chain
+    from dais.sampler import _run_chains
 
-    _, _, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
-                               theta0=theta0, v0=v0, refresh_noise=eps)
+    _, _, plain_L = _run_chains(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff), theta0, v0, eps)
     plain_ok = abs(fwd.bound - plain_L) <= 1e-8
     report(9, "bit-exact reversal, buffer budget, plain-sampler equivalence",
            exact_ok and bits_ok and plain_ok,

@@ -77,11 +77,21 @@ def test_bench_summary_of_stub_records(tmp_path, monkeypatch, capsys):
     results.mkdir()
     monkeypatch.setattr(summary, "RESULTS", results)
     monkeypatch.setattr(summary, "ROOT", tmp_path)
+    ran = []  # the suite and the sweeps are not run: the stub stands in for each subprocess
+
+    def stub_run(argv):
+        ran.append(argv[1:3])
+        return {"wall_s": 2.5, "exit_code": 0, "last_line": "9 passed in 2.50s"}
+
+    monkeypatch.setattr(summary, "timed_run", stub_run)
     for name in summary.WORKLOADS:
         (results / f"{name}-seed7-trace0.json").write_text(json.dumps(_stub_record(name)), encoding="utf-8")
     assert summary.main(["27"]) == 0
     written = json.loads((tmp_path / "BENCH_27.json").read_text(encoding="utf-8"))
-    assert set(written) == {"pr", "git_sha", "src_dais_lines", "exports", "machine", "workloads"}
+    assert set(written) == {"pr", "git_sha", "src_dais_lines", "exports", "machine", "workloads", "runs"}
+    assert ran == [["-m", "pytest"], ["scripts/run_gap_sweeps.py", "--with-mc"]]
+    assert written["runs"] == {"tier1": {"wall_s": 2.5, "exit_code": 0, "last_line": "9 passed in 2.50s"},
+                               "gap_sweeps_with_mc": {"wall_s": 2.5, "exit_code": 0}}
     assert (written["pr"], written["git_sha"], written["src_dais_lines"]) == (27, "0123abc", 2000)
     exported = [name for name, value in vars(dais).items() if not name.startswith("_") and not inspect.ismodule(value)]
     assert written["exports"] == len(exported)
@@ -102,3 +112,10 @@ def test_bench_summary_of_stub_records(tmp_path, monkeypatch, capsys):
     assert summary.main(["27"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "reversible-seed7-trace0.json" in err
+    assert len(ran) == 2  # refused before anything was run
+
+
+def test_bench_summary_times_a_subprocess():
+    run = load_script("bench_summary").timed_run([sys.executable, "-c", "print('first'); print('last'); raise SystemExit(3)"])
+    assert (run["exit_code"], run["last_line"]) == (3, "last")
+    assert run["wall_s"] > 0

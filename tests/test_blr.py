@@ -262,7 +262,8 @@ def test_update_matrices_fixed_point(toy_model):
 def test_affine_trajectory_equivalence_any_gamma():
     # whole trajectories agree when the generic chain and the affine maps
     # consume the same refresh noise, for damped and undamped momentum
-    from dais import StepSizeScheme, dais_chain, make_linear_schedule
+    from dais import StepSizeScheme, make_linear_schedule
+    from dais.sampler import _run_chains
 
     rng = generator(29)
     model = random_model(rng, n=10, d=3)
@@ -274,8 +275,7 @@ def test_affine_trajectory_equivalence_any_gamma():
         theta0 = rng.standard_normal(3)
         v0 = rng.standard_normal(3)
         eps = rng.standard_normal((K, 3))
-        theta_K, v_K, _ = dais_chain(target, schedule, steps, TransitionConfig(gamma=gamma),
-                                     theta0=theta0, v0=v0, refresh_noise=eps)
+        theta_K, v_K, _ = _run_chains(target, schedule, steps, TransitionConfig(gamma=gamma), theta0, v0, eps)
         theta, v = theta0.copy(), v0.copy()
         for k in range(1, K + 1):
             maps = update_matrices(model, schedule.betas[k], eta)

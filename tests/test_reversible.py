@@ -14,7 +14,6 @@ from dais import (
     StepSizeScheme,
     TransitionConfig,
     blr_target,
-    dais_chain,
     float_to_fixed,
     gen_blr_data,
     generator,
@@ -27,6 +26,7 @@ from dais.cli import main as cli_main
 from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointChain, backward_seed,
                              fixed_to_float, forward_seed)
 from dais.rng import keyed_generator
+from dais.sampler import _run_chains
 
 from conftest import seed_noise
 
@@ -287,8 +287,8 @@ def test_float_mode_matches_plain_chain():
     eps, s = _seed_noise_stream(s0, 100, 10)
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     assert fwd.gamma_eff != config.gamma
-    theta_K, v_K, plain_L = dais_chain(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
-                                       theta0=theta0, v0=v0, refresh_noise=eps)
+    theta_K, v_K, plain_L = _run_chains(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
+                                        theta0, v0, eps)
     assert abs(fwd.bound - plain_L) <= 1e-8
     theta, v = fwd.fixed.to_floats()
     assert np.max(np.abs(theta - theta_K)) <= 1e-8
@@ -306,8 +306,7 @@ def test_fixedpoint_bound_close_to_float_bound():
     v0 = g.standard_normal(3)
     eps, _ = _seed_noise_stream(s0, 40, 3)
     f_fixed = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
-    _, _, float_L = dais_chain(target, schedule, steps, config,
-                               theta0=theta0, v0=v0, refresh_noise=eps)
+    _, _, float_L = _run_chains(target, schedule, steps, config, theta0, v0, eps)
     assert f_fixed.bound == pytest.approx(float_L, rel=1e-3, abs=1e-3)
 
 
@@ -596,6 +595,22 @@ def test_backward_undamp_overflow_raises():
     assert info.value.step == 3
 
 
+def test_retry_after_a_failed_backward_pass_is_refused_before_any_pop():
+    # the same chain, with a momentum that undoes step 3 but overflows undoing step 2's damping:
+    # step 3's pop has happened, so a retry finds the buffer one damping short and touches nothing
+    target, schedule, steps, _ = _setup(d=2, K=3)
+    config = TransitionConfig(gamma=2.0**-16)
+    fwd = reversible_forward(target, schedule, steps, config, 9)
+    with pytest.raises(NumericalFailure, match="undoing the damping") as info:
+        reversible_backward(target, schedule, steps, config, fwd.fixed.theta,
+                            fwd.fixed.v + np.array([2**40, 0]), fwd.seed, fwd.buffer)
+    assert info.value.step == 2
+    blob = fwd.buffer.to_bytes()
+    with pytest.raises(BufferCorruption, match="at depth 2; a chain of K=3 steps"):
+        reversible_backward(target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer)
+    assert fwd.buffer.to_bytes() == blob
+
+
 def test_cli_overflow_is_one_line_exit_3(capsys):
     assert cli_main(["check-reversible", "--eta", "50", "--K", "200"]) == 3
     out, err = capsys.readouterr()
@@ -664,6 +679,36 @@ def test_buffer_rejects_rows_of_the_wrong_shape():
     assert buffer.to_bytes() == InfoBuffer(4).to_bytes()
     with pytest.raises(ValueError, match="n_slots"):
         InfoBuffer(-3)
+
+
+def test_buffer_push_and_pop_refuse_what_would_corrupt_it():
+    # a value outside [0, m), a modulus below 1, or a pop that would drain a slot past
+    # its sentinel raises and leaves the buffer as it was
+    buffer = InfoBuffer(2)
+    for row, modulus, error in (([12, 0], 10, r"must lie in \[0, 10\)"), ([0, -1], 10, "must lie in"),
+                                ([1, 1], 0, "modulus must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=error):
+            buffer.push(row, modulus)
+    with pytest.raises(BufferCorruption, match="sentinel"):
+        buffer.pop(3)
+    assert buffer.to_bytes() == InfoBuffer(2).to_bytes() and buffer.is_empty()
+    buffer.push([9, 0], 10)
+    with pytest.raises(BufferCorruption, match="sentinel"):
+        buffer.pop(11)  # 256 * 10 + 9 < 256 * 11
+    assert buffer.pop(10).tolist() == [9, 0]
+    assert buffer.to_bytes() == InfoBuffer(2).to_bytes()
+    # the benchmark probe's pattern, object rows pushed modulo 2^16 and popped modulo
+    # the numerator, still passes, and exchange with the moduli swapped undoes it
+    num, den, _ = quantize_gamma(0.9)
+    rows = generator(3).integers(0, den, size=(40, 5)).astype(object)
+    buffer = InfoBuffer(5)
+    popped = []
+    for row in rows:
+        buffer.push(row, den)
+        popped.append(buffer.pop(num))
+    for row, p in zip(rows[::-1], popped[::-1]):
+        assert buffer.exchange(p, num, den).tolist() == row.tolist()
+    assert buffer.to_bytes() == InfoBuffer(5).to_bytes()
 
 
 def test_buffer_rows_may_be_any_1d_sequence():

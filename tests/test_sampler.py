@@ -26,7 +26,7 @@ from dais import (
 
 from dais.blr import additive_noise_cov
 from dais.cli import main as cli_main
-from dais.sampler import _draw_inputs, _run_chains, leapfrog
+from dais.sampler import _draw_inputs, _run_chains, chain_start, leapfrog
 
 from conftest import random_model
 
@@ -159,15 +159,18 @@ def test_chain_unbiased_on_toy(toy_model):
 
 
 def test_chain_with_injected_noise_reproducible(toy_model):
+    # the rng alone fixes a chain: it draws theta_0 and v_0 (chain_start), then the (K, d) refresh noise
     target = blr_target(toy_model)
     schedule = make_linear_schedule(4)
     steps = StepSizeScheme(4, 0.15)
-    theta0, v0 = np.array([0.3]), np.array([-0.8])
-    eps = generator(5).standard_normal((4, 1))
-    theta1, _, L1 = dais_chain(target, schedule, steps, CFG, theta0=theta0, v0=v0, refresh_noise=eps)
-    theta2, _, L2 = dais_chain(target, schedule, steps, CFG, theta0=theta0, v0=v0, refresh_noise=eps)
+    theta1, v1, L1 = dais_chain(target, schedule, steps, CFG, generator(5))
+    theta2, v2, L2 = dais_chain(target, schedule, steps, CFG, generator(5))
     assert L1 == L2
-    assert np.array_equal(theta1, theta2)
+    assert np.array_equal(theta1, theta2) and np.array_equal(v1, v2)
+    rng = generator(5)
+    theta0, v0 = chain_start(target, rng)
+    theta3, v3, L3 = _run_chains(target, schedule, steps, CFG, theta0, v0, rng.standard_normal((4, 1)))
+    assert (L3, theta3.tolist(), v3.tolist()) == (L1, theta1.tolist(), v1.tolist())
 
 
 def test_chain_divergence_raises_with_step(toy_model):
@@ -182,9 +185,6 @@ def test_chain_divergence_raises_with_step(toy_model):
 def test_chain_requires_rng_or_full_noise(toy_model):
     target = blr_target(toy_model)
     schedule = make_linear_schedule(2)
-    steps = StepSizeScheme(2, 0.1)
-    with pytest.raises(ValueError):
-        dais_chain(target, schedule, steps, CFG)
     # the schedule and the step sizes must be for one chain length
     with pytest.raises(ValueError, match="step scheme has K=3, schedule has K=2"):
         dais_chain(target, schedule, StepSizeScheme(3, 0.1), CFG, generator(0))
@@ -194,9 +194,8 @@ def test_chain_requires_rng_or_full_noise(toy_model):
 def test_chain_start_shape_checked(name, shape):
     # a start of any shape but (d,) is rejected by name, not broadcast or left to numpy
     target = blr_target(gen_blr_data(40, 4, 2))
-    schedule = make_linear_schedule(5)
     with pytest.raises(ValueError, match=re.escape(f"{name} must have shape (4,), got {shape}")):
-        dais_chain(target, schedule, StepSizeScheme(5, 0.1), CFG, generator(0), **{name: np.ones(shape)})
+        chain_start(target, generator(0), **{name: np.ones(shape)})
 
 
 # ------------------------------------------------------- batched chain core

@@ -1,12 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dais import (
+    InfoBuffer,
     StepSizeScheme,
+    TransitionConfig,
+    additive_noise_cov,
+    blr_target,
+    dais_bound_mc,
+    gen_blr_data,
+    generator,
     make_linear_schedule,
     make_stepsize_scheme,
+    sample_chains,
 )
+from dais.schedules import count
 
 
 def test_linear_schedule_quarters():
@@ -89,3 +100,48 @@ def test_numpy_integer_chain_length_is_accepted():
     for c in (0.25, 1):
         assert make_stepsize_scheme(0.3, c, K).eta == make_stepsize_scheme(0.3, c, 8).eta
     assert type(make_linear_schedule(K).K) is type(StepSizeScheme(K, 0.1).K) is int
+
+
+def _chains(n_chains, bound=False):
+    model = gen_blr_data(20, 2, 0)
+    run = dais_bound_mc if bound else sample_chains
+    return run(blr_target(model), make_linear_schedule(3), StepSizeScheme(3, 0.1), TransitionConfig(),
+               n_chains, generator(0))
+
+
+def _pop(modulus):
+    buffer = InfoBuffer(1)
+    buffer.push([2], 3)
+    return buffer.pop(modulus)
+
+
+# every integer count the package takes, by the name its error gives
+COUNT_SITES = {
+    "K-schedule": ("K", make_linear_schedule),
+    "K-steps": ("K", lambda n: StepSizeScheme(n, 0.1)),
+    "K-stepsize": ("K", lambda n: make_stepsize_scheme(0.3, 0.25, n)),
+    "n_chains-sample": ("n_chains", _chains),
+    "n_chains-bound": ("n_chains", lambda n: _chains(n, bound=True)),
+    "n": ("n", lambda n: gen_blr_data(n, 2, 0)),
+    "d": ("d", lambda n: gen_blr_data(5, n, 0)),
+    "batch_size": ("batch_size", lambda n: additive_noise_cov(gen_blr_data(20, 2, 0), n)),
+    "n_slots": ("n_slots", InfoBuffer),
+    "push-modulus": ("modulus", lambda n: InfoBuffer(1).push([0], n)),
+    "pop-modulus": ("modulus", _pop),
+}
+
+
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+@pytest.mark.parametrize("value", [2.5, True, np.float64(3.0)], ids=["fraction", "bool", "float64"])
+def test_every_count_is_an_integer(site, value):
+    # fractions once reached numpy (TypeError) or ran silently, e.g. the noise of a batch of 2.5 rows
+    name, call = COUNT_SITES[site]
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_every_count_accepts_a_numpy_integer(site):
+    COUNT_SITES[site][1](np.int64(3))
+    assert type(count("n", np.int64(3))) is int
