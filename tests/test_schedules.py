@@ -144,4 +144,7 @@ def test_every_count_is_an_integer(site, value):
 @pytest.mark.parametrize("site", list(COUNT_SITES))
 def test_every_count_accepts_a_numpy_integer(site):
     COUNT_SITES[site][1](np.int64(3))
-    assert type(count("n", np.int64(3))) is int
+
+
+def test_a_count_is_held_as_a_python_int():
+    assert type(count("n_chains", np.int64(3))) is int
