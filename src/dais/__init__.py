@@ -37,7 +37,6 @@ from .moments import (
 )
 from .reversible import (
     BufferCorruption,
-    ForwardResult,
     InfoBuffer,
     float_to_fixed,
     quantize_gamma,
@@ -53,7 +52,6 @@ from .sampler import (
     sample_chains,
 )
 from .schedules import (
-    AnnealingSchedule,
     StepSizeScheme,
     make_linear_schedule,
     make_stepsize_scheme,

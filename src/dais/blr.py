@@ -161,27 +161,15 @@ def blr_minibatch_grad(model, beta, theta, batch_indices):
     return grad
 
 
-@dataclass(frozen=True)
-class UpdateMatrices:
-    """Affine form of one leapfrog step on a Gaussian annealed density.
+def leapfrog_affine(eta, prec, prec_mean, one):
+    """Affine form (A, B, C, c_vec, e_vec) of one leapfrog step on a Gaussian annealed density.
 
     theta_k = A theta_{k-1} + B v_{k-1} + c_vec
     v_hat_k = C theta_{k-1} + A v_{k-1} + e_vec
 
-    The momentum block equals the position block A for identity mass.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    c_vec: np.ndarray
-    e_vec: np.ndarray
-
-
-def leapfrog_affine(eta, prec, prec_mean, one):
-    """(A, B, C, c_vec, e_vec) of `UpdateMatrices` at precision ``prec``; ``prec_mean`` is prec times the mean.
-
-    ``one`` is the identity: ``np.eye(d)`` for matrices, ``1.0`` for per-mode arrays of an eigenbasis.
+    at precision ``prec``; ``prec_mean`` is prec times the mean.  The momentum
+    block equals the position block A for identity mass.  ``one`` is the
+    identity: ``np.eye(d)`` for matrices, ``1.0`` for per-mode arrays of an eigenbasis.
     """
     A = one - 0.5 * eta**2 * prec
     B = eta * one - 0.25 * eta**3 * prec
@@ -189,12 +177,12 @@ def leapfrog_affine(eta, prec, prec_mean, one):
     return A, B, C, 0.5 * eta**2 * prec_mean, eta * prec_mean
 
 
-def update_matrices(model: BlrModel, beta: float, eta: float) -> UpdateMatrices:
-    """Matrices of the affine leapfrog map at (beta, eta), identity mass."""
+def update_matrices(model: BlrModel, beta: float, eta: float):
+    """(A, B, C, c_vec, e_vec) of `leapfrog_affine` as d x d matrices and d-vectors at (beta, eta)."""
     beta = _check_beta(beta)
     Lambda = model.Lambda_p + beta * model.Lambda_lld
     lam_mu = model.Lambda_p @ model.mu_p + beta * model.Xty_over_s2  # Lambda times the mean, with no solve
-    return UpdateMatrices(*leapfrog_affine(eta, Lambda, lam_mu, np.eye(model.d)))
+    return leapfrog_affine(eta, Lambda, lam_mu, np.eye(model.d))
 
 
 class _BlrTarget(AnnealedTarget):

@@ -77,9 +77,9 @@ def propagate_moments(model: BlrModel, schedule, steps, gamma: float = 0.0, nois
         if sigma_eps is not None:  # each entry a coefficient times an entry of S, as in four scaled blocks
             noise_block = np.kron([[0.25 * eta**4, 0.5 * eta**3], [0.5 * eta**3, eta**2]], sigma_eps)
         for k in range(1, schedule.K + 1):
-            maps = update_matrices(model, schedule.betas[k], eta)
-            T = np.block([[maps.A, maps.B], [maps.C, maps.A]])
-            shift = np.concatenate([maps.c_vec, maps.e_vec])
+            A, B, C, c_vec, e_vec = update_matrices(model, schedule.betas[k], eta)
+            T = np.block([[A, B], [C, A]])
+            shift = np.concatenate([c_vec, e_vec])
             mu = T @ mu + shift
             Sigma = T @ Sigma @ T.T
             if sigma_eps is not None:

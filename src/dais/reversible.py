@@ -33,7 +33,7 @@ import numpy as np
 
 from .rng import MASK64, keyed_generator
 from .sampler import NumericalFailure, TransitionConfig, chain_start
-from .schedules import AnnealingSchedule, StepSizeScheme, check_same_K, count
+from .schedules import AnnealingSchedule, StepSizeScheme, check_same_K, count, is_integer
 from .targets import AnnealedTarget
 
 # odd multiplier => bijection on 64-bit states
@@ -100,9 +100,13 @@ class InfoBuffer:
         return len(self._store)
 
     def push(self, values, modulus: int):
-        """Push one residue per slot: ValueError, with nothing pushed, unless each lies in [0, modulus)."""
+        """Push one residue per slot: ValueError, with nothing pushed, unless each is an integer in [0, modulus)."""
         modulus = count("modulus", modulus)
-        if not all(0 <= v < modulus for v in np.ravel(values).tolist()):
+        rows = np.asarray(values, dtype=object).ravel().tolist()
+        bad = next((v for v in rows if not is_integer(v)), None)
+        if bad is not None:
+            raise ValueError(f"pushed values must be integers, got {bad!r}")
+        if not all(0 <= v < modulus for v in rows):
             raise ValueError(f"pushed values must lie in [0, {modulus})")
         self.exchange(values, modulus, 1)  # a pop modulo 1 takes nothing
 
@@ -217,9 +221,6 @@ class FixedPointState:
     theta: np.ndarray
     v: np.ndarray
 
-    def to_floats(self):
-        return fixed_to_float(self.theta), fixed_to_float(self.v)
-
 
 def quantize_gamma(gamma: float):
     """Largest rational n / 2^GAMMA_DENOM_BITS not exceeding gamma.
@@ -291,12 +292,12 @@ class _FixedPointChain:
         if not th_norm < _VIEW_SCREEN:
             _in_range(th, k)
         grad = self.grad_log_f(self.betas[k], midpoint)
-        # a zero step still rejects a non-finite gradient, without computing 0 * inf
-        kick = grad * self._kick_h[sign] if self.eta else np.where(np.isfinite(grad), 0.0, np.nan)
+        # a zero step makes 0 * inf a NaN kick, so a non-finite gradient still fails the screen
+        kick = grad * self._kick_h[sign]
         if kick.dot(kick) < _INC_SCREEN:  # the screen also passes only finite gradients
             kick = np.rint(kick).astype(np.int64)
         elif not np.isfinite(grad).all():
-            raise NumericalFailure("non-finite gradient", step=k, midpoint=midpoint)
+            raise NumericalFailure("non-finite gradient", step=k)
         else:
             kick = _to_fixed(kick, k)
         vv = vv + kick
@@ -360,7 +361,7 @@ class _FixedPointChain:
 
 @dataclass
 class ForwardResult:
-    """Output of `reversible_forward`; ``fixed.to_floats()`` gives the float state."""
+    """Output of `reversible_forward`; `fixed_to_float` of ``fixed.theta`` or ``fixed.v`` gives the float state."""
 
     seed: int
     buffer: InfoBuffer
@@ -395,7 +396,8 @@ def reversible_forward(
     L = float(-target.log_p0(fixed_to_float(th)))
     v = vv / _SCALE
     views = np.empty((2, BLOCK_STEPS, chain.dim))  # float momenta before and after each kick
-    with np.errstate(over="ignore"):  # a screen that overflows to inf fails; the exact check decides
+    # a screen that overflows, or a zero step's 0 * inf kick, fails its comparison; the exact check decides
+    with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(1, schedule.K + 1, BLOCK_STEPS):
             seeds = []
             for _ in range(min(BLOCK_STEPS, schedule.K + 1 - k0)):
@@ -455,7 +457,8 @@ def reversible_backward(
         raise BufferCorruption(f"buffer holds {buffer.n_slots} slots at depth {buffer.depth}; a chain of "
                                f"K={schedule.K} steps in d={chain.dim} needs {chain.dim} slots at depth {depth}")
     s = int(seed) & MASK64
-    with np.errstate(over="ignore"):  # a screen that overflows to inf fails; the exact check decides
+    # a screen that overflows, or a zero step's 0 * inf kick, fails its comparison; the exact check decides
+    with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(schedule.K, 0, -BLOCK_STEPS):
             seeds = []
             for _ in range(min(BLOCK_STEPS, k0)):

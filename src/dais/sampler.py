@@ -22,15 +22,13 @@ from .targets import AnnealedTarget
 class NumericalFailure(ArithmeticError):
     """Non-finite value produced by a chain; never silently clipped.
 
-    Carries the failing step index, the chain index for multi-chain runs,
-    and the position midpoint of the failing leapfrog step.
+    Carries the failing step index and, for multi-chain runs, the chain index.
     """
 
-    def __init__(self, message, step=None, chain=None, midpoint=None):
+    def __init__(self, message, step=None, chain=None):
         super().__init__(message)
         self.step = step
         self.chain = chain
-        self.midpoint = midpoint
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ def leapfrog(theta, v, eta, beta, target: AnnealedTarget):
     half = theta + (0.5 * eta) * v
     grad = target.grad_log_f(beta, half)
     if not np.all(np.isfinite(grad)):
-        raise NumericalFailure("non-finite gradient in leapfrog", midpoint=half)
+        raise NumericalFailure("non-finite gradient in leapfrog")
     v_hat = v + eta * grad
     theta_new = half + (0.5 * eta) * v_hat
     return theta_new, v_hat
@@ -98,7 +96,7 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
             theta = half + drift * v_hat
             L = L + 0.5 * (kinetic - (v_hat * v_hat) @ ones)
             if not np.all(np.isfinite(L)):
-                _fail(L, k, half)
+                _fail(L, k)
             v = gamma * v_hat + noise_scale * eps[..., k - 1, :]
             kinetic = (v * v) @ ones
         L = L + target.log_f(1.0, theta)
@@ -107,14 +105,11 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
     return theta, v, L
 
 
-def _fail(L, step, half=None):
+def _fail(L, step):
     """Raise NumericalFailure naming the step and the first non-finite chain."""
-    chain = None
-    if np.ndim(L) > 0:
-        chain = int(np.nonzero(~np.isfinite(L))[0][0])
-        half = None if half is None else half[chain]
+    chain = int(np.nonzero(~np.isfinite(L))[0][0]) if np.ndim(L) > 0 else None
     where = f"at step {step}" + ("" if chain is None else f" (chain {chain})")
-    raise NumericalFailure(f"non-finite bound accumulator {where}", step=step, chain=chain, midpoint=half)
+    raise NumericalFailure(f"non-finite bound accumulator {where}", step=step, chain=chain)
 
 
 def chain_start(target: AnnealedTarget, rng, theta0=None, v0=None):

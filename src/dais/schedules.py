@@ -16,9 +16,14 @@ def check_addressable(*shape) -> None:
         raise MemoryError(f"Unable to allocate an array with shape {shape} and data type float64")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 def count(name: str, value, low: int = 1) -> int:
     """``value`` as a Python int; ValueError naming ``name`` unless it is an integer (not a bool) >= ``low``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")

@@ -197,12 +197,12 @@ def test_criterion_07_affine_equivalence():
         eta = float(rng.uniform(0.01, 0.4))
         theta = rng.standard_normal(d)
         v = rng.standard_normal(d)
-        maps = update_matrices(model, beta, eta)
+        A, B, C, c_vec, e_vec = update_matrices(model, beta, eta)
         t_new, v_hat = leapfrog(theta, v, eta, beta, target)
         worst = max(
             worst,
-            float(np.max(np.abs(t_new - (maps.A @ theta + maps.B @ v + maps.c_vec)))),
-            float(np.max(np.abs(v_hat - (maps.C @ theta + maps.A @ v + maps.e_vec)))),
+            float(np.max(np.abs(t_new - (A @ theta + B @ v + c_vec)))),
+            float(np.max(np.abs(v_hat - (C @ theta + A @ v + e_vec)))),
         )
     report(7, "generic leapfrog equals affine update maps", worst <= 1e-10,
            f"max dev {worst:.2e} over 100 states")

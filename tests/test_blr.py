@@ -242,19 +242,19 @@ def test_minibatch_bad_index_rejected(toy_model):
 
 def test_update_matrices_small_step_limits(toy_model):
     eta = 1e-6
-    maps = update_matrices(toy_model, 0.5, eta)
-    assert np.allclose(maps.A, np.eye(1), atol=1e-11)
-    assert np.allclose(maps.B, eta * np.eye(1), atol=1e-11)
-    assert np.allclose(maps.C, 0.0, atol=1e-5)
-    assert np.allclose(maps.c_vec, 0.0, atol=1e-11)
-    assert np.allclose(maps.e_vec, 0.0, atol=1e-5)
+    A, B, C, c_vec, e_vec = update_matrices(toy_model, 0.5, eta)
+    assert np.allclose(A, np.eye(1), atol=1e-11)
+    assert np.allclose(B, eta * np.eye(1), atol=1e-11)
+    assert np.allclose(C, 0.0, atol=1e-5)
+    assert np.allclose(c_vec, 0.0, atol=1e-11)
+    assert np.allclose(e_vec, 0.0, atol=1e-5)
 
 
 def test_update_matrices_fixed_point(toy_model):
     ann = annealed_posterior(toy_model, 0.8)
-    maps = update_matrices(toy_model, 0.8, 0.2)
-    theta = maps.A @ ann.mu + maps.c_vec
-    v_hat = maps.C @ ann.mu + maps.e_vec
+    A, _, C, c_vec, e_vec = update_matrices(toy_model, 0.8, 0.2)
+    theta = A @ ann.mu + c_vec
+    v_hat = C @ ann.mu + e_vec
     assert np.allclose(theta, ann.mu, atol=1e-13)
     assert np.allclose(v_hat, 0.0, atol=1e-13)
 
@@ -278,11 +278,8 @@ def test_affine_trajectory_equivalence_any_gamma():
         theta_K, v_K, _ = _run_chains(target, schedule, steps, TransitionConfig(gamma=gamma), theta0, v0, eps)
         theta, v = theta0.copy(), v0.copy()
         for k in range(1, K + 1):
-            maps = update_matrices(model, schedule.betas[k], eta)
-            theta, v_hat = (
-                maps.A @ theta + maps.B @ v + maps.c_vec,
-                maps.C @ theta + maps.A @ v + maps.e_vec,
-            )
+            A, B, C, c_vec, e_vec = update_matrices(model, schedule.betas[k], eta)
+            theta, v_hat = A @ theta + B @ v + c_vec, C @ theta + A @ v + e_vec
             v = gamma * v_hat + np.sqrt(1 - gamma**2) * eps[k - 1]
         assert np.allclose(theta_K, theta, atol=1e-10)
         assert np.allclose(v_K, v, atol=1e-10)
@@ -298,10 +295,10 @@ def test_update_matrices_match_generic_leapfrog_random():
         eta = float(rng.uniform(0.01, 0.4))
         theta = rng.standard_normal(3)
         v = rng.standard_normal(3)
-        maps = update_matrices(model, beta, eta)
+        A, B, C, c_vec, e_vec = update_matrices(model, beta, eta)
         t_new, v_hat = leapfrog(theta, v, eta, beta, target)
-        assert np.allclose(t_new, maps.A @ theta + maps.B @ v + maps.c_vec, atol=1e-12)
-        assert np.allclose(v_hat, maps.C @ theta + maps.A @ v + maps.e_vec, atol=1e-12)
+        assert np.allclose(t_new, A @ theta + B @ v + c_vec, atol=1e-12)
+        assert np.allclose(v_hat, C @ theta + A @ v + e_vec, atol=1e-12)
 
 
 # ----------------------------------------------------------------- validation

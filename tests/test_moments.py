@@ -216,14 +216,13 @@ DENSE_PINNED_DIGEST = "0bda8f305be5e8f23757bdd51cdc6150eceaf14060dc50c39411adb49
 
 def test_propagate_moments_pinned_digest():
     # every bit of the dense oracle: each JointMoments field of each step and
-    # each UpdateMatrices field of each beta, on a general and an isotropic prior
+    # each `update_matrices` array of each beta, on a general and an isotropic prior
     h = hashlib.sha256()
     for model, batch in ((random_model(np.random.default_rng(29), 30, 3), 5), (gen_blr_data(200, 5, 3), 20)):
         schedule = make_linear_schedule(24)
         steps = make_stepsize_scheme(0.6, 0.25, 24)
         for beta in schedule.betas:
-            maps = update_matrices(model, beta, steps.eta)
-            for field in (maps.A, maps.B, maps.C, maps.c_vec, maps.e_vec):
+            for field in update_matrices(model, beta, steps.eta):  # A, B, C, c_vec, e_vec
                 h.update(field.tobytes())
         for gamma in (0.0, 0.5, 0.9):
             for noise in (None, additive_noise_cov(model, batch)):
@@ -261,6 +260,22 @@ def test_sweep_gaps_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_sweep_gaps_zero_step_is_importance_sampling_from_the_prior(seed):
+    # eta = 0 leaves theta_0 ~ p_0 in place, so the gap is log Z - E_p0[log p(y | theta)]
+    # in closed form, whatever gamma, the gradient noise or K
+    model = gen_blr_data(1000, 10, seed)
+    resid = model.y - model.X @ model.mu_p
+    spread = np.trace(model.X.T @ model.X @ np.linalg.inv(model.Lambda_p))
+    expected_log_lik = (-0.5 * model.n * np.log(2 * np.pi * model.sigma2)
+                        - (resid @ resid + spread) / (2 * model.sigma2))
+    want = exact_log_ml(model) - expected_log_lik
+    steps = [StepSizeScheme(K, 0.0) for K in (1, 64, 4096)]
+    for gamma in (0.0, 0.9):
+        for noise in (None, additive_noise_cov(model, 100)):
+            np.testing.assert_allclose(sweep_gaps(model, gamma, steps, noise=noise), want, rtol=1e-12)
 
 
 def test_sweep_gaps_rejects_non_isotropic_prior():
