@@ -102,13 +102,16 @@ class InfoBuffer:
     def push(self, values, modulus: int):
         """Push one residue per slot: ValueError, with nothing pushed, unless each is an integer in [0, modulus)."""
         modulus = count("modulus", modulus)
-        rows = np.asarray(values, dtype=object).ravel().tolist()
+        values = np.asarray(values, dtype=object)
+        rows = values.ravel().tolist()
         bad = next((v for v in rows if not is_integer(v)), None)
         if bad is not None:
             raise ValueError(f"pushed values must be integers, got {bad!r}")
         if not all(0 <= v < modulus for v in rows):
             raise ValueError(f"pushed values must lie in [0, {modulus})")
-        self.exchange(values, modulus, 1)  # a pop modulo 1 takes nothing
+        if values.shape != (len(self._store),):  # zip would silently drop slots or values
+            raise ValueError(f"a buffer row needs shape ({len(self._store)},), got {values.shape}")
+        self._store = [s * modulus + int(r) for s, r in zip(self._store, rows)]
 
     def pop(self, modulus: int) -> np.ndarray:
         """Pop one residue per slot: BufferCorruption, with nothing popped, if a slot would drop below its sentinel."""

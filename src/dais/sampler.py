@@ -55,15 +55,13 @@ def leapfrog(theta, v, eta, beta, target: AnnealedTarget):
     """One volume-preserving, time-reversible integrator step.
 
     Half position update, full momentum kick with the annealed gradient at
-    the midpoint, half position update.  Returns (theta_new, v_hat).
+    the midpoint, half position update.  Returns (theta_new, v_hat); a
+    non-finite gradient is passed on in v_hat, for `_run_chains`' check on L.
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")
     half = theta + (0.5 * eta) * v
-    grad = target.grad_log_f(beta, half)
-    if not np.all(np.isfinite(grad)):
-        raise NumericalFailure("non-finite gradient in leapfrog")
-    v_hat = v + eta * grad
+    v_hat = v + eta * target.grad_log_f(beta, half)
     theta_new = half + (0.5 * eta) * v_hat
     return theta_new, v_hat
 
@@ -75,14 +73,13 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
     -log p_0(theta_0) + sum_k [log pi(v_hat_k) - log pi(v_{k-1})] + log f_1(theta_K).
     Each step is `leapfrog` followed by the partial refreshment
     v = gamma v_hat + sqrt(1 - gamma^2) eps_k, which leaves N(0, I)
-    invariant, written out so that the step constants are formed once per
-    call.  A non-finite gradient makes v_hat, and so L, non-finite at the
-    same step, so the one finiteness check per step is on L.
+    invariant, with its constants formed once per call.  A non-finite
+    gradient makes v_hat, and so L, non-finite at the same step, so the one
+    finiteness check per step is on L.
     """
     check_same_K(schedule, steps)
     betas = schedule.betas
     eta = steps.eta
-    drift = 0.5 * eta
     gamma = config.gamma
     noise_scale = np.sqrt(1.0 - gamma * gamma)
     # |v|^2 as a product with ones: a row sum would round differently
@@ -91,16 +88,14 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
     kinetic = (v * v) @ ones
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, schedule.K + 1):
-            half = theta + drift * v
-            v_hat = v + eta * target.grad_log_f(betas[k], half)
-            theta = half + drift * v_hat
+            theta, v_hat = leapfrog(theta, v, eta, betas[k], target)
             L = L + 0.5 * (kinetic - (v_hat * v_hat) @ ones)
-            if not np.all(np.isfinite(L)):
+            if not np.isfinite(L).all():
                 _fail(L, k)
             v = gamma * v_hat + noise_scale * eps[..., k - 1, :]
             kinetic = (v * v) @ ones
         L = L + target.log_f(1.0, theta)
-    if not np.all(np.isfinite(L)):
+    if not np.isfinite(L).all():
         _fail(L, schedule.K)
     return theta, v, L
 

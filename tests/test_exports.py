@@ -60,7 +60,7 @@ def test_readme_test_only_helpers_stay_out_of_the_top_level():
     import dais
 
     names = _readme_test_only_helpers()
-    assert {"leapfrog", "fixed_to_float", "keyed_generator"} <= set(names)
+    assert {"blr_grad", "fixed_to_float", "keyed_generator"} <= set(names)
     modules = [importlib.import_module(f"dais.{info.name}") for info in pkgutil.iter_modules(dais.__path__)]
     for name in names:
         assert not hasattr(dais, name), f"{name} is exported from the top-level dais package"

@@ -262,20 +262,41 @@ def test_sweep_gaps_peak_memory():
     assert peak < 9 * 2**20
 
 
-@pytest.mark.parametrize("seed", [7, 11])
-def test_sweep_gaps_zero_step_is_importance_sampling_from_the_prior(seed):
-    # eta = 0 leaves theta_0 ~ p_0 in place, so the gap is log Z - E_p0[log p(y | theta)]
-    # in closed form, whatever gamma, the gradient noise or K
-    model = gen_blr_data(1000, 10, seed)
+def _prior_importance_gap(model):
+    """log Z - E_p0[log p(y | theta)]: the gap of importance sampling from the prior, in closed form."""
     resid = model.y - model.X @ model.mu_p
     spread = np.trace(model.X.T @ model.X @ np.linalg.inv(model.Lambda_p))
     expected_log_lik = (-0.5 * model.n * np.log(2 * np.pi * model.sigma2)
                         - (resid @ resid + spread) / (2 * model.sigma2))
-    want = exact_log_ml(model) - expected_log_lik
+    return exact_log_ml(model) - expected_log_lik
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_sweep_gaps_zero_step_is_importance_sampling_from_the_prior(seed):
+    # eta = 0 leaves theta_0 ~ p_0 in place, so the gap is the prior baseline
+    # whatever gamma, the gradient noise or K
+    model = gen_blr_data(1000, 10, seed)
+    want = _prior_importance_gap(model)
     steps = [StepSizeScheme(K, 0.0) for K in (1, 64, 4096)]
     for gamma in (0.0, 0.9):
         for noise in (None, additive_noise_cov(model, 100)):
             np.testing.assert_allclose(sweep_gaps(model, gamma, steps, noise=noise), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_sweep_gaps_minibatch_noise_leaves_no_step_size_better_than_the_prior(seed):
+    # the mini-batch negative result over every step size on a grid: with b = 100 the
+    # noisy gap's minimum over eta stays at the eta -> 0 baseline at every K, while the
+    # clean minimum keeps falling with K
+    model = gen_blr_data(1000, 10, seed)
+    Ks, etas = (64, 256, 1024, 4096), np.logspace(np.log10(1e-4), np.log10(0.5), 20)
+    steps = [StepSizeScheme(K, eta) for K in Ks for eta in etas]
+    clean = sweep_gaps(model, 0.0, steps).reshape(len(Ks), len(etas))
+    noisy = sweep_gaps(model, 0.0, steps, noise=additive_noise_cov(model, 100)).reshape(len(Ks), len(etas))
+    assert np.isfinite(clean).all() and np.isfinite(noisy).all()
+    assert (noisy.min(axis=1) >= 0.99 * _prior_importance_gap(model)).all()
+    best = clean.min(axis=1)
+    assert (best[1:] <= best[:-1] / 2).all()
 
 
 def test_sweep_gaps_rejects_non_isotropic_prior():
