@@ -16,7 +16,8 @@ Under "runs" it records two end-to-end runs that have no workload, each made
 once here as a subprocess: the tier-1 suite (its wall time, exit code and
 last line, the pytest summary) and scripts/run_gap_sweeps.py --with-mc (its
 wall time and exit code; its CSVs go to a temporary directory).
-A missing record, or records made at different code, exits 2 with one line
+A missing record, records made at different code, or records made at code other
+than the checkout's (its HEAD and src/dais line count) exits 2 with one line
 before anything is run.
 """
 
@@ -41,6 +42,20 @@ def export_count() -> int:
     """Names that the package's ``__init__.py`` imports, that is its top-level exports."""
     tree = ast.parse(PACKAGE_INIT.read_text(encoding="utf-8"))
     return sum(len(node.names) for node in tree.body if isinstance(node, ast.ImportFrom))
+
+
+def checkout() -> tuple:
+    """The checkout's HEAD and src/dais line count, found as bench/run.py's ``_machine_info`` finds them."""
+    sha = None
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)})
+        if proc.returncode == 0:
+            sha = proc.stdout.strip()
+    except OSError:
+        pass
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sorted((ROOT / "src" / "dais").glob("*.py")))
+    return sha, lines
 
 
 def summarise(record: dict) -> dict:
@@ -86,6 +101,11 @@ def main(argv=None) -> int:
         print(f"error: the records were made at different code: {sorted(made_at, key=str)}", file=sys.stderr)
         return 2
     ((sha, lines),) = made_at
+    head, head_lines = checkout()
+    if (sha, lines) != (head, head_lines):
+        print(f"error: the records were made at {sha} with {lines} src/dais lines, but the checkout is {head} "
+              f"with {head_lines}; run bench/run.py again", file=sys.stderr)
+        return 2
     machine = records["exact-sweep"]["machine"]
     summary = {
         "pr": args.pr, "git_sha": sha, "src_dais_lines": lines,

@@ -12,7 +12,6 @@ from .blr import (
     BlrModel,
     additive_noise_cov,
     annealed_posterior,
-    blr_minibatch_grad,
     blr_target,
     exact_log_ml,
     update_matrices,

@@ -4,7 +4,7 @@ Gaussian prior N(mu_p, Lambda_p^{-1}) on the weights, Gaussian observation
 noise with variance sigma2.  Every annealed density along the geometric
 bridge is Gaussian with precision Lambda_p + beta * X^T X / sigma2, so the
 log marginal likelihood, annealed posteriors, the affine form of a leapfrog
-step, and mini-batch gradients all have closed forms.
+step, and the additive mini-batch gradient noise all have closed forms.
 """
 
 from __future__ import annotations
@@ -138,29 +138,6 @@ def blr_grad(model: BlrModel, beta: float, theta: np.ndarray) -> np.ndarray:
     return grad
 
 
-def blr_minibatch_grad(model, beta, theta, batch_indices):
-    """Unbiased mini-batch estimate of `blr_grad` on the rows ``batch_indices``, a 1-d integer array.
-
-    The likelihood part averages single-row estimators, each scaled by n:
-    (beta n / (sigma2 b)) * sum_{i in batch} x_i (y_i - x_i^T theta).
-    """
-    beta = _check_beta(beta)
-    idx = np.asarray(batch_indices)
-    if idx.size == 0:
-        raise ValueError("batch must be non-empty")
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):  # a boolean mask miscounts the batch
-        raise ValueError(f"batch indices must be a 1-d integer array, got {idx.dtype} of shape {idx.shape}")
-    if idx.min() < 0 or idx.max() >= model.n:
-        raise ValueError(f"batch index out of range [0, {model.n})")
-    theta = np.asarray(theta, dtype=float)
-    grad = -(theta - model.mu_p) @ model.Lambda_p
-    if beta != 0.0:
-        Xb = model.X[idx]
-        resid = model.y[idx] - theta @ Xb.T
-        grad = grad + (beta * model.n / (model.sigma2 * idx.size)) * resid @ Xb
-    return grad
-
-
 def leapfrog_affine(eta, prec, prec_mean, one):
     """Affine form (A, B, C, c_vec, e_vec) of one leapfrog step on a Gaussian annealed density.
 
@@ -206,8 +183,11 @@ class _BlrTarget(AnnealedTarget):
         out = self.log_p0(theta)
         if beta != 0.0:
             m = self.model
-            resid = m.y - np.asarray(theta, float) @ m.X.T
-            out = out + beta * (self._log_lik_const - 0.5 * np.sum(resid * resid, axis=-1) / m.sigma2)
+            # the squared residuals y - X theta, formed in the product's one (chains x n) buffer
+            sq = np.asarray(theta, float) @ m.X.T
+            np.subtract(m.y, sq, out=sq)
+            np.multiply(sq, sq, out=sq)
+            out = out + beta * (self._log_lik_const - 0.5 * np.sum(sq, axis=-1) / m.sigma2)
         return out
 
     def grad_log_f(self, beta, theta):

@@ -84,6 +84,7 @@ def test_bench_summary_of_stub_records(tmp_path, monkeypatch, capsys):
         return {"wall_s": 2.5, "exit_code": 0, "last_line": "9 passed in 2.50s"}
 
     monkeypatch.setattr(summary, "timed_run", stub_run)
+    monkeypatch.setattr(summary, "checkout", lambda: ("0123abc", 2000))
     for name in summary.WORKLOADS:
         (results / f"{name}-seed7-trace0.json").write_text(json.dumps(_stub_record(name)), encoding="utf-8")
     assert summary.main(["27"]) == 0
@@ -103,6 +104,13 @@ def test_bench_summary_of_stub_records(tmp_path, monkeypatch, capsys):
         assert entry["correct"] is True and entry["failed_frac"] == 0.0
     capsys.readouterr()
 
+    # records made at code other than the checkout's are stale: another HEAD, or uncommitted edits
+    for head in (("4567def", 2000), ("0123abc", 1999)):
+        monkeypatch.setattr(summary, "checkout", lambda: head)
+        assert summary.main(["27"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "run bench/run.py again" in err
+    monkeypatch.setattr(summary, "checkout", lambda: ("0123abc", 2000))
     # records made at another commit cannot share one file
     (results / "mc-chains-seed7-trace0.json").write_text(json.dumps(_stub_record("mc-chains", sha="4567def")))
     assert summary.main(["27"]) == 2

@@ -6,7 +6,6 @@ from dais import (
     BlrModel,
     additive_noise_cov,
     annealed_posterior,
-    blr_minibatch_grad,
     blr_target,
     exact_log_ml,
     gen_blr_data,
@@ -188,54 +187,6 @@ def test_target_gradient_matches_residual_form_oracle():
                 assert np.abs(single - blr_grad(model, beta, theta)).max() <= t
             # at the annealed mean the gradient vanishes up to the same rounding
             assert np.abs(target.grad_log_f(beta, ann_mu)).max() <= tol[0]
-
-
-# ----------------------------------------------------------- minibatch grad
-
-def test_minibatch_full_batch_equals_exact():
-    rng = generator(15)
-    model = random_model(rng, n=8, d=2)
-    theta = rng.standard_normal(2)
-    got = blr_minibatch_grad(model, 0.7, theta, batch_indices=np.arange(8))
-    assert np.allclose(got, blr_grad(model, 0.7, theta), atol=1e-12)
-
-
-def test_minibatch_single_sample_form():
-    # b=1 recovers the n-scaled single-row estimator
-    rng = generator(16)
-    model = random_model(rng, n=5, d=2)
-    theta = rng.standard_normal(2)
-    i = 3
-    got = blr_minibatch_grad(model, 1.0, theta, batch_indices=[i])
-    x_i = model.X[i]
-    expected = -(model.Lambda_p @ (theta - model.mu_p)) + (
-        model.n / model.sigma2
-    ) * x_i * (model.y[i] - x_i @ theta)
-    assert np.allclose(got, expected, atol=1e-12)
-
-
-def test_minibatch_unbiased_by_enumeration():
-    # averaging all singleton batches reproduces the full gradient
-    rng = generator(17)
-    model = random_model(rng, n=9, d=3)
-    theta = rng.standard_normal(3)
-    singles = np.stack([
-        blr_minibatch_grad(model, 0.8, theta, batch_indices=[i]) for i in range(model.n)
-    ])
-    assert np.allclose(singles.mean(axis=0), blr_grad(model, 0.8, theta), atol=1e-10)
-
-
-def test_minibatch_bad_index_rejected(toy_model):
-    with pytest.raises(ValueError):
-        blr_minibatch_grad(toy_model, 0.5, np.zeros(1), batch_indices=[5])
-    with pytest.raises(ValueError):
-        blr_minibatch_grad(toy_model, 0.5, np.zeros(1), batch_indices=[])
-    # a boolean mask, a 2-d array and fractional indices are not a batch of row indices
-    two_rows = BlrModel(X=np.eye(2), y=[1.0, 0.0], sigma2=1.0, mu_p=np.zeros(2), Lambda_p=np.eye(2))
-    assert blr_minibatch_grad(two_rows, 1.0, np.zeros(2), batch_indices=[0]).tolist() == [2.0, 0.0]
-    for bad in (np.array([True, False]), [[0, 1]], [0.5]):
-        with pytest.raises(ValueError, match="1-d integer"):
-            blr_minibatch_grad(two_rows, 1.0, np.zeros(2), batch_indices=bad)
 
 
 # ----------------------------------------------------------- update matrices

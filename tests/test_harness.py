@@ -1,7 +1,10 @@
 import functools
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -704,6 +707,48 @@ def test_gap_sweeps_script_output_pinned(tmp_path, capsys):
             h.update(",".join(fields).encode() + b"\n")
     h.update(capsys.readouterr().out.replace(str(tmp_path), "<out>").encode())
     assert h.hexdigest() == SCRIPT_PINNED_DIGEST
+
+
+# the paper path at d = 10: sampled chains, a noisy bound, the three panels'
+# tuned bases and gaps, a large model's X^T X / sigma2 and a reversible buffer
+THREAD_DIGEST_SCRIPT = """
+import hashlib
+from dais import (StepSizeScheme, TransitionConfig, additive_noise_cov, blr_target, dais_bound_mc, gen_blr_data,
+                  generator, make_linear_schedule, make_stepsize_scheme, noisy_gradient, reversible_forward,
+                  sample_chains, sweep_gaps, tune_stepsize_base)
+h = hashlib.sha256()
+model = gen_blr_data(1000, 10, 7)
+target, noise = blr_target(model), additive_noise_cov(model, 100)
+noisy = noisy_gradient(target, noise, generator(2))
+for K, chains, gamma, chain_target in ((64, 1000, 0.9, target), (256, 200, 0.0, noisy)):
+    args = make_linear_schedule(K), make_stepsize_scheme(0.3, 0.25, K), TransitionConfig(gamma=gamma)
+    for array in sample_chains(chain_target, *args, chains, generator(1)):
+        h.update(array.tobytes())
+    h.update(repr(dais_bound_mc(chain_target, *args, chains, generator(3))).encode())
+c_list = (0.25, 1 / 3, 0.5)
+for gamma, cov in ((0.0, None), (0.9, None), (0.0, noise)):
+    a = tune_stepsize_base(model, gamma, 64, c_list)
+    cells = [make_stepsize_scheme(a, c, 2**k) for c in c_list for k in range(6, 13)]
+    h.update(repr((a, sweep_gaps(model, gamma, cells, noise=cov).tolist())).encode())
+h.update(gen_blr_data(10000, 10, 7).Lambda_lld.tobytes())
+K = 300
+fwd = reversible_forward(target, make_linear_schedule(K), StepSizeScheme(K, 0.1), TransitionConfig(gamma=0.9), 12345)
+h.update(fwd.buffer.to_bytes())
+print(h.hexdigest())
+"""
+
+
+def test_paper_path_independent_of_blas_thread_count():
+    # the bench may pin one BLAS thread only if that moves no bit; at d = 100
+    # X^T X differs in its last bits between one and two threads (README)
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", THREAD_DIGEST_SCRIPT], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("text", [
