@@ -23,6 +23,7 @@ before anything is run.
 
 import argparse
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -45,17 +46,12 @@ def export_count() -> int:
 
 
 def checkout() -> tuple:
-    """The checkout's HEAD and src/dais line count, found as bench/run.py's ``_machine_info`` finds them."""
-    sha = None
-    try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, timeout=30,
-                              env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)})
-        if proc.returncode == 0:
-            sha = proc.stdout.strip()
-    except OSError:
-        pass
-    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sorted((ROOT / "src" / "dais").glob("*.py")))
-    return sha, lines
+    """The checkout's HEAD and src/dais line count, from bench/run.py's own ``_machine_info``, which the records hold."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)  # defines functions only: bench/run.py calls main only when run as a script
+    machine = run._machine_info()
+    return machine["git_sha"], machine["src_dais_lines"]
 
 
 def summarise(record: dict) -> dict:

@@ -88,16 +88,20 @@ class AnnealedGaussian:
     Lambda: np.ndarray
 
 
+def _annealed_precision(model: BlrModel, beta: float):
+    """Lambda_p + beta Lambda_lld, and that precision times the mean, Lambda_p mu_p + beta X^T y / sigma2."""
+    beta = _check_beta(beta)
+    return model.Lambda_p + beta * model.Lambda_lld, model.Lambda_p @ model.mu_p + beta * model.Xty_over_s2
+
+
 def annealed_posterior(model: BlrModel, beta: float) -> AnnealedGaussian:
     """Exact annealed posterior: Lambda = Lambda_p + beta * Lambda_lld.
 
     The mean solves Lambda mu = Lambda_p mu_p + beta X^T y / sigma2; the
     least-squares point is never materialized, so singular X^T X is fine.
     """
-    beta = _check_beta(beta)
-    Lambda = model.Lambda_p + beta * model.Lambda_lld
-    mu = np.linalg.solve(Lambda, model.Lambda_p @ model.mu_p + beta * model.Xty_over_s2)
-    return AnnealedGaussian(mu=mu, Lambda=Lambda)
+    Lambda, lam_mu = _annealed_precision(model, beta)
+    return AnnealedGaussian(mu=np.linalg.solve(Lambda, lam_mu), Lambda=Lambda)
 
 
 def _chol_logdet(mat: np.ndarray) -> float:
@@ -156,10 +160,7 @@ def leapfrog_affine(eta, prec, prec_mean, one):
 
 def update_matrices(model: BlrModel, beta: float, eta: float):
     """(A, B, C, c_vec, e_vec) of `leapfrog_affine` as d x d matrices and d-vectors at (beta, eta)."""
-    beta = _check_beta(beta)
-    Lambda = model.Lambda_p + beta * model.Lambda_lld
-    lam_mu = model.Lambda_p @ model.mu_p + beta * model.Xty_over_s2  # Lambda times the mean, with no solve
-    return leapfrog_affine(eta, Lambda, lam_mu, np.eye(model.d))
+    return leapfrog_affine(eta, *_annealed_precision(model, beta), np.eye(model.d))
 
 
 class _BlrTarget(AnnealedTarget):
@@ -171,7 +172,6 @@ class _BlrTarget(AnnealedTarget):
         # cov factor F with F F^T = Lambda_p^{-1}: inverse transpose of the precision factor
         self._cov_factor = np.linalg.solve(chol.T, np.eye(model.d))
         self._log_det_cov = -2.0 * np.sum(np.log(np.diag(chol)))
-        self._neg_Lambda_p = -model.Lambda_p  # delta @ -P: the bits of -delta @ P, one op fewer
         self._log_lik_const = -0.5 * model.n * np.log(2 * np.pi * model.sigma2)
 
     @property
@@ -193,7 +193,7 @@ class _BlrTarget(AnnealedTarget):
     def grad_log_f(self, beta, theta):
         beta = _check_beta(beta)
         theta = np.asarray(theta, dtype=float)
-        out = (theta - self.model.mu_p) @ self._neg_Lambda_p
+        out = (self.model.mu_p - theta) @ self.model.Lambda_p
         if beta != 0.0:
             out = out + beta * (self.model.Xty_over_s2 - theta @ self.model.Lambda_lld)
         return out

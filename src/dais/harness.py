@@ -25,7 +25,7 @@ from .blr import BlrModel, additive_noise_cov, blr_target, exact_log_ml
 from .moments import sweep_gaps, theory_slope
 from .rng import generator
 from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc
-from .schedules import check_addressable, count, make_linear_schedule, make_stepsize_scheme
+from .schedules import check_addressable, count, is_integer, make_linear_schedule, make_stepsize_scheme
 from .targets import noisy_gradient
 
 MODES = ("exact", "mc", "theory")
@@ -47,7 +47,7 @@ class InsufficientData(ValueError):
 
 def _as_int(key, value, name=None) -> int:
     """``value`` as an int: ints, numpy integers and integral floats pass, bools do not."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if is_integer(value):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -268,8 +268,8 @@ def _cell_seed_sequence(config, K, c):
 
 def _row(config, K, c, gap, stderr, elapsed_ms):
     return ResultRow(
-        K=K, c=c, gamma=config.gamma, mode=config.mode, batch_size=config.batch_size,
-        gap=float(gap), stderr=float(stderr), elapsed_ms=elapsed_ms, seed=config.seed,
+        K=K, c=c, gamma=config.gamma, mode=config.mode, batch_size=config.batch_size, seed=config.seed,
+        gap=float(gap) if np.isfinite(gap) else np.nan, stderr=float(stderr), elapsed_ms=elapsed_ms,  # failed: nan
     )
 
 
@@ -317,7 +317,8 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     gaps = sweep_gaps(model, config.gamma, steps, noise=noise)
     if config.mode == "theory":  # each c's gap at K_min, extrapolated along the predicted power law
         bases = dict(zip(config.c_list, gaps))
-        gaps = [bases[c] * (K / K_min) ** theory_slope(c) for c, K in cells]
+        with np.errstate(over="ignore", invalid="ignore"):  # float's pow, but inf past the range, not OverflowError
+            gaps = [bases[c] * np.float64(K / K_min) ** theory_slope(c) for c, K in cells]
     elapsed_ms = 1000.0 * (time.perf_counter() - start) / len(cells)
     return [_row(config, K, c, gap, 0.0, elapsed_ms) for (c, K), gap in zip(cells, gaps)]
 

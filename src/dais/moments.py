@@ -263,8 +263,7 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     lam, Q = np.linalg.eigh(model.Lambda_lld)
     prior_shift, data_shift = p * (model.mu_p @ Q), model.Xty_over_s2 @ Q
     mode_noise = np.zeros(d) if noise is None else np.einsum("ji,jk,ki->i", Q, check_noise_cov(noise, d), Q)
-    # refreshment scale of (mu_theta, mu_v, S_tt, S_tv, S_vv); S_vv also gains 1 - gamma^2
-    refresh = np.array([1.0, gamma, 1.0, gamma, gamma**2])
+    g2 = gamma**2
 
     # cells sorted by K: the cells still running at step k are a suffix
     order = np.argsort([s.K for s in steps_list], kind="stable")
@@ -302,14 +301,12 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
                 x = np.einsum("ijcd,jcd->icd", maps[:, :, t], x, out=hats[t])
                 x += shifts[t]
             state[:, lo:] = x
-            refreshed = hats * refresh[:, None, None]
-            refreshed[:, 4] += 1.0 - gamma**2
+            tt, tv, vv = hats[:, 2], gamma * hats[:, 3], g2 * hats[:, 4] + (1.0 - g2)  # refreshed, as the maps fold it
             energy_hat = np.sum(hats[:, 1] ** 2 + hats[:, 4], axis=2)
-            energy_refreshed = np.sum(refreshed[:, 1] ** 2 + refreshed[:, 4], axis=2)
+            energy_refreshed = np.sum((gamma * hats[:, 1]) ** 2 + vv, axis=2)
             prev = np.concatenate([energy[None, lo:], energy_refreshed[:-1]])
             kinetic[lo:] += 0.5 * np.sum(prev - energy_hat, axis=0)
             energy[lo:] = energy_refreshed[-1]
-            tt, tv, vv = refreshed[:, 2], refreshed[:, 3], refreshed[:, 4]
             low = 0.5 * (tt + vv) - np.hypot(0.5 * (tt - vv), tv)  # smaller eigenvalue per mode
             ok[lo:] &= np.all(low >= -PSD_TOL, axis=(0, 2))
             k = stop

@@ -54,12 +54,11 @@ def check_gamma(gamma) -> None:
 def leapfrog(theta, v, eta, beta, target: AnnealedTarget):
     """One volume-preserving, time-reversible integrator step.
 
-    Half position update, full momentum kick with the annealed gradient at
-    the midpoint, half position update.  Returns (theta_new, v_hat); a
-    non-finite gradient is passed on in v_hat, for `_run_chains`' check on L.
+    Half position update, full momentum kick with the annealed gradient at the
+    midpoint, half position update; ``eta`` broadcasts against the rows, and
+    -eta undoes the step.  Returns (theta_new, v_hat); a non-finite gradient
+    is passed on in v_hat, for `_run_chains`' check on L.
     """
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
     half = theta + (0.5 * eta) * v
     v_hat = v + eta * target.grad_log_f(beta, half)
     theta_new = half + (0.5 * eta) * v_hat

@@ -8,6 +8,7 @@ The workloads are only imported and run: nothing under ``bench/`` is written.
 
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -121,6 +122,14 @@ def test_bench_summary_of_stub_records(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "reversible-seed7-trace0.json" in err
     assert len(ran) == 2  # refused before anything was run
+
+
+def test_bench_summary_checkout_is_the_tree_as_the_benchmark_records_it():
+    # the line count as bench/run.py records it; HEAD in a git checkout, None in an exported tree
+    head, lines = load_script("bench_summary").checkout()
+    src = Path(__file__).parent.parent / "src" / "dais"
+    assert lines == sum(len(path.read_text(encoding="utf-8").splitlines()) for path in src.glob("*.py"))
+    assert head is None or re.fullmatch("[0-9a-f]{40}", head)
 
 
 def test_bench_summary_times_a_subprocess():

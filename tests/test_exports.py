@@ -3,7 +3,8 @@
 The files are parsed, not run, so trimming the package's exports cannot
 silently break ``bench/`` or ``scripts/``.  README's list of helpers that
 only tests use and its sentence on custom targets are checked against the
-package as well, and every package module must use each name it imports.
+package as well, and every package module and script must use each name it
+imports and each definition it makes.
 """
 
 import ast
@@ -17,6 +18,7 @@ import pytest
 ROOT = Path(__file__).parent.parent
 CONSUMERS = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 MODULES = sorted(path for path in (ROOT / "src" / "dais").glob("*.py") if path.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _dais_imports(path):
@@ -87,9 +89,9 @@ def test_readme_custom_target_sentence_matches_the_interface():
         assert callable(getattr(dais, name, None)), f"README calls {name}, which dais does not export"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
-    # the package has no linter; this parse catches an import whose last use was removed
+    # the repository has no linter; this parse catches an import whose last use was removed
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -112,9 +114,10 @@ def _definitions(tree):
 
 
 def test_every_definition_is_referenced():
-    # the dead-code companion of the import check: a definition (not counted
-    # itself) needs one use by name in the package, its tests, the benchmark
-    # or the scripts, as a name, an attribute or an imported name
+    # the dead-code companion of the import check: a definition in the package
+    # or a script (not counted itself) needs one use by name in the package,
+    # its tests, the benchmark or the scripts, as a name, an attribute or an
+    # imported name
     used = set()
     for folder in ("src", "tests", "bench", "scripts"):
         for path in (ROOT / folder).rglob("*.py"):
@@ -125,6 +128,6 @@ def test_every_definition_is_referenced():
                     used.add(node.attr)
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     used |= {alias.name.split(".")[-1] for alias in node.names}
-    dead = [f"{path.name}: {name}" for path in MODULES
+    dead = [f"{path.name}: {name}" for path in MODULES + SCRIPTS
             for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))) if name not in used]
     assert not dead, f"defined but never referenced: {dead}"

@@ -981,6 +981,21 @@ def test_cli_degenerate_step_sizes_print_no_warning(argv, code, tmp_path, capsys
     assert len(capsys.readouterr().err.splitlines()) <= 1
 
 
+def test_cli_theory_row_past_the_float_range_is_a_failed_row(tmp_path, capsys):
+    # (4096 / 64) ** (2 * 600 - 1) overflows a float: that row is nan, the K_min row keeps its exact gap
+    cfg_path, out = tmp_path / "steep.toml", tmp_path / "steep.csv"
+    cfg_path.write_text('n = 100\nd = 2\nK_grid = [64, 4096]\nc_list = [600.0]\na = 0.3\nmode = "theory"\n')
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "wrote 2 rows" in captured.out and "(1 failed cells)" in captured.out
+    rows = out.read_text(encoding="utf-8").splitlines()
+    gap = CSV_HEADER.index("gap")
+    assert [row.split(",")[gap] for row in rows[2:]] == ["nan"]
+    exact = run_sweep(ExperimentConfig(n=100, d=2, K_grid=(64,), c_list=(600.0,), a=0.3))
+    assert rows[1].split(",")[gap] == repr(exact[0].gap)
+
+
 def test_cli_oracles_smoke(capsys):
     # byte for byte, as printed when the exact gaps came from the dense engine
     assert cli_main(["oracles", "--chains", "4000"]) == 0

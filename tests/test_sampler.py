@@ -84,6 +84,33 @@ def test_leapfrog_reversibility(seed):
     assert np.allclose(-v2, v, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.6])
+def test_leapfrog_at_minus_eta_undoes_the_step(beta):
+    # the reverse step needs no momentum flip: -eta from the forward step's output returns the start
+    rng = generator(3)
+    target = blr_target(random_model(rng, n=20, d=3))
+    theta, v = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    t1, v1 = leapfrog(theta, v, 0.2, beta, target)
+    t0, v0 = leapfrog(t1, v1, -0.2, beta, target)
+    assert np.allclose(t0, theta, rtol=1e-12, atol=1e-14)
+    assert np.allclose(v0, v, rtol=1e-12, atol=1e-14)
+    assert not np.allclose(t1, theta, atol=1e-3)  # the forward step moved
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.6])
+def test_leapfrog_per_row_step_sizes_are_the_rows_of_scalar_calls(beta):
+    # an (n, 1) eta steps row i as a scalar call at eta_i steps it, bit for bit, on the same batch
+    rng = generator(4)
+    target = blr_target(random_model(rng, n=20, d=10))
+    theta, v = rng.standard_normal((6, 10)), rng.standard_normal((6, 10))
+    etas = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.45])
+    t_all, v_all = leapfrog(theta, v, etas[:, None], beta, target)
+    for i, eta in enumerate(etas):
+        t_i, v_i = leapfrog(theta, v, eta, beta, target)
+        assert t_all[i].tobytes() == t_i[i].tobytes()
+        assert v_all[i].tobytes() == v_i[i].tobytes()
+
+
 def test_leapfrog_passes_a_nonfinite_gradient_to_v_hat(toy_model):
     # the chain reports it by its per-step check on L (test_run_chains_failure_names_step_and_chain)
     target = blr_target(toy_model)
