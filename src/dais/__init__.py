@@ -19,7 +19,6 @@ from .blr import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    InsufficientData,
     ResultRow,
     fit_loglog_slope,
     gen_blr_data,

@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from .blr import BlrModel, blr_target, exact_log_ml
-from .harness import ConfigError, ExperimentConfig, gen_blr_data, run_sweep, write_csv
+from .harness import ExperimentConfig, gen_blr_data, run_sweep, write_csv
 from .moments import sweep_gaps
-from .reversible import GAMMA_DENOM_BITS, float_to_fixed, reversible_backward, reversible_forward
+from .reversible import float_to_fixed, quantize_gamma, reversible_backward, reversible_forward
 from .rng import MASK64, generator
 from .sampler import NumericalFailure, TransitionConfig, chain_start, dais_bound_mc, dais_chain, sample_chains
-from .schedules import make_linear_schedule, make_stepsize_scheme
+from .schedules import count, make_linear_schedule, make_stepsize_scheme
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,30 +37,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _checked(convert, ok, requirement):
-    """argparse ``type=`` function: ``convert`` the text, then require ``ok``."""
-
-    def parse(text):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} must be {convert.__name__} {requirement}")
-        return value
-
-    return parse
-
-
-_positive_int = _checked(int, lambda x: x >= 1, ">= 1")
-_seed = _checked(int, lambda x: x >= 0, ">= 0")
-_positive = _checked(float, lambda x: 0.0 < x < np.inf, "finite and > 0")
-_non_negative = _checked(float, lambda x: 0.0 <= x < np.inf, "finite and >= 0")
-_unit_interval = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
-# the reversible chain quantizes gamma down to n / 2^16 with n >= 1
-_damping = _checked(float, lambda x: 2.0**-GAMMA_DENOM_BITS <= x <= 1.0, "in [2^-16, 1]")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dais", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -72,27 +48,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chain = sub.add_parser("chain", help="run one chain and print diagnostics")
     p_chain.set_defaults(run=_cmd_chain)
-    p_chain.add_argument("--K", type=_positive_int, default=64)
-    p_chain.add_argument("--c", type=_non_negative, default=0.25)
-    p_chain.add_argument("--a", type=_positive, default=0.3)
-    p_chain.add_argument("--gamma", type=_unit_interval, default=0.0)
-    p_chain.add_argument("--n", type=_positive_int, default=1000)
-    p_chain.add_argument("--d", type=_positive_int, default=10)
-    p_chain.add_argument("--seed", type=_seed, default=0)
+    p_chain.add_argument("--K", type=int, default=64)
+    p_chain.add_argument("--c", type=float, default=0.25)
+    p_chain.add_argument("--a", type=float, default=0.3)
+    p_chain.add_argument("--gamma", type=float, default=0.0)
+    p_chain.add_argument("--n", type=int, default=1000)
+    p_chain.add_argument("--d", type=int, default=10)
+    p_chain.add_argument("--seed", type=int, default=0)
 
     p_rev = sub.add_parser("check-reversible", help="fixed-point round-trip check")
     p_rev.set_defaults(run=_cmd_check_reversible)
-    p_rev.add_argument("--d", type=_positive_int, default=10)
-    p_rev.add_argument("--K", type=_positive_int, default=1000)
-    p_rev.add_argument("--gamma", type=_damping, default=0.9)
-    p_rev.add_argument("--eta", type=_positive, default=0.1)
-    p_rev.add_argument("--seed", type=_seed, default=0)
+    p_rev.add_argument("--d", type=int, default=10)
+    p_rev.add_argument("--K", type=int, default=1000)
+    p_rev.add_argument("--gamma", type=float, default=0.9)
+    p_rev.add_argument("--eta", type=float, default=0.1)
+    p_rev.add_argument("--seed", type=int, default=0)
 
     p_orc = sub.add_parser("oracles", help="sampled-vs-exact consistency suite")
     p_orc.set_defaults(run=_cmd_oracles)
-    p_orc.add_argument("--seed", type=_seed, default=0)
-    p_orc.add_argument("--chains", type=_checked(int, lambda x: x >= 2, ">= 2"), default=20000,
-                       help="chains for the unbiasedness check")
+    p_orc.add_argument("--seed", type=int, default=0)
+    p_orc.add_argument("--chains", type=int, default=20000, help="chains for the unbiasedness check")
 
     return parser
 
@@ -115,9 +90,6 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"cannot read config {args.config}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     reason = _unwritable(args.out)
     if reason:
         print(f"cannot write {args.out}: {reason}", file=sys.stderr)
@@ -137,11 +109,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    config = TransitionConfig(gamma=args.gamma)
+    steps = make_stepsize_scheme(args.a, args.c, args.K)
+    schedule = make_linear_schedule(args.K)
     model = gen_blr_data(args.n, args.d, args.seed)
     target = blr_target(model)
-    schedule = make_linear_schedule(args.K)
-    steps = make_stepsize_scheme(args.a, args.c, args.K)
-    config = TransitionConfig(gamma=args.gamma)
     theta_K, _, bound = dais_chain(target, schedule, steps, config, generator((args.seed, args.K)))
     # the synthetic model's prior is isotropic, so the batched engine serves the exact values
     (gap,) = sweep_gaps(model, args.gamma, [steps])
@@ -158,11 +130,12 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_check_reversible(args) -> int:
+    config = TransitionConfig(gamma=args.gamma)
+    quantize_gamma(args.gamma)  # the fixed-point chain's own damping rule, checked before the model is built
+    steps = make_stepsize_scheme(args.eta, 0.0, args.K)
+    schedule = make_linear_schedule(args.K)
     model = gen_blr_data(max(4 * args.d, 64), args.d, args.seed)
     target = blr_target(model)
-    schedule = make_linear_schedule(args.K)
-    steps = make_stepsize_scheme(args.eta, 0.0, args.K)
-    config = TransitionConfig(gamma=args.gamma)
     s0 = (args.seed * 2654435761 + 12345) & MASK64
 
     theta0, v0 = chain_start(target, generator((args.seed, 1)))
@@ -184,6 +157,8 @@ def _cmd_check_reversible(args) -> int:
 
 
 def _cmd_oracles(args) -> int:
+    n_chains = count("chains", args.chains, low=2)  # one chain has no standard error
+    model = gen_blr_data(1000, 10, args.seed)
     failures = 0
 
     def check(name, ok, detail=""):
@@ -197,7 +172,7 @@ def _cmd_oracles(args) -> int:
     schedule = make_linear_schedule(8)
     steps = make_stepsize_scheme(0.2, 0.0, 8)
     _, _, L = sample_chains(
-        blr_target(toy), schedule, steps, TransitionConfig(), args.chains, generator((args.seed, 1))
+        blr_target(toy), schedule, steps, TransitionConfig(), n_chains, generator((args.seed, 1))
     )
     w = np.exp(L - log_z)
     se = w.std(ddof=1) / np.sqrt(w.size)
@@ -212,7 +187,6 @@ def _cmd_oracles(args) -> int:
           f"mean L={mean_L:.5f} log Z={log_z:.5f}")
 
     # sampled vs exact gap on the standard synthetic instance
-    model = gen_blr_data(1000, 10, args.seed)
     log_z = exact_log_ml(model)
     target = blr_target(model)
     steps_list = [make_stepsize_scheme(0.3, 0.25, K) for K in (16, 64)]
@@ -241,6 +215,9 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # the library function that takes an argument or config value refused it
+        print(f"dais {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except MemoryError as exc:  # a size too large for this machine is a malformed argument
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG

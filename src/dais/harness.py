@@ -41,10 +41,6 @@ class ConfigError(ValueError):
         self.field = field
 
 
-class InsufficientData(ValueError):
-    """Not enough usable rows for a fit."""
-
-
 def _as_int(key, value, name=None) -> int:
     """``value`` as an int: ints, numpy integers and integral floats pass, bools do not."""
     if is_integer(value):
@@ -206,7 +202,7 @@ def gen_blr_data(n: int, d: int, seed: int, sigma2: float = 1.0) -> BlrModel:
     Observation variance ``sigma2``, zero prior mean, identity prior
     precision; X and y are deterministic in (seed, n, d).
     """
-    n, d = count("n", n), count("d", d)
+    n, d, seed = count("n", n), count("d", d), count("seed", seed, low=0)
     check_addressable(n, d)
     g = generator((seed, n, d))
     X = 0.1 * g.standard_normal((n, d))
@@ -328,13 +324,13 @@ def fit_loglog_slope(rows):
 
     Pass the rows of one curve (one c).  Rows with non-positive or
     non-finite gaps are dropped; fewer than three remaining rows, or rows
-    that share one K, raise InsufficientData.  Returns (slope, intercept, r2).
+    that share one K, raise ValueError.  Returns (slope, intercept, r2).
     """
     pts = [(row.K, row.gap) for row in rows if np.isfinite(row.gap) and row.gap > 0]
     if len(pts) < 3:
-        raise InsufficientData(f"need >= 3 usable rows, have {len(pts)}")
+        raise ValueError(f"need >= 3 usable rows, have {len(pts)}")
     if len({K for K, _ in pts}) < 2:  # one K leaves the slope undetermined
-        raise InsufficientData(f"need usable rows at >= 2 distinct K, have only K = {pts[0][0]}")
+        raise ValueError(f"need usable rows at >= 2 distinct K, have only K = {pts[0][0]}")
     logK = np.log([p[0] for p in pts])
     logG = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(logK, logG, 1)

@@ -72,9 +72,9 @@ def check_same_K(schedule: AnnealingSchedule, steps: StepSizeScheme) -> None:
 
 def make_stepsize_scheme(a: float, c: float, K: int) -> StepSizeScheme:
     """Constant scheme eta = a * K**(-c)."""
-    if a <= 0:
-        raise ValueError(f"base step size must be positive, got {a}")
-    if c < 0:
-        raise ValueError(f"exponent must be non-negative, got {c}")
+    if not 0.0 < a < np.inf:  # NaN fails too
+        raise ValueError(f"base step size a must be finite and positive, got {a}")
+    if not 0.0 <= c < np.inf:  # an infinite c would give eta = 0
+        raise ValueError(f"exponent c must be finite and non-negative, got {c}")
     K = count("K", K)  # a Python int: numpy refuses np.int64 K ** -1
     return StepSizeScheme(K, np.float64(a * K ** -c))

@@ -266,6 +266,10 @@ def test_model_validation():
         BlrModel(X=np.zeros((3, 0)), y=[1.0, 2.0, 3.0], sigma2=1.0, mu_p=[0.0], Lambda_p=[[1.0]])
     with pytest.raises(ValueError, match="prior dimensions do not match the design matrix"):
         BlrModel(X=[[]], y=[1.0], sigma2=1.0, mu_p=[0.0, 0.0], Lambda_p=np.eye(2))
+    with pytest.raises(ValueError, match=r"^Lambda_p must be 2x2, got \(2, 3\)$"):
+        BlrModel(X=np.eye(2), y=[1.0, 2.0], sigma2=1.0, mu_p=[0.0, 0.0], Lambda_p=np.eye(2, 3))
+    with pytest.raises(ValueError, match="^Lambda_p must be symmetric$"):
+        BlrModel(X=np.eye(2), y=[1.0, 2.0], sigma2=1.0, mu_p=[0.0, 0.0], Lambda_p=[[1.0, 0.5], [0.0, 1.0]])
 
 
 _FINITE_MODEL = {"X": [[1.0, 0.0], [0.0, 2.0]], "y": [1.0, -1.0], "sigma2": 0.5,

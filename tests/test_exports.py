@@ -4,7 +4,8 @@ The files are parsed, not run, so trimming the package's exports cannot
 silently break ``bench/`` or ``scripts/``.  README's list of helpers that
 only tests use and its sentence on custom targets are checked against the
 package as well, and every package module and script must use each name it
-imports and each definition it makes.
+imports and each definition it makes; each test module must use every name
+it imports.
 """
 
 import ast
@@ -19,6 +20,7 @@ ROOT = Path(__file__).parent.parent
 CONSUMERS = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 MODULES = sorted(path for path in (ROOT / "src" / "dais").glob("*.py") if path.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _dais_imports(path):
@@ -89,7 +91,7 @@ def test_readme_custom_target_sentence_matches_the_interface():
         assert callable(getattr(dais, name, None)), f"README calls {name}, which dais does not export"
 
 
-@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     # the repository has no linter; this parse catches an import whose last use was removed
     tree = ast.parse(path.read_text(encoding="utf-8"))

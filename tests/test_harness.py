@@ -19,7 +19,6 @@ from dais import (
     ConfigError,
     ExperimentConfig,
     InfoBuffer,
-    InsufficientData,
     ResultRow,
     TransitionConfig,
     additive_noise_cov,
@@ -530,12 +529,12 @@ def test_fit_filters_and_errors():
                   gap=g, stderr=0.0, elapsed_ms=0.0, seed=0)
         for K, g in [(2, 1.0), (4, -1.0), (8, float("nan")), (16, 0.5)]
     ]
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError, match=r"need >= 3 usable rows, have 2"):
         fit_loglog_slope(rows)
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError, match=r"need >= 3 usable rows, have 0"):
         fit_loglog_slope([])
     # three usable rows at one K determine no slope
-    with pytest.raises(InsufficientData, match="distinct K"):
+    with pytest.raises(ValueError, match="distinct K"):
         fit_loglog_slope([replace(rows[0], K=64, gap=g) for g in (1.0, 2.0, 3.0)])
 
 
@@ -949,12 +948,50 @@ def test_cli_check_reversible_default_stdout_pinned(capsys):
     (["check-reversible", "--K", str(10**19)], 2),
     (["oracles", "--chains", str(2 * 10**18)], 2),
     (["check-reversible", "--eta", "1e300", "--K", "5"], 3),  # eta * 2^48 overflows a double
+    (["chain", "--c", "inf"], 2),  # K ** -inf is 0.0: an infinite c would run eta = 0 chains
+    (["chain", "--a", "inf"], 2),
+    (["chain", "--K", "abc"], 2),
+    (["check-reversible", "--gamma", "x"], 2),
+    (["oracles", "--seed", "-1"], 2),
 ])
 def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
     assert cli_main(argv) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["check-reversible", "--gamma", "1e-6", "--d", "20000"],
+     "gamma must lie in [2^-16, 1] for rational damping, got 1e-06"),
+    (["check-reversible", "--gamma", "1.5"], "gamma must lie in [0, 1], got 1.5"),
+    (["check-reversible", "--eta", "0"], "base step size a must be finite and positive, got 0.0"),
+    (["check-reversible", "--K", "0"], "K must be >= 1, got 0"),
+    (["chain", "--gamma", "nan"], "gamma must lie in [0, 1], got nan"),
+    (["chain", "--a", "-1"], "base step size a must be finite and positive, got -1.0"),
+    (["chain", "--c", "inf"], "exponent c must be finite and non-negative, got inf"),
+    (["chain", "--K", "0"], "K must be >= 1, got 0"),
+    (["oracles", "--chains", "1"], "chains must be >= 2, got 1"),
+], ids=["rev-gamma-tiny-d-20000", "rev-gamma-1.5", "rev-eta-0", "rev-K-0", "chain-gamma-nan", "chain-a-neg",
+        "chain-c-inf", "chain-K-0", "oracles-chains-1"])
+def test_cli_refuses_an_argument_before_it_builds_the_model(argv, refusal, capsys, monkeypatch):
+    # check-reversible at d = 20000 would build an 80000 x 20000 design matrix
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built before the arguments were checked")
+
+    monkeypatch.setattr("dais.cli.gen_blr_data", no_model)
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"dais {argv[0]}: error: {refusal}\n"
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["chain", "--seed", "-1", "--n", "100"], "seed must be >= 0, got -1"),
+    (["oracles", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["chain", "--d", "0"], "d must be >= 1, got 0"),
+], ids=["chain-seed-neg", "oracles-seed-neg", "chain-d-0"])
+def test_cli_refusal_from_the_data_generator_names_the_argument(argv, refusal, capsys):
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"dais {argv[0]}: error: {refusal}\n"
 
 
 _STEEP_SWEEP = "n = 100\nd = 2\nK_grid = [64, 128]\nc_list = [0.0]\na = 5.0\nmc_chains = 20\n"

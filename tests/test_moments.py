@@ -519,6 +519,15 @@ def test_theory_slope_values():
     assert theory_slope(1 / 3) == pytest.approx(-1 / 3)
 
 
+def test_gap_breakdown_rejects_moments_of_another_chain():
+    model = gen_blr_data(20, 2, 0)
+    moments = propagate_moments(model, make_linear_schedule(4), make_stepsize_scheme(0.3, 0.25, 4))
+    with pytest.raises(ValueError, match="^5 moment entries for a K=8 schedule$"):
+        gap_breakdown(model, moments, make_linear_schedule(8))
+    with pytest.raises(ValueError, match="^moments have dim 2, model has d=3$"):
+        gap_breakdown(gen_blr_data(20, 3, 0), moments, make_linear_schedule(4))
+
+
 def test_gap_breakdown_total_field():
     gb = GapBreakdown(term1=1.0, term2=2.0, term3=-0.5)
     assert gb.total == pytest.approx(2.5)

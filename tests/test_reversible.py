@@ -24,7 +24,7 @@ from dais import (
     reversible_forward,
 )
 from dais.cli import main as cli_main
-from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointChain, backward_seed,
+from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointChain, _to_fixed, backward_seed,
                              fixed_to_float, forward_seed)
 from dais.rng import keyed_generator
 from dais.sampler import _run_chains
@@ -578,6 +578,27 @@ def test_long_step_drift_past_int64_raises_at_its_step():
     assert info.value.step == 1
 
 
+def test_kick_past_the_norm_screen_but_in_range_is_converted_exactly(monkeypatch):
+    # a constant gradient 2^13.5 / eta gives a kick of 2^61.5 (scaled) in each of 4 coordinates:
+    # its squared norm 2^125 fails the 2^124 screen while every entry is below 2^62
+    target, schedule, steps, config = _setup(d=4, K=1, eta=0.1, gamma=0.5)
+    spiked = _SpikedTarget(target, schedule.betas[1], 2**13.5 / 0.1)
+    exact = []
+
+    def spy(scaled, step=None):
+        if step is not None:  # a screen's fallback, never the noise or float_to_fixed
+            exact.append(scaled.copy())
+        return _to_fixed(scaled, step)
+
+    monkeypatch.setattr("dais.reversible._to_fixed", spy)
+    g = generator(3)
+    theta0, v0 = target.sample_p0(g), g.standard_normal(4)
+    _assert_matches_oracle(spiked, schedule, steps, config, 8, theta0, v0)
+    forward, backward = exact  # the backward pass subtracts the same kick
+    assert forward @ forward >= 2.0**124 and np.abs(forward).max() < 2**62
+    assert np.array_equal(backward, -forward)
+
+
 def test_forward_overflow_raises_with_step():
     # |theta| near 2^14 and a step that pushes it past: no silent int64 wraparound
     target, schedule, steps, config = _setup(d=2, K=20, eta=3.0)
@@ -819,7 +840,7 @@ def test_buffer_serialization_bad_magic():
     assert InfoBuffer.from_bytes(valid).is_empty()
     malformed = [
         b"NOTMAGIC" + b"\x00" * 20,
-        b"DAISREV1" + b"\x02\x00\x00\x00" + b"\x00" * 8 + b"\xff\x00\x00\x00",  # truncated payload
+        b"DAISREV1" + b"\x02\x00\x00\x00" + b"\x00" * 8 + b"\xff\x00\x00\x00",  # more pages than bytes
         b"DAISREV1",  # no header
         valid[:19],  # header one byte short
         _blob(-1, [sentinel_page]),  # negative op depth
@@ -830,6 +851,17 @@ def test_buffer_serialization_bad_magic():
     for blob in malformed:
         with pytest.raises(BufferCorruption):
             InfoBuffer.from_bytes(blob)
+
+
+@pytest.mark.parametrize("blob, refusal", [
+    # each blob passes the page-count check (4 bytes per claimed page are left), then runs out
+    (b"DAISREV1" + struct.pack("<IqI", 2, 0, 2) + (256).to_bytes(2, "little") + b"\x00\x00",
+     "truncated page header"),
+    (b"DAISREV1" + struct.pack("<IqI", 1, 0, 255), "truncated page payload"),
+])
+def test_buffer_truncated_page_rejected(blob, refusal):
+    with pytest.raises(BufferCorruption, match=f"^{refusal}$"):
+        InfoBuffer.from_bytes(blob)
 
 
 def test_buffer_page_count_past_the_blob_rejected_before_allocating():

@@ -304,6 +304,30 @@ def test_run_chains_failure_names_step_and_chain(toy_model):
     assert err.value.chain == 3
 
 
+class _InfiniteAtTheEnd:
+    """``target`` whose final density log f_1 is +inf: every step stays finite, the last weight does not."""
+
+    def __init__(self, target):
+        self._target = target
+
+    def log_f(self, beta, theta):
+        return np.full(np.shape(theta)[:-1], np.inf) if beta == 1.0 else self._target.log_f(beta, theta)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def test_non_finite_final_weight_fails_at_step_K(toy_model):
+    target = _InfiniteAtTheEnd(blr_target(toy_model))
+    schedule, steps = make_linear_schedule(6), StepSizeScheme(6, 0.2)
+    with pytest.raises(NumericalFailure, match=r"^non-finite bound accumulator at step 6 \(chain 0\)$") as err:
+        sample_chains(target, schedule, steps, CFG, 3, generator(1))
+    assert (err.value.step, err.value.chain) == (6, 0)
+    with pytest.raises(NumericalFailure, match=r"^non-finite bound accumulator at step 6$") as err:
+        dais_chain(target, schedule, steps, CFG, generator(1))
+    assert (err.value.step, err.value.chain) == (6, None)
+
+
 def test_cli_chain_divergence_names_step(capsys):
     assert cli_main(["chain", "--K", "64", "--a", "80", "--n", "200", "--d", "5"]) == 3
     out, err = capsys.readouterr()

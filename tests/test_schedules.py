@@ -59,6 +59,25 @@ def test_stepsize_rejects_nonpositive_base():
         make_stepsize_scheme(-1.0, 0.25, 10)
 
 
+@pytest.mark.parametrize("a, c, refusal", [
+    (np.inf, 0.25, "base step size a must be finite and positive, got inf"),
+    (-np.inf, 0.25, "base step size a must be finite and positive, got -inf"),
+    (np.nan, 0.25, "base step size a must be finite and positive, got nan"),
+    (0.3, -0.25, "exponent c must be finite and non-negative, got -0.25"),
+    (0.3, np.inf, "exponent c must be finite and non-negative, got inf"),  # K ** -inf would give eta = 0
+    (0.3, np.nan, "exponent c must be finite and non-negative, got nan"),
+])
+def test_stepsize_rejects_a_non_finite_base_or_a_bad_exponent(a, c, refusal):
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        make_stepsize_scheme(a, c, 16)
+
+
+@pytest.mark.parametrize("eta", [-0.1, -np.inf, np.inf, np.nan])
+def test_stepsize_scheme_rejects_a_negative_or_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="^step size must be finite and non-negative, got "):
+        StepSizeScheme(16, eta)
+
+
 @given(
     st.floats(min_value=0.01, max_value=3.0),
     st.floats(min_value=0.0, max_value=1.0),
@@ -124,6 +143,7 @@ COUNT_SITES = {
     "n_chains-bound": ("n_chains", lambda n: _chains(n, bound=True)),
     "n": ("n", lambda n: gen_blr_data(n, 2, 0)),
     "d": ("d", lambda n: gen_blr_data(5, n, 0)),
+    "seed": ("seed", lambda n: gen_blr_data(5, 2, n)),
     "batch_size": ("batch_size", lambda n: additive_noise_cov(gen_blr_data(20, 2, 0), n)),
     "n_slots": ("n_slots", InfoBuffer),
     "push-modulus": ("modulus", lambda n: InfoBuffer(1).push([0], n)),
@@ -148,3 +168,9 @@ def test_every_count_accepts_a_numpy_integer(site):
 
 def test_a_count_is_held_as_a_python_int():
     assert type(count("n_chains", np.int64(3))) is int
+
+
+def test_data_seed_must_be_non_negative():
+    # numpy's own refusal ("expected non-negative integer") named no input
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        gen_blr_data(5, 2, -1)

@@ -129,6 +129,8 @@ def test_noise_spec_validation(prior_model):
     for bad in ([[np.inf]], [[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]):
         with pytest.raises(ValueError, match="noise covariance must be finite"):
             check_noise_cov(bad)
+    with pytest.raises(ValueError, match=r"^noise matrix has shape \(2, 2\), expected \(3, 3\)$"):
+        check_noise_cov(np.eye(2), 3)
     sigma = check_noise_cov(np.diag([0.5, 2.0]), 2)
     assert np.trace(sigma) == pytest.approx(2.5)
     factor = noisy_gradient(blr_target(prior_model), sigma, generator(0))._factor
