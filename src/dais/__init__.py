@@ -46,7 +46,6 @@ from .sampler import (
     NumericalFailure,
     TransitionConfig,
     dais_bound_mc,
-    dais_chain,
     sample_chains,
 )
 from .schedules import (

@@ -19,10 +19,10 @@ import numpy as np
 from .blr import BlrModel, blr_target, exact_log_ml
 from .harness import ExperimentConfig, gen_blr_data, run_sweep, write_csv
 from .moments import sweep_gaps
-from .reversible import float_to_fixed, quantize_gamma, reversible_backward, reversible_forward
+from .reversible import chain_start, float_to_fixed, quantize_gamma, reversible_backward, reversible_forward
 from .rng import MASK64, generator
-from .sampler import NumericalFailure, TransitionConfig, chain_start, dais_bound_mc, dais_chain, sample_chains
-from .schedules import count, make_linear_schedule, make_stepsize_scheme
+from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc, sample_chains
+from .schedules import StepSizeScheme, count, make_linear_schedule, make_stepsize_scheme
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,25 +114,25 @@ def _cmd_chain(args) -> int:
     schedule = make_linear_schedule(args.K)
     model = gen_blr_data(args.n, args.d, args.seed)
     target = blr_target(model)
-    theta_K, _, bound = dais_chain(target, schedule, steps, config, generator((args.seed, args.K)))
+    theta_K, _, L = sample_chains(target, schedule, steps, config, 1, generator((args.seed, args.K)))
     # the synthetic model's prior is isotropic, so the batched engine serves the exact values
     (gap,) = sweep_gaps(model, args.gamma, [steps])
     if np.isnan(gap):
         raise NumericalFailure("exact moment propagation diverged or lost positive semi-definiteness")
     log_z = exact_log_ml(model)
     print(f"K={args.K} eta={steps.eta:.6g} gamma={args.gamma}")
-    print(f"L (single chain)      = {bound:.6f}")
+    print(f"L (single chain)      = {L[0]:.6f}")
     print(f"exact log ML          = {log_z:.6f}")
     print(f"E[L] (closed form)    = {log_z - gap:.6f}")
     print(f"expected gap          = {gap:.6f}")
-    print(f"|theta_K|             = {np.linalg.norm(theta_K):.4f}")
+    print(f"|theta_K|             = {np.linalg.norm(theta_K[0]):.4f}")
     return EXIT_OK
 
 
 def _cmd_check_reversible(args) -> int:
     config = TransitionConfig(gamma=args.gamma)
     quantize_gamma(args.gamma)  # the fixed-point chain's own damping rule, checked before the model is built
-    steps = make_stepsize_scheme(args.eta, 0.0, args.K)
+    steps = StepSizeScheme(args.K, args.eta)
     schedule = make_linear_schedule(args.K)
     model = gen_blr_data(max(4 * args.d, 64), args.d, args.seed)
     target = blr_target(model)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import MASK64, keyed_generator
-from .sampler import NumericalFailure, TransitionConfig, chain_start
+from .sampler import NumericalFailure, TransitionConfig
 from .schedules import AnnealingSchedule, StepSizeScheme, check_same_K, count, is_integer
 from .targets import AnnealedTarget
 
@@ -371,6 +371,19 @@ class ForwardResult:
     bound: float
     fixed: FixedPointState
     gamma_eff: float
+
+
+def chain_start(target: AnnealedTarget, rng, theta0=None, v0=None):
+    """One chain's start (theta_0, v_0) as float arrays of shape (dim,).
+
+    A missing theta_0 is drawn from p_0 with ``rng`` before a missing v_0.
+    """
+    theta0 = np.asarray(target.sample_p0(rng) if theta0 is None else theta0, dtype=float)
+    v0 = np.asarray(rng.standard_normal(target.dim) if v0 is None else v0, dtype=float)
+    for name, x in (("theta0", theta0), ("v0", v0)):
+        if x.shape != (target.dim,):
+            raise ValueError(f"{name} must have shape ({target.dim},), got {x.shape}")
+    return theta0, v0
 
 
 def reversible_forward(

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substreams
-from .schedules import AnnealingSchedule, StepSizeScheme, check_addressable, check_same_K, count
+from .schedules import check_addressable, check_same_K, count
 from .targets import AnnealedTarget
 
 
 class NumericalFailure(ArithmeticError):
     """Non-finite value produced by a chain; never silently clipped.
 
-    Carries the failing step index and, for multi-chain runs, the chain index.
+    Carries the failing step index and, for a sampled chain, the chain index.
     """
 
     def __init__(self, message, step=None, chain=None):
@@ -66,7 +66,7 @@ def leapfrog(theta, v, eta, beta, target: AnnealedTarget):
 
 
 def _run_chains(target, schedule, steps, config, theta, v, eps):
-    """Shared chain core over a batch: theta/v (..., d), eps (..., K, d).
+    """Chain core over a batch: theta/v (n, d), eps (n, K, d).
 
     Returns (theta_K, v_K, L) with L accumulated as
     -log p_0(theta_0) + sum_k [log pi(v_hat_k) - log pi(v_{k-1})] + log f_1(theta_K).
@@ -91,7 +91,7 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
             L = L + 0.5 * (kinetic - (v_hat * v_hat) @ ones)
             if not np.isfinite(L).all():
                 _fail(L, k)
-            v = gamma * v_hat + noise_scale * eps[..., k - 1, :]
+            v = gamma * v_hat + noise_scale * eps[:, k - 1, :]
             kinetic = (v * v) @ ones
         L = L + target.log_f(1.0, theta)
     if not np.isfinite(L).all():
@@ -101,36 +101,8 @@ def _run_chains(target, schedule, steps, config, theta, v, eps):
 
 def _fail(L, step):
     """Raise NumericalFailure naming the step and the first non-finite chain."""
-    chain = int(np.nonzero(~np.isfinite(L))[0][0]) if np.ndim(L) > 0 else None
-    where = f"at step {step}" + ("" if chain is None else f" (chain {chain})")
-    raise NumericalFailure(f"non-finite bound accumulator {where}", step=step, chain=chain)
-
-
-def chain_start(target: AnnealedTarget, rng, theta0=None, v0=None):
-    """One chain's start (theta_0, v_0) as float arrays of shape (dim,).
-
-    A missing theta_0 is drawn from p_0 with ``rng`` before a missing v_0.
-    """
-    theta0 = np.asarray(target.sample_p0(rng) if theta0 is None else theta0, dtype=float)
-    v0 = np.asarray(rng.standard_normal(target.dim) if v0 is None else v0, dtype=float)
-    for name, x in (("theta0", theta0), ("v0", v0)):
-        if x.shape != (target.dim,):
-            raise ValueError(f"{name} must have shape ({target.dim},), got {x.shape}")
-    return theta0, v0
-
-
-def dais_chain(target: AnnealedTarget, schedule: AnnealingSchedule, steps: StepSizeScheme,
-               config: TransitionConfig, rng: np.random.Generator):
-    """Run one chain; returns (theta_K, v_K, L), as `sample_chains` does.
-
-    exp(L) is a single-sample unbiased estimate of the normalizing-constant
-    ratio between the beta=1 and beta=0 densities.  ``rng`` draws, in order,
-    theta_0 and v_0 (by `chain_start`), then the (K, dim) refresh noise.
-    """
-    theta0, v0 = chain_start(target, rng)
-    eps = rng.standard_normal((schedule.K, target.dim))
-    theta, v, L = _run_chains(target, schedule, steps, config, theta0, v0, eps)
-    return theta, v, float(L)
+    chain = int(np.nonzero(~np.isfinite(L))[0][0])
+    raise NumericalFailure(f"non-finite bound accumulator at step {step} (chain {chain})", step=step, chain=chain)
 
 
 def sample_chains(target, schedule, steps, config, n_chains, rng):

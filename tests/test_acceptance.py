@@ -290,7 +290,8 @@ def test_criterion_09_reversibility():
         eps[k] = seed_noise(s, d)
     from dais.sampler import _run_chains
 
-    _, _, plain_L = _run_chains(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff), theta0, v0, eps)
+    _, _, (plain_L,) = _run_chains(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
+                                   theta0[None], v0[None], eps[None])  # a batch of one chain
     plain_ok = abs(fwd.bound - plain_L) <= 1e-8
     report(9, "bit-exact reversal, buffer budget, plain-sampler equivalence",
            exact_ok and bits_ok and plain_ok,

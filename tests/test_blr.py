@@ -226,7 +226,8 @@ def test_affine_trajectory_equivalence_any_gamma():
         theta0 = rng.standard_normal(3)
         v0 = rng.standard_normal(3)
         eps = rng.standard_normal((K, 3))
-        theta_K, v_K, _ = _run_chains(target, schedule, steps, TransitionConfig(gamma=gamma), theta0, v0, eps)
+        (theta_K,), (v_K,), _ = _run_chains(target, schedule, steps, TransitionConfig(gamma=gamma),
+                                            theta0[None], v0[None], eps[None])
         theta, v = theta0.copy(), v0.copy()
         for k in range(1, K + 1):
             A, B, C, c_vec, e_vec = update_matrices(model, schedule.betas[k], eta)

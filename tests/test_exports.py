@@ -5,7 +5,8 @@ silently break ``bench/`` or ``scripts/``.  README's list of helpers that
 only tests use and its sentence on custom targets are checked against the
 package as well, and every package module and script must use each name it
 imports and each definition it makes; each test module must use every name
-it imports.
+it imports.  A package definition that only tests use must be one of the
+named test oracles.
 """
 
 import ast
@@ -115,14 +116,14 @@ def _definitions(tree):
             yield from (name for name in methods if not (name.startswith("__") and name.endswith("__")))
 
 
-def test_every_definition_is_referenced():
-    # the dead-code companion of the import check: a definition in the package
-    # or a script (not counted itself) needs one use by name in the package,
-    # its tests, the benchmark or the scripts, as a name, an attribute or an
-    # imported name
+def _referenced(*folders):
+    """Each name, attribute and imported name in the files under ``folders``; re-exports in
+    ``__init__.py`` are not uses."""
     used = set()
-    for folder in ("src", "tests", "bench", "scripts"):
+    for folder in folders:
         for path in (ROOT / folder).rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     used.add(node.id)
@@ -130,6 +131,31 @@ def test_every_definition_is_referenced():
                     used.add(node.attr)
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     used |= {alias.name.split(".")[-1] for alias in node.names}
+    return used
+
+
+def test_every_definition_is_referenced():
+    # the dead-code companion of the import check: a definition in the package
+    # or a script (not counted itself) needs one use by name in the package,
+    # its tests, the benchmark or the scripts, as a name, an attribute or an
+    # imported name
+    used = _referenced("src", "tests", "bench", "scripts")
     dead = [f"{path.name}: {name}" for path in MODULES + SCRIPTS
             for name in _definitions(ast.parse(path.read_text(encoding="utf-8"))) if name not in used]
     assert not dead, f"defined but never referenced: {dead}"
+
+
+# package definitions that only tests call, each an independent oracle for what the program runs
+TEST_ORACLES = {
+    "blr_grad": "the annealed gradient from the raw data, against the target's sufficient-statistic gradient",
+    "expected_bound": "E[L] from Gaussian identities, against sampled bounds and the exact gap",
+    "stochastic_penalty": "the closed-form noise floor K eta^2 tr(Sigma_eps) / 2, against the noisy sweeps",
+}
+
+
+def test_test_only_definitions_are_the_named_oracles():
+    # a public function whose last caller outside the tests is deleted must go with it, or join the oracles
+    used = _referenced("src", "bench", "scripts")
+    test_only = {name for path in MODULES for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+                 if name not in used}
+    assert test_only == set(TEST_ORACLES)

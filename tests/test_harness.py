@@ -33,6 +33,7 @@ from dais import (
     noisy_gradient,
     reversible_forward,
     run_sweep,
+    sample_chains,
     tune_stepsize_base,
 )
 from dais.harness import (
@@ -848,11 +849,11 @@ def test_cli_chain_runs(capsys):
     assert cli_main(["chain", "--K", "16", "--n", "100", "--d", "2", "--seed", "4"]) == 0
     assert capsys.readouterr().out == (
         "K=16 eta=0.15 gamma=0.0\n"
-        "L (single chain)      = -147.050578\n"
+        "L (single chain)      = -146.906691\n"
         "exact log ML          = -147.173607\n"
         "E[L] (closed form)    = -147.622142\n"
         "expected gap          = 0.448535\n"
-        "|theta_K|             = 0.5786\n")
+        "|theta_K|             = 0.0744\n")
 
 
 def test_cli_chain_default_stdout_pinned(capsys):
@@ -860,11 +861,22 @@ def test_cli_chain_default_stdout_pinned(capsys):
     assert cli_main(["chain"]) == 0
     assert capsys.readouterr().out == (
         "K=64 eta=0.106066 gamma=0.0\n"
-        "L (single chain)      = -1423.481030\n"
+        "L (single chain)      = -1421.808875\n"
         "exact log ML          = -1407.018494\n"
         "E[L] (closed form)    = -1423.347198\n"
         "expected gap          = 16.328704\n"
-        "|theta_K|             = 1.4066\n")
+        "|theta_K|             = 1.5709\n")
+
+
+def test_cli_chain_reports_chain_0_of_a_one_chain_batch(capsys):
+    # the sampled lines are row 0 of sample_chains on the generator keyed by (seed, K)
+    assert cli_main(["chain", "--K", "16", "--n", "100", "--d", "2", "--seed", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    model = gen_blr_data(100, 2, 4)
+    theta_K, _, L = sample_chains(blr_target(model), make_linear_schedule(16), make_stepsize_scheme(0.3, 0.25, 16),
+                                  TransitionConfig(), 1, generator((4, 16)))
+    assert lines[1] == f"L (single chain)      = {L[0]:.6f}"
+    assert lines[5] == f"|theta_K|             = {np.linalg.norm(theta_K[0]):.4f}"
 
 
 def test_cli_chain_peak_memory(capsys):
@@ -917,6 +929,12 @@ def test_cli_check_reversible_default_stdout_pinned(capsys):
         "effective gamma = 0.89999390\n")
 
 
+def test_cli_check_reversible_zero_step_runs(capsys):
+    # eta = 0 is a valid step size: the damping alone moves the state, and the round trip is still exact
+    assert cli_main(["check-reversible", "--eta", "0", "--K", "50"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "bit-exact: true"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["check-reversible", "--gamma", "0"], 2),
     (["check-reversible", "--gamma", "1.5"], 2),
@@ -965,14 +983,14 @@ def test_cli_malformed_arguments_exit_codes(argv, code, capsys):
     (["check-reversible", "--gamma", "1e-6", "--d", "20000"],
      "gamma must lie in [2^-16, 1] for rational damping, got 1e-06"),
     (["check-reversible", "--gamma", "1.5"], "gamma must lie in [0, 1], got 1.5"),
-    (["check-reversible", "--eta", "0"], "base step size a must be finite and positive, got 0.0"),
+    (["check-reversible", "--eta", "-0.1"], "step size must be finite and non-negative, got -0.1"),
     (["check-reversible", "--K", "0"], "K must be >= 1, got 0"),
     (["chain", "--gamma", "nan"], "gamma must lie in [0, 1], got nan"),
     (["chain", "--a", "-1"], "base step size a must be finite and positive, got -1.0"),
     (["chain", "--c", "inf"], "exponent c must be finite and non-negative, got inf"),
     (["chain", "--K", "0"], "K must be >= 1, got 0"),
     (["oracles", "--chains", "1"], "chains must be >= 2, got 1"),
-], ids=["rev-gamma-tiny-d-20000", "rev-gamma-1.5", "rev-eta-0", "rev-K-0", "chain-gamma-nan", "chain-a-neg",
+], ids=["rev-gamma-tiny-d-20000", "rev-gamma-1.5", "rev-eta-neg", "rev-K-0", "chain-gamma-nan", "chain-a-neg",
         "chain-c-inf", "chain-K-0", "oracles-chains-1"])
 def test_cli_refuses_an_argument_before_it_builds_the_model(argv, refusal, capsys, monkeypatch):
     # check-reversible at d = 20000 would build an 80000 x 20000 design matrix

@@ -304,8 +304,8 @@ def test_float_mode_matches_plain_chain():
     eps, s = _seed_noise_stream(s0, 100, 10)
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     assert fwd.gamma_eff != config.gamma
-    theta_K, v_K, plain_L = _run_chains(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
-                                        theta0, v0, eps)
+    (theta_K,), (v_K,), (plain_L,) = _run_chains(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),
+                                                 theta0[None], v0[None], eps[None])
     assert abs(fwd.bound - plain_L) <= 1e-8
     theta, v = fixed_to_float(fwd.fixed.theta), fixed_to_float(fwd.fixed.v)
     assert np.max(np.abs(theta - theta_K)) <= 1e-8
@@ -323,7 +323,7 @@ def test_fixedpoint_bound_close_to_float_bound():
     v0 = g.standard_normal(3)
     eps, _ = _seed_noise_stream(s0, 40, 3)
     f_fixed = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
-    _, _, float_L = _run_chains(target, schedule, steps, config, theta0, v0, eps)
+    _, _, (float_L,) = _run_chains(target, schedule, steps, config, theta0[None], v0[None], eps[None])
     assert f_fixed.bound == pytest.approx(float_L, rel=1e-3, abs=1e-3)
 
 

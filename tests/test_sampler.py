@@ -1,5 +1,4 @@
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from dais import (
     annealed_posterior,
     blr_target,
     dais_bound_mc,
-    dais_chain,
     exact_log_ml,
     gen_blr_data,
     generator,
@@ -26,7 +24,7 @@ from dais import (
 
 from dais.blr import additive_noise_cov
 from dais.cli import main as cli_main
-from dais.sampler import _draw_inputs, _run_chains, chain_start, leapfrog
+from dais.sampler import _draw_inputs, _run_chains, leapfrog
 
 from conftest import random_model
 
@@ -152,17 +150,16 @@ def test_refresh_preserves_momentum_law():
         assert np.all(np.abs(v.mean(axis=0)) < 4 * np.sqrt(1.0 / n))
 
 
-# -------------------------------------------------------------- dais_chain
+# --------------------------------------------------------------- one chain
 
 def test_chain_zero_step_collapses_to_elbo_sample(toy_model):
     # K=1, eta=0, gamma=0: kinetic terms cancel, L = log f_1(theta_0) - log p_0(theta_0)
     target = blr_target(toy_model)
     schedule = make_linear_schedule(1)
     steps = StepSizeScheme(1, 0.0)
-    rng = generator(9)
-    theta_K, _, bound = dais_chain(target, schedule, steps, CFG, rng)
-    expected = float(target.log_f(1.0, theta_K) - target.log_p0(theta_K))
-    assert bound == pytest.approx(expected, abs=1e-12)
+    theta_K, _, L = sample_chains(target, schedule, steps, CFG, 1, generator(9))
+    expected = target.log_f(1.0, theta_K) - target.log_p0(theta_K)
+    assert L[0] == pytest.approx(expected[0], abs=1e-12)
 
 
 def test_chain_prior_equals_posterior_mean_zero():
@@ -186,28 +183,14 @@ def test_chain_unbiased_on_toy(toy_model):
     assert abs(w.mean() - 1.0) <= 3 * se
 
 
-def test_chain_with_injected_noise_reproducible(toy_model):
-    # the rng alone fixes a chain: it draws theta_0 and v_0 (chain_start), then the (K, d) refresh noise
-    target = blr_target(toy_model)
-    schedule = make_linear_schedule(4)
-    steps = StepSizeScheme(4, 0.15)
-    theta1, v1, L1 = dais_chain(target, schedule, steps, CFG, generator(5))
-    theta2, v2, L2 = dais_chain(target, schedule, steps, CFG, generator(5))
-    assert L1 == L2
-    assert np.array_equal(theta1, theta2) and np.array_equal(v1, v2)
-    rng = generator(5)
-    theta0, v0 = chain_start(target, rng)
-    theta3, v3, L3 = _run_chains(target, schedule, steps, CFG, theta0, v0, rng.standard_normal((4, 1)))
-    assert (L3, theta3.tolist(), v3.tolist()) == (L1, theta1.tolist(), v1.tolist())
-
-
 def test_chain_divergence_raises_with_step(toy_model):
     target = blr_target(toy_model)
     schedule = make_linear_schedule(50)
     steps = StepSizeScheme(50, 50.0)  # far beyond the stability limit
     with pytest.raises(NumericalFailure) as err:
-        dais_chain(target, schedule, steps, CFG, generator(0))
+        sample_chains(target, schedule, steps, CFG, 1, generator(0))
     assert err.value.step is not None
+    assert err.value.chain == 0
 
 
 def test_chain_requires_rng_or_full_noise(toy_model):
@@ -215,15 +198,7 @@ def test_chain_requires_rng_or_full_noise(toy_model):
     schedule = make_linear_schedule(2)
     # the schedule and the step sizes must be for one chain length
     with pytest.raises(ValueError, match="step scheme has K=3, schedule has K=2"):
-        dais_chain(target, schedule, StepSizeScheme(3, 0.1), CFG, generator(0))
-
-
-@pytest.mark.parametrize("name, shape", [("theta0", (1,)), ("theta0", (5,)), ("theta0", (2, 4)), ("v0", (1,))])
-def test_chain_start_shape_checked(name, shape):
-    # a start of any shape but (d,) is rejected by name, not broadcast or left to numpy
-    target = blr_target(gen_blr_data(40, 4, 2))
-    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape (4,), got {shape}")):
-        chain_start(target, generator(0), **{name: np.ones(shape)})
+        sample_chains(target, schedule, StepSizeScheme(3, 0.1), CFG, 1, generator(0))
 
 
 # ------------------------------------------------------- batched chain core
@@ -323,9 +298,6 @@ def test_non_finite_final_weight_fails_at_step_K(toy_model):
     with pytest.raises(NumericalFailure, match=r"^non-finite bound accumulator at step 6 \(chain 0\)$") as err:
         sample_chains(target, schedule, steps, CFG, 3, generator(1))
     assert (err.value.step, err.value.chain) == (6, 0)
-    with pytest.raises(NumericalFailure, match=r"^non-finite bound accumulator at step 6$") as err:
-        dais_chain(target, schedule, steps, CFG, generator(1))
-    assert (err.value.step, err.value.chain) == (6, None)
 
 
 def test_cli_chain_divergence_names_step(capsys):
@@ -406,7 +378,7 @@ def test_config_validation():
 # ------------------------------------------------------------------ digest
 
 # sha256 of the outputs below; any change to the sampler's draws or arithmetic moves it
-SAMPLER_PINNED_DIGEST = "4abbd8ea81c848e5f90e0429df358beb188a4cc4dd0e77e3eb8f8db02bd31322"
+SAMPLER_PINNED_DIGEST = "82db9f73337dc0b1bbec5c8678aa46057974add7ed116eac1fb30a22bbf983bb"
 
 
 def test_sampler_outputs_pinned_digest():
@@ -420,7 +392,6 @@ def test_sampler_outputs_pinned_digest():
     model = gen_blr_data(200, d, 13)
     clean = blr_target(model)
     schedule, steps = make_linear_schedule(K), make_stepsize_scheme(0.3, 0.25, K)
-    put(*dais_chain(clean, schedule, steps, TransitionConfig(gamma=0.9), generator(3)))
     put(*sample_chains(clean, schedule, steps, TransitionConfig(gamma=0.9), n, generator(5)))
     noisy = noisy_gradient(clean, additive_noise_cov(model, 50), generator(7))
     put(*sample_chains(noisy, schedule, steps, TransitionConfig(gamma=0.0), n, generator(11)))
