@@ -19,7 +19,7 @@ import numpy as np
 from .blr import BlrModel, blr_target, exact_log_ml
 from .harness import ExperimentConfig, gen_blr_data, run_sweep, write_csv
 from .moments import sweep_gaps
-from .reversible import chain_start, float_to_fixed, quantize_gamma, reversible_backward, reversible_forward
+from .reversible import float_to_fixed, quantize_gamma, reversible_backward, reversible_forward
 from .rng import MASK64, generator
 from .sampler import NumericalFailure, TransitionConfig, dais_bound_mc, sample_chains
 from .schedules import StepSizeScheme, count, make_linear_schedule, make_stepsize_scheme
@@ -138,7 +138,8 @@ def _cmd_check_reversible(args) -> int:
     target = blr_target(model)
     s0 = (args.seed * 2654435761 + 12345) & MASK64
 
-    theta0, v0 = chain_start(target, generator((args.seed, 1)))
+    g = generator((args.seed, 1))
+    theta0, v0 = target.sample_p0(g), g.standard_normal(args.d)
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     bits = fwd.buffer.bit_size()
     nbytes = len(fwd.buffer.to_bytes())

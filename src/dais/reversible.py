@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import MASK64, keyed_generator
+from .rng import MASK64
 from .sampler import NumericalFailure, TransitionConfig
 from .schedules import AnnealingSchedule, StepSizeScheme, check_same_K, count, is_integer
 from .targets import AnnealedTarget
@@ -373,38 +373,27 @@ class ForwardResult:
     gamma_eff: float
 
 
-def chain_start(target: AnnealedTarget, rng, theta0=None, v0=None):
-    """One chain's start (theta_0, v_0) as float arrays of shape (dim,).
-
-    A missing theta_0 is drawn from p_0 with ``rng`` before a missing v_0.
-    """
-    theta0 = np.asarray(target.sample_p0(rng) if theta0 is None else theta0, dtype=float)
-    v0 = np.asarray(rng.standard_normal(target.dim) if v0 is None else v0, dtype=float)
-    for name, x in (("theta0", theta0), ("v0", v0)):
-        if x.shape != (target.dim,):
-            raise ValueError(f"{name} must have shape ({target.dim},), got {x.shape}")
-    return theta0, v0
-
-
 def reversible_forward(
     target: AnnealedTarget,
     schedule: AnnealingSchedule,
     steps: StepSizeScheme,
     config: TransitionConfig,
     s0: int,
-    theta0=None,
-    v0=None,
+    theta0,
+    v0,
 ) -> ForwardResult:
     """Forward chain keeping O(d) fixed-point state plus the lost-bits buffer.
 
     The per-step refresh noise is drawn from the evolved seed, never stored
     beyond the current block of ``BLOCK_STEPS`` steps.  The chain is the
     plain sampler's chain at ``gamma_eff`` (config.gamma quantized down to
-    n / 2^16) up to fixed-point rounding.  A ``theta0`` or ``v0`` left out is
-    drawn by `chain_start` from a generator keyed by ``s0``.
+    n / 2^16) up to fixed-point rounding.  The start ``theta0``, ``v0``
+    must have shape ``(dim,)``.
     """
     chain = _FixedPointChain(target, schedule, steps, config)
-    theta0, v0 = chain_start(target, keyed_generator(s0), theta0, v0)
+    for name, x in (("theta0", theta0), ("v0", v0)):
+        if np.shape(x) != (chain.dim,):
+            raise ValueError(f"{name} must have shape ({chain.dim},), got {np.shape(x)}")
     s = int(s0) & MASK64
     buffer = InfoBuffer(chain.dim)
     th = float_to_fixed(theta0)

@@ -45,6 +45,12 @@ def seed_noise(s, dim):
     return keyed_generator(s).standard_normal(dim)
 
 
+def keyed_start(target, s):
+    """A reversible chain's start (theta_0, v_0) from a stream keyed by ``s``: theta_0 from p_0, then v_0."""
+    g = keyed_generator(s)
+    return target.sample_p0(g), g.standard_normal(target.dim)
+
+
 def dense_gap(model, gamma, steps, noise=None):
     """Oracle: the dense 2d x 2d moment recursion and the closed-form gap."""
     schedule = make_linear_schedule(steps.K)

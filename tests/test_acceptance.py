@@ -39,10 +39,9 @@ from dais.blr import additive_noise_cov
 from dais.harness import ResultRow
 from dais.moments import expected_bound
 from dais.reversible import forward_seed
-from dais.rng import keyed_generator
 from dais.sampler import leapfrog
 
-from conftest import random_model, seed_noise
+from conftest import keyed_start, random_model, seed_noise
 
 SEED = 7
 K_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -264,15 +263,13 @@ def test_criterion_09_reversibility():
     config = TransitionConfig(gamma=gamma)
     s0 = 424242
 
-    fwd = reversible_forward(target, schedule, steps, config, s0)
+    theta0, v0 = keyed_start(target, s0)
+    fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     bits = fwd.buffer.bit_size()
     low = np.log2(1 / gamma) * d * K
     high = (np.log2(1 / gamma) + 1) * d * K
     bits_ok = low <= bits <= high
 
-    g = keyed_generator(s0)
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(d)
     th, vv, s_back = reversible_backward(target, schedule, steps, config,
                                          fwd.fixed, None, fwd.seed, fwd.buffer)
     exact_ok = (

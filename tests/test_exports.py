@@ -4,9 +4,9 @@ The files are parsed, not run, so trimming the package's exports cannot
 silently break ``bench/`` or ``scripts/``.  README's list of helpers that
 only tests use and its sentence on custom targets are checked against the
 package as well, and every package module and script must use each name it
-imports and each definition it makes; each test module must use every name
-it imports.  A package definition that only tests use must be one of the
-named test oracles.
+imports and each definition it makes; each test module and benchmark file
+must use every name it imports.  A package definition that only tests use
+must be one of the named test oracles.
 """
 
 import ast
@@ -18,9 +18,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parent.parent
-CONSUMERS = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 MODULES = sorted(path for path in (ROOT / "src" / "dais").glob("*.py") if path.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+CONSUMERS = BENCH + SCRIPTS
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -92,7 +93,7 @@ def test_readme_custom_target_sentence_matches_the_interface():
         assert callable(getattr(dais, name, None)), f"README calls {name}, which dais does not export"
 
 
-@pytest.mark.parametrize("path", MODULES + SCRIPTS + TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS + TESTS + BENCH, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     # the repository has no linter; this parse catches an import whose last use was removed
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -149,6 +150,7 @@ def test_every_definition_is_referenced():
 TEST_ORACLES = {
     "blr_grad": "the annealed gradient from the raw data, against the target's sufficient-statistic gradient",
     "expected_bound": "E[L] from Gaussian identities, against sampled bounds and the exact gap",
+    "keyed_generator": "a freshly keyed stream per seed, against the reversible chain's re-keyed `seed_noise` draws",
     "stochastic_penalty": "the closed-form noise floor K eta^2 tr(Sigma_eps) / 2, against the noisy sweeps",
 }
 

@@ -414,12 +414,19 @@ def test_failed_mc_cell_keeps_its_time():
     assert row.elapsed_ms > 0
 
 
-@pytest.mark.parametrize("noise", [dict(), dict(batch_size=10, gamma=0.5)], ids=["clean", "batch_noise"])
-def test_mc_sweep_matches_direct_cells(noise):
+@pytest.mark.parametrize("noise, d, mc_chains, K_grid", [
+    (dict(), 3, 20, (8, 16, 32)),
+    (dict(batch_size=10, gamma=0.5), 3, 20, (8, 16, 32)),
+    (dict(), 10, 21, (64, 256)),
+], ids=["clean", "batch_noise", "clean_d10"])
+def test_mc_sweep_matches_direct_cells(noise, d, mc_chains, K_grid):
     # oracle: each sampled row is one dais_bound_mc call on the cell's own
-    # substream; a noisy cell draws its gradient noise from that substream + (1,)
-    cfg = ExperimentConfig(n=150, d=3, seed=13, K_grid=(8, 16, 32), c_list=(0.25, 0.5), a=0.3,
-                           mode="mc", mc_chains=20, **noise)
+    # substream; a noisy cell draws its gradient noise from that substream + (1,).
+    # At d = 10 and a chain count that is not a multiple of 4, the kinetic
+    # term's last bits depend on where a row sits in the batch, and by K = 256
+    # that reaches the gaps: only this case sees a sweep that stacks its cells.
+    cfg = ExperimentConfig(n=150, d=d, seed=13, K_grid=K_grid, c_list=(0.25, 0.5), a=0.3,
+                           mode="mc", mc_chains=mc_chains, **noise)
     rows = run_sweep(cfg)
     assert [(row.c, row.K) for row in rows] == [(c, K) for c in cfg.c_list for K in cfg.K_grid]
     model = gen_blr_data(cfg.n, cfg.d, cfg.seed)
@@ -716,6 +723,7 @@ import hashlib
 from dais import (StepSizeScheme, TransitionConfig, additive_noise_cov, blr_target, dais_bound_mc, gen_blr_data,
                   generator, make_linear_schedule, make_stepsize_scheme, noisy_gradient, reversible_forward,
                   sample_chains, sweep_gaps, tune_stepsize_base)
+from dais.rng import keyed_generator
 h = hashlib.sha256()
 model = gen_blr_data(1000, 10, 7)
 target, noise = blr_target(model), additive_noise_cov(model, 100)
@@ -732,7 +740,9 @@ for gamma, cov in ((0.0, None), (0.9, None), (0.0, noise)):
     h.update(repr((a, sweep_gaps(model, gamma, cells, noise=cov).tolist())).encode())
 h.update(gen_blr_data(10000, 10, 7).Lambda_lld.tobytes())
 K = 300
-fwd = reversible_forward(target, make_linear_schedule(K), StepSizeScheme(K, 0.1), TransitionConfig(gamma=0.9), 12345)
+g = keyed_generator(12345)
+fwd = reversible_forward(target, make_linear_schedule(K), StepSizeScheme(K, 0.1), TransitionConfig(gamma=0.9), 12345,
+                         target.sample_p0(g), g.standard_normal(10))
 h.update(fwd.buffer.to_bytes())
 print(h.hexdigest())
 """

@@ -29,7 +29,7 @@ from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointC
 from dais.rng import keyed_generator
 from dais.sampler import _run_chains
 
-from conftest import seed_noise
+from conftest import keyed_start, seed_noise
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):
@@ -147,10 +147,8 @@ def test_quantize_gamma_rounds_down():
 def test_fixedpoint_round_trip_exact(gamma):
     target, schedule, steps, config = _setup(d=3, K=60, gamma=gamma)
     s0 = 31337
-    fwd = reversible_forward(target, schedule, steps, config, s0)
-    g = keyed_generator(s0)
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(3)
+    theta0, v0 = keyed_start(target, s0)
+    fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     th, vv, s_back = reversible_backward(
         target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )
@@ -173,9 +171,7 @@ def test_round_trip_property(d, K, gamma, eta, s0):
     target = blr_target(gen_blr_data(20, d, 0))
     schedule, steps = make_linear_schedule(K), StepSizeScheme(K, eta)
     config = TransitionConfig(gamma=gamma)
-    g = keyed_generator(s0)
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(d)
+    theta0, v0 = keyed_start(target, s0)
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     restored = InfoBuffer.from_bytes(fwd.buffer.to_bytes())
     th, vv, s_back = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
@@ -186,39 +182,24 @@ def test_round_trip_property(d, K, gamma, eta, s0):
     assert restored.is_empty()
 
 
-def test_forward_draws_only_the_missing_start():
-    # a start given without its partner is kept; the missing one comes from s0
-    target, schedule, steps, config = _setup(d=3, K=40)
-    theta0, v0 = np.array([5.0, 5.0, 5.0]), np.array([0.5, -1.0, 2.0])
-    for given, start in (({"theta0": theta0}, (theta0, keyed_generator(21).standard_normal(3))),
-                         ({"v0": v0}, (target.sample_p0(keyed_generator(21)), v0))):
-        fwd = reversible_forward(target, schedule, steps, config, 21, **given)
-        th, vv, s = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
-                                        fwd.seed, fwd.buffer)
-        assert th.tolist() == float_to_fixed(start[0]).tolist()
-        assert vv.tolist() == float_to_fixed(start[1]).tolist()
-        assert s == 21
-
-
 @pytest.mark.parametrize("name, shape", [("theta0", (1,)), ("theta0", (5,)), ("theta0", (2, 4)), ("v0", (1,))])
 def test_forward_start_shape_checked(name, shape):
     # a start of any shape but (d,) is rejected by name, not broadcast or left to numpy
     target, schedule, steps, config = _setup(d=4, K=5)
+    start = {"theta0": np.ones(4), "v0": np.ones(4), name: np.ones(shape)}
     with pytest.raises(ValueError, match=re.escape(f"{name} must have shape (4,), got {shape}")):
-        reversible_forward(target, schedule, steps, config, 1, **{name: np.ones(shape)})
+        reversible_forward(target, schedule, steps, config, 1, **start)
 
 
 def test_backward_accepts_raw_integer_arrays():
     # the integer state can be passed without the FixedPointState wrapper
     target, schedule, steps, config = _setup(d=3, K=30, gamma=0.8)
-    fwd = reversible_forward(target, schedule, steps, config, 55)
+    theta0, v0 = keyed_start(target, 55)
+    fwd = reversible_forward(target, schedule, steps, config, 55, theta0, v0)
     th, vv, s = reversible_backward(
         target, schedule, steps, config, fwd.fixed.theta, fwd.fixed.v,
         fwd.seed, fwd.buffer,
     )
-    g = keyed_generator(55)
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(3)
     assert all(int(a) == int(b) for a, b in zip(th, float_to_fixed(theta0)))
     assert all(int(a) == int(b) for a, b in zip(vv, float_to_fixed(v0)))
     assert s == 55
@@ -227,13 +208,11 @@ def test_backward_accepts_raw_integer_arrays():
 def test_round_trip_varying_k():
     target, schedule, steps, _ = _setup(d=2, K=25, eta=0.1)
     config = TransitionConfig(gamma=0.75)
-    fwd = reversible_forward(target, schedule, steps, config, 99)
+    theta0, v0 = keyed_start(target, 99)
+    fwd = reversible_forward(target, schedule, steps, config, 99, theta0, v0)
     th, vv, s_back = reversible_backward(
         target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
     )
-    g = keyed_generator(99)
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(2)
     assert all(int(a) == int(b) for a, b in zip(th, float_to_fixed(theta0)))
     assert all(int(a) == int(b) for a, b in zip(vv, float_to_fixed(v0)))
     assert s_back == 99
@@ -242,8 +221,7 @@ def test_round_trip_varying_k():
 def test_zero_step_round_trip_exact():
     # a zero step's kicks are exact zeros: the damping alone moves the state, across a block edge
     target, schedule, steps, config = _setup(d=3, K=BLOCK_STEPS + 5, eta=0.0, gamma=0.9)
-    g = keyed_generator(8)
-    theta0, v0 = target.sample_p0(g), g.standard_normal(3)
+    theta0, v0 = keyed_start(target, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fwd = reversible_forward(target, schedule, steps, config, 8, theta0=theta0, v0=v0)
@@ -258,7 +236,7 @@ def test_zero_step_round_trip_exact():
 def test_gamma_one_buffer_stays_empty():
     target, schedule, steps, _ = _setup(K=30)
     config = TransitionConfig(gamma=1.0)
-    fwd = reversible_forward(target, schedule, steps, config, 5)
+    fwd = reversible_forward(target, schedule, steps, config, 5, *keyed_start(target, 5))
     assert fwd.buffer.is_empty()
     th, vv, s_back = reversible_backward(
         target, schedule, steps, config, fwd.fixed, None, fwd.seed, fwd.buffer
@@ -298,9 +276,7 @@ def test_float_mode_matches_plain_chain():
     # (2^-48 per sub-step)
     target, schedule, steps, config = _setup(d=10, n=100, K=100, eta=0.1, gamma=0.9)
     s0 = 777
-    g = keyed_generator(s0)
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(10)
+    theta0, v0 = keyed_start(target, s0)
     eps, s = _seed_noise_stream(s0, 100, 10)
     fwd = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     assert fwd.gamma_eff != config.gamma
@@ -318,9 +294,7 @@ def test_fixedpoint_bound_close_to_float_bound():
     # noise only, since gamma_eff differs from gamma by < 2^-16
     target, schedule, steps, config = _setup(d=3, K=40)
     s0 = 11
-    g = keyed_generator(s0)
-    theta0 = target.sample_p0(g)
-    v0 = g.standard_normal(3)
+    theta0, v0 = keyed_start(target, s0)
     eps, _ = _seed_noise_stream(s0, 40, 3)
     f_fixed = reversible_forward(target, schedule, steps, config, s0, theta0=theta0, v0=v0)
     _, _, (float_L,) = _run_chains(target, schedule, steps, config, theta0[None], v0[None], eps[None])
@@ -340,7 +314,7 @@ def test_outputs_pinned_to_parent_digest():
             h.update(repr(item).encode())
 
     for seed in (7, 11):
-        # (d, K, gamma, start drawn from the seed)
+        # (d, K, gamma, start drawn from a stream keyed by the start seed)
         cases = [(4, 120, g, False) for g in (0.5, 0.9, 0.99, 1.0)]
         cases += [(3, 80, 0.75, False), (5, 60, 0.9, True)]
         for d, K, gamma, seed_start in cases:
@@ -349,10 +323,8 @@ def test_outputs_pinned_to_parent_digest():
             config = TransitionConfig(gamma=gamma)
             g = generator((seed, d, K))
             s0 = int(g.integers(0, 2**63))
-            start = {} if seed_start else {
-                "theta0": target.sample_p0(g),
-                "v0": g.standard_normal(d)}
-            fwd = reversible_forward(target, schedule, steps, config, s0, **start)
+            start = keyed_start(target, s0) if seed_start else (target.sample_p0(g), g.standard_normal(d))
+            fwd = reversible_forward(target, schedule, steps, config, s0, *start)
             blob = fwd.buffer.to_bytes()
             theta, v = fixed_to_float(fwd.fixed.theta), fixed_to_float(fwd.fixed.v)
             put(repr(fwd.bound), blob, [int(x) for x in fwd.fixed.theta],
@@ -610,7 +582,7 @@ def test_forward_overflow_raises_with_step():
 
 def test_backward_rejects_out_of_range_integer_state():
     target, schedule, steps, config = _setup(d=3, K=10)
-    fwd = reversible_forward(target, schedule, steps, config, 5)
+    fwd = reversible_forward(target, schedule, steps, config, 5, *keyed_start(target, 5))
     for bad in (2**62, -2**62, 2**70):
         theta = [int(x) for x in fwd.fixed.theta]
         theta[1] = bad
@@ -624,7 +596,7 @@ def test_backward_undamp_overflow_raises():
     # an in-range momentum that undamping at gamma = 2^-16 would scale past 2^62
     target, schedule, steps, _ = _setup(d=2, K=3)
     config = TransitionConfig(gamma=2.0**-16)
-    fwd = reversible_forward(target, schedule, steps, config, 9)
+    fwd = reversible_forward(target, schedule, steps, config, 9, *keyed_start(target, 9))
     with pytest.raises(NumericalFailure, match="undoing the damping") as info:
         reversible_backward(target, schedule, steps, config, fwd.fixed.theta,
                             np.array([2**61, 0]), fwd.seed, fwd.buffer)
@@ -636,7 +608,7 @@ def test_retry_after_a_failed_backward_pass_is_refused_before_any_pop():
     # step 3's pop has happened, so a retry finds the buffer one damping short and touches nothing
     target, schedule, steps, _ = _setup(d=2, K=3)
     config = TransitionConfig(gamma=2.0**-16)
-    fwd = reversible_forward(target, schedule, steps, config, 9)
+    fwd = reversible_forward(target, schedule, steps, config, 9, *keyed_start(target, 9))
     with pytest.raises(NumericalFailure, match="undoing the damping") as info:
         reversible_backward(target, schedule, steps, config, fwd.fixed.theta,
                             fwd.fixed.v + np.array([2**40, 0]), fwd.seed, fwd.buffer)
@@ -657,7 +629,7 @@ def test_cli_overflow_is_one_line_exit_3(capsys):
 
 def test_backward_rejects_float_state():
     target, schedule, steps, config = _setup(d=3, K=10)
-    fwd = reversible_forward(target, schedule, steps, config, 5)
+    fwd = reversible_forward(target, schedule, steps, config, 5, *keyed_start(target, 5))
     theta, v = fixed_to_float(fwd.fixed.theta), fixed_to_float(fwd.fixed.v)
     with pytest.raises(ValueError, match="integer state"):
         reversible_backward(target, schedule, steps, config, theta, v, fwd.seed, fwd.buffer)
@@ -806,7 +778,7 @@ def test_damping_shift_and_mask_match_floor_divmod():
 def test_buffer_bit_accounting_window():
     d, K, gamma = 10, 1000, 0.9
     target, schedule, steps, config = _setup(d=d, n=100, K=K, eta=0.1, gamma=gamma)
-    fwd = reversible_forward(target, schedule, steps, config, 3)
+    fwd = reversible_forward(target, schedule, steps, config, 3, *keyed_start(target, 3))
     bits = fwd.buffer.bit_size()
     low = np.log2(1 / gamma) * d * K
     assert low <= bits <= (np.log2(1 / gamma) + 1) * d * K
@@ -814,15 +786,14 @@ def test_buffer_bit_accounting_window():
 
 def test_buffer_serialization_round_trip():
     target, schedule, steps, config = _setup(d=3, K=20)
-    fwd = reversible_forward(target, schedule, steps, config, 17)
+    theta0, v0 = keyed_start(target, 17)
+    fwd = reversible_forward(target, schedule, steps, config, 17, theta0, v0)
     blob = fwd.buffer.to_bytes()
     assert blob.startswith(b"DAISREV1")
     restored = InfoBuffer.from_bytes(blob)
     th1, v1, s1 = reversible_backward(
         target, schedule, steps, config, fwd.fixed, None, fwd.seed, restored
     )
-    g = keyed_generator(17)
-    theta0 = target.sample_p0(g)
     assert all(int(a) == int(b) for a, b in zip(th1, float_to_fixed(theta0)))
     assert restored.is_empty()
 
@@ -880,7 +851,7 @@ def test_buffer_page_count_past_the_blob_rejected_before_allocating():
 
 def test_buffer_underflow_detected():
     target, schedule, steps, config = _setup(d=2, K=5)
-    fwd = reversible_forward(target, schedule, steps, config, 23)
+    fwd = reversible_forward(target, schedule, steps, config, 23, *keyed_start(target, 23))
     reversible_backward(target, schedule, steps, config, fwd.fixed, None, fwd.seed,
                         fwd.buffer)
     # draining a second time pops past the recorded depth
@@ -892,7 +863,7 @@ def test_buffer_underflow_detected():
 def _forward_chain(d, K):
     """The chain spec of a (d, K) chain at gamma = 0.9, eta = 0.1, and its forward run from seed 31."""
     chain = _setup(d=d, K=K, eta=0.1, gamma=0.9)
-    return chain, reversible_forward(*chain, 31)
+    return chain, reversible_forward(*chain, 31, *keyed_start(chain[0], 31))
 
 
 @pytest.mark.parametrize("chain_dK, buffer_dK", [((4, 20), (6, 20)), ((6, 20), (4, 20)),
@@ -910,9 +881,9 @@ def test_backward_rejects_a_buffer_from_another_chain(chain_dK, buffer_dK):
     assert buffer.to_bytes() == blob
     # the buffer still reverses its own chain
     th, vv, s = reversible_backward(*own_chain, own.fixed, None, own.seed, buffer)
-    g = keyed_generator(31)
-    assert th.tolist() == float_to_fixed(own_chain[0].sample_p0(g)).tolist()
-    assert vv.tolist() == float_to_fixed(g.standard_normal(n_slots)).tolist()
+    theta0, v0 = keyed_start(own_chain[0], 31)
+    assert th.tolist() == float_to_fixed(theta0).tolist()
+    assert vv.tolist() == float_to_fixed(v0).tolist()
     assert s == 31 and buffer.is_empty()
 
 
@@ -920,13 +891,13 @@ def test_fixedpoint_gamma_zero_rejected():
     target, schedule, steps, _ = _setup()
     config = TransitionConfig(gamma=0.0)
     with pytest.raises(ValueError):
-        reversible_forward(target, schedule, steps, config, 1)
+        reversible_forward(target, schedule, steps, config, 1, np.zeros(4), np.zeros(4))
 
 
 def test_seed_masking():
     target, schedule, steps, config = _setup(d=2, K=3)
     big = (1 << 70) + 5
-    fwd = reversible_forward(target, schedule, steps, config, big)
+    fwd = reversible_forward(target, schedule, steps, config, big, *keyed_start(target, big))
     assert fwd.seed <= MASK64
     _, _, s_back = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
                                        fwd.seed, fwd.buffer)
