@@ -29,7 +29,6 @@ from .harness import (
 from .moments import (
     gap_breakdown,
     propagate_moments,
-    stochastic_penalty,
     sweep_gaps,
     theory_slope,
 )

@@ -14,7 +14,6 @@ from scipy import integrate
 from dais import (
     StepSizeScheme,
     TransitionConfig,
-    annealed_posterior,
     blr_target,
     dais_bound_mc,
     exact_log_ml,
@@ -29,7 +28,6 @@ from dais import (
     reversible_backward,
     reversible_forward,
     sample_chains,
-    stochastic_penalty,
     sweep_gaps,
     theory_slope,
     tune_stepsize_base,
@@ -37,11 +35,10 @@ from dais import (
 )
 from dais.blr import additive_noise_cov
 from dais.harness import ResultRow
-from dais.moments import expected_bound
-from dais.reversible import forward_seed
+from dais.moments import expected_bound, stochastic_penalty
 from dais.sampler import leapfrog
 
-from conftest import keyed_start, random_model, seed_noise
+from conftest import _seed_noise_stream, closed_recursions, keyed_start, random_model
 
 SEED = 7
 K_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -213,25 +210,13 @@ def test_criterion_08_moment_recursions():
     K, eta = 128, 0.15
     schedule = make_linear_schedule(K)
     moments = propagate_moments(model, schedule, StepSizeScheme(K, eta), 0.0)
-    eye = np.eye(3)
-    mu = model.mu_p.copy()
-    Sigma = np.linalg.inv(model.Lambda_p)
-    worst = 0.0
-    for k in range(1, K + 1):
-        ann = annealed_posterior(model, schedule.betas[k])
-        L, S = ann.Lambda, np.linalg.inv(ann.Lambda)
-        A = eye - 0.5 * eta**2 * L
-        mu_v = eta * L @ (ann.mu - mu)
-        Sigma_v = A @ A + eta**2 * L @ Sigma @ L
-        mu = A @ mu + 0.5 * eta**2 * L @ ann.mu
-        Sigma = A @ (Sigma - S) @ A + S - 0.25 * eta**4 * L + eta**6 / 16 * L @ L
-        worst = max(
-            worst,
-            float(np.max(np.abs(moments[k].mu_theta - mu))),
-            float(np.max(np.abs(moments[k].Sigma_theta - Sigma))),
-            float(np.max(np.abs(moments[k].mu_vhat - mu_v))),
-            float(np.max(np.abs(moments[k].Sigma_vhat - Sigma_v))),
-        )
+    mus, Sigmas, mu_vs, Sigma_vs = closed_recursions(model, schedule, eta)
+    worst = max(
+        float(np.max(np.abs(m - want)))
+        for k in range(1, K + 1)
+        for m, want in ((moments[k].mu_theta, mus[k]), (moments[k].Sigma_theta, Sigmas[k]),
+                        (moments[k].mu_vhat, mu_vs[k]), (moments[k].Sigma_vhat, Sigma_vs[k]))
+    )
     recursion_ok = worst <= 1e-10
 
     # sampled-moment oracle: 1e5 chains, d=2, K=32
@@ -280,11 +265,7 @@ def test_criterion_09_reversibility():
 
     # the plain sampler at gamma_eff on the same seed-derived noise runs the
     # same chain; they differ by fixed-point rounding only
-    eps = np.empty((K, d))
-    s = s0
-    for k in range(K):
-        s = forward_seed(s)
-        eps[k] = seed_noise(s, d)
+    eps, _ = _seed_noise_stream(s0, K, d)
     from dais.sampler import _run_chains
 
     _, _, (plain_L,) = _run_chains(target, schedule, steps, TransitionConfig(gamma=fwd.gamma_eff),

@@ -1,12 +1,13 @@
 """Every name the benchmark and the panel script import from dais resolves.
 
 The files are parsed, not run, so trimming the package's exports cannot
-silently break ``bench/`` or ``scripts/``.  README's list of helpers that
-only tests use and its sentence on custom targets are checked against the
-package as well, and every package module and script must use each name it
-imports and each definition it makes; each test module and benchmark file
-must use every name it imports.  A package definition that only tests use
-must be one of the named test oracles.
+silently break ``bench/`` or ``scripts/``.  README's sentences on the test
+oracles, on the helpers the package does not export and on custom targets
+are checked against the package as well, and every package module and
+script must use each name it imports and each definition it makes; each
+test module and benchmark file must use every name it imports.  A package
+definition that only tests use must be one of the named test oracles, and
+no oracle is a top-level export.
 """
 
 import ast
@@ -54,21 +55,23 @@ def test_consumers_import_from_dais():
     assert {"run_sweep", "dais_bound_mc", "reversible_forward", "cli"} <= names
 
 
-def _readme_test_only_helpers():
-    """The backticked names in README's sentence on helpers that only tests use."""
+def _readme_names(sentence):
+    """The backticked names inside the parentheses of README's sentence that matches ``sentence``."""
     text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-    found = re.search(r"Helpers that only tests use \((.*?)\) are imported from their modules", text)
-    assert found, "README no longer has the sentence on test-only helpers"
+    found = re.search(sentence, text)
+    assert found, f"README no longer has the sentence {sentence!r}"
     return re.findall(r"`(\w+)`", found.group(1))
 
 
 def test_readme_test_only_helpers_stay_out_of_the_top_level():
     import dais
 
-    names = _readme_test_only_helpers()
-    assert {"blr_grad", "fixed_to_float", "keyed_generator"} <= set(names)
+    oracles = _readme_names(r"Test oracles, the definitions that only tests call \((.*?)\), live in their modules")
+    helpers = _readme_names(r"Helpers and types that the package uses but does not export \((.*?)\) are imported")
+    assert sorted(oracles) == sorted(TEST_ORACLES), "README's oracle sentence must name exactly TEST_ORACLES"
+    assert not set(oracles) & set(helpers), "README names an oracle among the package's helpers"
     modules = [importlib.import_module(f"dais.{info.name}") for info in pkgutil.iter_modules(dais.__path__)]
-    for name in names:
+    for name in oracles + helpers:
         assert not hasattr(dais, name), f"{name} is exported from the top-level dais package"
         assert any(hasattr(module, name) for module in modules), f"no dais module defines {name}"
 
@@ -157,7 +160,11 @@ TEST_ORACLES = {
 
 def test_test_only_definitions_are_the_named_oracles():
     # a public function whose last caller outside the tests is deleted must go with it, or join the oracles
+    import dais
+
     used = _referenced("src", "bench", "scripts")
     test_only = {name for path in MODULES for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
                  if name not in used}
     assert test_only == set(TEST_ORACLES)
+    exported = sorted(name for name in TEST_ORACLES if hasattr(dais, name))
+    assert not exported, f"test oracles exported from the top-level dais package: {exported}"

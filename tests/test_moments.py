@@ -18,50 +18,18 @@ from dais import (
     make_linear_schedule,
     make_stepsize_scheme,
     propagate_moments,
-    stochastic_penalty,
     sweep_gaps,
     theory_slope,
     update_matrices,
 )
 from dais.blr import additive_noise_cov
-from dais.moments import GapBreakdown, expected_bound, expected_kinetic_sum
+from dais.moments import GapBreakdown, expected_bound, expected_kinetic_sum, stochastic_penalty
 from dais.sampler import leapfrog
 
-from conftest import dense_gap, random_model
+from conftest import closed_recursions, dense_gap, random_model
 
 
 CFG0 = TransitionConfig(gamma=0.0)
-
-
-def closed_recursions(model, schedule, eta):
-    """Independent oracle: the full-refreshment (gamma=0) scalar recursions.
-
-    mu_k   = (I - eta^2/2 L) mu_{k-1} + eta^2/2 L m
-    Sigma_k = (I - eta^2/2 L)(Sigma_{k-1} - S)(I - eta^2/2 L) + S
-              - eta^4/4 L + eta^6/16 L^2
-    mu^v_k  = eta L (m - mu_{k-1})
-    Sigma^v_k = (I - eta^2/2 L)^2 + eta^2 L Sigma_{k-1} L
-    with L, m, S the annealed precision, mean, and covariance at beta_k.
-    """
-    d = model.d
-    eye = np.eye(d)
-    mu = model.mu_p.copy()
-    Sigma = np.linalg.inv(model.Lambda_p)
-    mus, Sigmas, mu_vs, Sigma_vs = [mu.copy()], [Sigma.copy()], [None], [None]
-    for k in range(1, schedule.K + 1):
-        ann = annealed_posterior(model, schedule.betas[k])
-        L = ann.Lambda
-        S = np.linalg.inv(L)
-        A = eye - 0.5 * eta**2 * L
-        mu_v = eta * L @ (ann.mu - mu)
-        Sigma_v = A @ A + eta**2 * L @ Sigma @ L
-        mu = A @ mu + 0.5 * eta**2 * L @ ann.mu
-        Sigma = A @ (Sigma - S) @ A + S - 0.25 * eta**4 * L + eta**6 / 16 * L @ L
-        mus.append(mu.copy())
-        Sigmas.append(Sigma.copy())
-        mu_vs.append(mu_v)
-        Sigma_vs.append(Sigma_v)
-    return mus, Sigmas, mu_vs, Sigma_vs
 
 
 # ------------------------------------------------------------- propagation

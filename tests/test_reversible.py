@@ -29,7 +29,7 @@ from dais.reversible import (BLOCK_STEPS, GAMMA_DENOM_BITS, MASK64, _FixedPointC
 from dais.rng import keyed_generator
 from dais.sampler import _run_chains
 
-from conftest import keyed_start, seed_noise
+from conftest import _seed_noise_stream, keyed_start, seed_noise
 
 
 def _setup(d=4, n=40, seed=2, K=50, eta=0.12, gamma=0.9):
@@ -258,16 +258,6 @@ def test_degenerate_chain_inputs_unchanged():
     theta, v = fixed_to_float(fwd.fixed.theta), fixed_to_float(fwd.fixed.v)
     assert np.allclose(theta, theta0)
     assert np.allclose(v, v0)
-
-
-def _seed_noise_stream(s0, K, d):
-    """The refresh noise `reversible_forward` draws from seed s0, and the final seed."""
-    eps = np.empty((K, d))
-    s = s0
-    for k in range(K):
-        s = forward_seed(s)
-        eps[k] = seed_noise(s, d)
-    return eps, s
 
 
 def test_float_mode_matches_plain_chain():
