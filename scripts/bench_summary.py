@@ -8,7 +8,7 @@ which leaves one record per workload in bench/results/; then
 
     python3 scripts/bench_summary.py <pr>
 
-writes BENCH_<pr>.json at the repository root.  Per workload it holds the four
+writes BENCH_<pr>.json at the repository root.  Per workload it holds the
 end-to-end metrics with their sample counts, the pass times, whether every
 check passed and the failed share; beside them the commit and the src/dais
 line count the records were made at, and the number of names dais exports.
@@ -16,9 +16,10 @@ Under "runs" it records two end-to-end runs that have no workload, each made
 once here as a subprocess: the tier-1 suite (its wall time, exit code and
 last line, the pytest summary) and scripts/run_gap_sweeps.py --with-mc (its
 wall time and exit code; its CSVs go to a temporary directory).
-A missing record, records made at different code, or records made at code other
-than the checkout's (its HEAD and src/dais line count) exits 2 with one line
-before anything is run.
+The workloads and metrics are those that BENCHMARK.json declares, in its
+order.  A missing record, records made at different code, or records made at
+code other than the checkout's (its HEAD and src/dais line count) exits 2 with
+one line before anything is run.
 """
 
 import argparse
@@ -35,8 +36,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "bench" / "results"  # where bench/run.py leaves its records
 PACKAGE_INIT = ROOT / "src" / "dais" / "__init__.py"
-WORKLOADS = ("exact-sweep", "mc-chains", "reversible")
-METRICS = ("setup_s", "wall_s", "work_per_s", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))  # the benchmark's own declaration
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
+METRICS = tuple(metric["name"] for metric in BENCHMARK["end_to_end"])
 
 
 def export_count() -> int:

@@ -239,11 +239,11 @@ def tune_stepsize_base(model: BlrModel, gamma: float, K_min: int, c_list) -> flo
     if not len(c_list):
         raise ValueError("c_list must be non-empty")
     eta_max = TUNE_STABILITY_FRACTION * stability_limit(model)
-    candidates = [a for a in TUNE_GRID if not max(make_stepsize_scheme(a, c, K_min).eta for c in c_list) > eta_max]
-    steps = [make_stepsize_scheme(a, c, K_min) for a in candidates for c in c_list]
-    gaps = sweep_gaps(model, gamma, steps).reshape(len(candidates), len(c_list))
+    rows = [(a, [make_stepsize_scheme(a, c, K_min) for c in c_list]) for a in TUNE_GRID]
+    candidates = [(a, row) for a, row in rows if not max(s.eta for s in row) > eta_max]
+    gaps = sweep_gaps(model, gamma, [s for _, row in candidates for s in row]).reshape(len(candidates), len(c_list))
     best_a, best_val = None, np.inf
-    for a, cell_gaps in zip(candidates, gaps):
+    for (a, _), cell_gaps in zip(candidates, gaps):
         total = 0.0
         for gap in cell_gaps:
             total += gap  # a failed cell is nan, which skips the candidate

@@ -255,11 +255,11 @@ class _FixedPointChain:
         self.betas = schedule.betas
         with np.errstate(over="ignore"):  # an eta past the range fails step 1's range check
             self.eta = steps.eta * _SCALE  # exact: folds the fixed-point scale in
-        self.num, self.den, self.gamma_eff = quantize_gamma(config.gamma)
+        self.num, _, self.gamma_eff = quantize_gamma(config.gamma)
         self.noise_scale = np.sqrt(1.0 - self.gamma_eff * self.gamma_eff)
-        # |vv| <= num 2^61 / den keeps q = vv // num in [-2^62 / den, 2^62 / den),
+        # |vv| <= num 2^61 / 2^16 keeps q = vv // num in [-2^46, 2^46),
         # so undamping's q << 16 cannot wrap; this is that bound on the float view
-        self._undamp_screen = (self.num * 2.0 ** (61 - FRAC_BITS) / self.den) ** 2
+        self._undamp_screen = (self.num * 2.0 ** (61 - FRAC_BITS) / _DENOM) ** 2
         # every scalar operand as a row of d copies: a ufunc on two arrays skips
         # numpy's per-call scalar conversion and rounds exactly as the scalar form
         self._kick_h = {sign: np.full(d, sign * self.eta) for sign in (1, -1)}
@@ -271,7 +271,7 @@ class _FixedPointChain:
         self._unscale = np.full(d, 1.0 / _SCALE)  # x * 2^-48 == x / 2^48 exactly
         self._num_row = np.full(d, self.num, dtype=np.int64)
         self._shift_row = np.full(d, GAMMA_DENOM_BITS, dtype=np.int64)
-        self._mask_row = np.full(d, self.den - 1, dtype=np.int64)
+        self._mask_row = np.full(d, _DENOM - 1, dtype=np.int64)
         self._gen = np.random.Generator(np.random.Philox())  # re-keyed per draw, not rebuilt
         self._philox_state = {**_PHILOX_FRESH, "state": {"counter": [0] * 4, "key": [0, 0]}}
 
@@ -335,7 +335,7 @@ class _FixedPointChain:
         """
         if self.gamma_eff != 1.0:
             # q, r = divmod(vv, 2^16) as an arithmetic shift and a mask
-            r = buffer.exchange(vv & self._mask_row, self.den, self.num)
+            r = buffer.exchange(vv & self._mask_row, _DENOM, self.num)
             vv = (vv >> self._shift_row) * self._num_row + r
             buffer.depth += 1
         vv = vv + inc
@@ -355,10 +355,10 @@ class _FixedPointChain:
             return vv, view
         q, r = np.divmod(vv, self._num_row)
         if not (norm < self._undamp_screen
-                or -_LIMIT // self.den <= q.min() <= q.max() < _LIMIT // self.den):  # else q << 16 wraps
+                or -_LIMIT // _DENOM <= q.min() <= q.max() < _LIMIT // _DENOM):  # else q << 16 wraps
             raise NumericalFailure(f"fixed-point overflow at step {k} undoing the damping", step=k)
         buffer.depth -= 1
-        vv = (q << self._shift_row) + buffer.exchange(r, self.num, self.den)
+        vv = (q << self._shift_row) + buffer.exchange(r, self.num, _DENOM)
         return vv, vv * self._unscale
 
 
@@ -394,7 +394,7 @@ def reversible_forward(
     for name, x in (("theta0", theta0), ("v0", v0)):
         if np.shape(x) != (chain.dim,):
             raise ValueError(f"{name} must have shape ({chain.dim},), got {np.shape(x)}")
-    s = int(s0) & MASK64
+    s = count("s0", s0, low=0) & MASK64
     buffer = InfoBuffer(chain.dim)
     th = float_to_fixed(theta0)
     vv = float_to_fixed(v0)
@@ -424,7 +424,7 @@ def reversible_forward(
 def _as_fixed(x, dim: int) -> np.ndarray:
     """Copy an integer state vector into int64, checking the fixed-point range."""
     arr = np.asarray(x)
-    if arr.shape != (dim,) or not all(isinstance(e, (int, np.integer)) for e in arr):
+    if arr.shape != (dim,) or not all(is_integer(e) for e in arr):
         raise ValueError(f"reversal needs the integer state of shape ({dim},), got {arr.dtype} "
                          f"of shape {arr.shape}; pass ForwardResult.fixed")
     if not all(-_LIMIT < int(e) < _LIMIT for e in arr):
@@ -461,7 +461,7 @@ def reversible_backward(
     if buffer.n_slots != chain.dim or buffer.depth != depth:
         raise BufferCorruption(f"buffer holds {buffer.n_slots} slots at depth {buffer.depth}; a chain of "
                                f"K={schedule.K} steps in d={chain.dim} needs {chain.dim} slots at depth {depth}")
-    s = int(seed) & MASK64
+    s = count("seed", seed, low=0) & MASK64
     # a screen that overflows, or a zero step's 0 * inf kick, fails its comparison; the exact check decides
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(schedule.K, 0, -BLOCK_STEPS):

@@ -3,7 +3,9 @@
 The files are parsed, not run, so trimming the package's exports cannot
 silently break ``bench/`` or ``scripts/``.  README's sentences on the test
 oracles, on the helpers the package does not export and on custom targets
-are checked against the package as well, and every package module and
+are checked against the package as well (the helper sentence names every
+public function or class that a test imports from a package module and
+that is not exported), and every package module and
 script must use each name it imports and each definition it makes; each
 test module and benchmark file must use every name it imports.  A package
 definition that only tests use must be one of the named test oracles, and
@@ -12,6 +14,7 @@ no oracle is a top-level export.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -74,6 +77,16 @@ def test_readme_test_only_helpers_stay_out_of_the_top_level():
     for name in oracles + helpers:
         assert not hasattr(dais, name), f"{name} is exported from the top-level dais package"
         assert any(hasattr(module, name) for module in modules), f"no dais module defines {name}"
+    # every public function or class that a test imports from a dais module, and that is neither a
+    # top-level export, an oracle nor the CLI's entry point, is a helper the sentence names
+    imported = set()
+    for module, name in {pair for path in TESTS for pair in _dais_imports(path)}:
+        skip = name is None or name.startswith("_") or hasattr(dais, name) or name in TEST_ORACLES
+        if module.startswith("dais.") and not skip and (module, name) != ("dais.cli", "main"):
+            value = getattr(importlib.import_module(module), name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                imported.add(name)
+    assert not imported - set(helpers), f"README's helper sentence leaves out {sorted(imported - set(helpers))}"
 
 
 def _readme_paragraph(opening):

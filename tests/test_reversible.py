@@ -630,6 +630,10 @@ def test_backward_rejects_float_state():
     with pytest.raises(ValueError, match="integer state"):
         reversible_backward(target, schedule, steps, config, theta.astype(object),
                             fwd.fixed.v, fwd.seed, fwd.buffer)
+    # and a bool is no integer entry, as it is no count or seed: True once ran as 1
+    with pytest.raises(ValueError, match="integer state"):
+        reversible_backward(target, schedule, steps, config, np.array([True, *fwd.fixed.theta[1:]], dtype=object),
+                            fwd.fixed.v, fwd.seed, fwd.buffer)
     # so must steps for another chain length
     with pytest.raises(ValueError, match="step scheme has K=11, schedule has K=10"):
         reversible_backward(target, schedule, StepSizeScheme(11, 0.12), config, fwd.fixed, None,
@@ -892,3 +896,27 @@ def test_seed_masking():
     _, _, s_back = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
                                        fwd.seed, fwd.buffer)
     assert s_back == big & MASK64
+
+
+def test_a_negative_seed_is_refused():
+    # int(s0) & MASK64 once ran the chain of seed 2^64 - 1
+    target, schedule, steps, config = _setup(d=2, K=3)
+    with pytest.raises(ValueError, match=r"^s0 must be >= 0, got -1$"):
+        reversible_forward(target, schedule, steps, config, -1, np.zeros(2), np.zeros(2))
+    fwd = reversible_forward(target, schedule, steps, config, 5, *keyed_start(target, 5))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        reversible_backward(target, schedule, steps, config, fwd.fixed, None, -1, fwd.buffer)
+
+
+def test_a_refused_backward_seed_leaves_the_buffer_as_it_was():
+    # int(seed) once ran float(fwd.seed), rounded to 53 bits, and returned a wrong s_0
+    target, schedule, steps, config = _setup(d=2, K=3)
+    fwd = reversible_forward(target, schedule, steps, config, 2**63 + 1, *keyed_start(target, 5))
+    blob = fwd.buffer.to_bytes()
+    for bad in (float(fwd.seed), 2.5, True, str(fwd.seed)):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            reversible_backward(target, schedule, steps, config, fwd.fixed, None, bad, fwd.buffer)
+        assert fwd.buffer.to_bytes() == blob and fwd.buffer.depth == 3
+    _, _, s_back = reversible_backward(target, schedule, steps, config, fwd.fixed, None,
+                                       np.uint64(fwd.seed), fwd.buffer)
+    assert s_back == 2**63 + 1 and fwd.buffer.is_empty()

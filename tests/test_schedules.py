@@ -15,6 +15,8 @@ from dais import (
     generator,
     make_linear_schedule,
     make_stepsize_scheme,
+    reversible_backward,
+    reversible_forward,
     sample_chains,
 )
 from dais.schedules import count
@@ -134,7 +136,21 @@ def _pop(modulus):
     return buffer.pop(modulus)
 
 
-# every integer count the package takes, by the name its error gives
+def _reversible_chain():
+    return (blr_target(gen_blr_data(20, 2, 0)), make_linear_schedule(3), StepSizeScheme(3, 0.1),
+            TransitionConfig(gamma=0.9))
+
+
+def _forward(s0):
+    return reversible_forward(*_reversible_chain(), s0, np.zeros(2), np.zeros(2))
+
+
+def _backward(seed):
+    fwd = _forward(3)
+    return reversible_backward(*_reversible_chain(), fwd.fixed, None, seed, fwd.buffer)
+
+
+# every integer count and seed the package takes, by the name its error gives
 COUNT_SITES = {
     "K-schedule": ("K", make_linear_schedule),
     "K-steps": ("K", lambda n: StepSizeScheme(n, 0.1)),
@@ -148,6 +164,8 @@ COUNT_SITES = {
     "n_slots": ("n_slots", InfoBuffer),
     "push-modulus": ("modulus", lambda n: InfoBuffer(1).push([0], n)),
     "pop-modulus": ("modulus", _pop),
+    "s0-forward": ("s0", _forward),
+    "seed-backward": ("seed", _backward),
 }
 
 
