@@ -194,39 +194,38 @@ def gap_breakdown(model: BlrModel, moments, schedule) -> GapBreakdown:
     return GapBreakdown(term1=term1, term2=term2, term3=term3)
 
 
-def _mode_step_maps(p, lam, prior_shift, data_shift, noise, gamma, betas, etas, maps):
-    """Per-mode affine maps of T steps of cells with betas (T, cells) and one eta each (cells,).
+def _mode_step_maps(p, lam, prior_shift, data_shift, noise, gamma, beta, eta, maps):
+    """Per-mode affine maps of T steps of cells with betas ``beta`` (T, cells, d) and one eta each.
 
     In the eigenbasis of X^T X / sigma2 (eigenvalues ``lam``) under prior
     p I, ``prior_shift`` and ``data_shift`` are Lambda_p mu_p and X^T y /
-    sigma2 and ``noise`` is diag(Q^T Sigma_eps Q).  Writes the maps into
-    ``maps`` (5, 5, T, cells, d) and returns the shifts (T, 5, cells, d),
-    which take the pre-refreshment state after step k-1 to the one after
-    step k: the refreshment (v scaled by gamma, 1 - gamma^2 injected), the
-    leapfrog map of ``update_matrices`` at beta_k, then the noise.  The
-    refreshment scales multiply the 13 non-zero coefficients as they are
-    written; the other 12 entries of ``maps`` are never written: keep them 0.
+    sigma2 and ``noise`` is diag(Q^T Sigma_eps Q); these and ``eta`` come
+    repeated per cell as (cells, d), so each operation runs over cells and
+    modes in one loop.  Writes into ``maps`` (5, 6, T, cells, d) the maps
+    that take the pre-refreshment state after step k-1, with a sixth entry
+    of ones, to the one after step k: the refreshment (v scaled by gamma,
+    1 - gamma^2 injected), the leapfrog map of ``update_matrices`` at
+    beta_k, then the noise.  Column 5 is the step's shift.  The refreshment
+    scales multiply the 13 non-zero coefficients of columns 0-4 as they are
+    written, and at gamma = 0 the eight gamma-scaled ones are not written;
+    entries never written must be 0.
     """
-    beta = betas[:, :, None]
-    eta = etas[:, None]
     ell = p + beta * lam  # annealed precision
     shift = prior_shift + beta * data_shift  # annealed precision times mean
     A, B, C, c, e = leapfrog_affine(eta, ell, shift, 1.0)
     g, g2 = gamma, gamma**2
-    AA, AB, BB = A * A, A * B, B * B
-    maps[0, 0], maps[0, 1], maps[1, 0], maps[1, 1] = A, B * g, C, A * g
-    maps[2, 2], maps[2, 3], maps[2, 4] = AA, 2.0 * A * B * g, BB * g2
-    maps[3, 2], maps[3, 3], maps[3, 4] = A * C, (AA + B * C) * g, AB * g2
-    maps[4, 2], maps[4, 3], maps[4, 4] = C * C, 2.0 * A * C * g, AA * g2
-    shifts = np.empty((betas.shape[0], 5) + ell.shape[1:])
-    shifts[:, 0], shifts[:, 1] = c, e
-    shifts[:, 2] = (0.25 * eta**4) * noise + (1.0 - g2) * BB
-    shifts[:, 3] = (0.5 * eta**3) * noise + (1.0 - g2) * AB
-    shifts[:, 4] = eta**2 * noise + (1.0 - g2) * AA
-    return shifts
+    maps[0, 0], maps[1, 0], maps[0, 5], maps[1, 5] = A, C, c, e
+    for i, j, x, y in ((2, 2, A, A), (3, 2, A, C), (4, 2, C, C), (2, 5, B, B), (3, 5, A, B), (4, 5, A, A)):
+        np.multiply(x, y, out=maps[i, j])
+    if gamma:
+        maps[0, 1], maps[1, 1], maps[2, 3], maps[4, 3] = B * g, A * g, 2.0 * A * B * g, 2.0 * A * C * g
+        maps[3, 3] = (maps[2, 2] + B * C) * g
+        np.multiply(maps[2:, 5], g2, out=maps[2:, 4])  # BB, AB, AA times g2
+        maps[2:, 5] *= 1.0 - g2
+    maps[2:, 5] += np.stack([0.25 * eta**4, 0.5 * eta**3, eta**2])[:, None] * noise
 
 
-# mode-steps per block of step maps: sets the engine's memory, 25 doubles per
+# mode-steps per block of step maps: sets the engine's memory, 37 doubles per
 # mode-step, and the grouping of the kinetic sums, so their bits
 _BLOCK_MODE_STEPS = 1 << 14
 
@@ -247,8 +246,14 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     noise covariance, which enters through diag(Q^T Sigma_eps Q).  The gap
     needs only the per-mode means, tr(Lambda_post Sigma_theta) and
     tr Sigma_v.  All cells advance together, sorted by K, so the step loop
-    runs max K times.  Any other prior raises ``ValueError``: use
-    ``propagate_moments`` and ``gap_breakdown`` for it.
+    runs max K times, each step one ``np.einsum`` of the 5 x 6 step maps
+    (the sixth column the shift) against the state and a row of ones.  A
+    call allocates its buffers once, 37 x max(2^14, cells * d) doubles of
+    step maps, states and scratch.  At gamma = 0 the refreshed momentum is
+    exactly N(0, I): the eight gamma-scaled map coefficients stay 0, and the
+    read-outs take S_vv = 1, E|v|^2 = d and hypot(a, 0) = |a|.  Any other
+    prior raises ``ValueError``: use ``propagate_moments`` and
+    ``gap_breakdown`` for it.
     """
     check_gamma(gamma)
     steps_list = list(steps_list)
@@ -269,46 +274,59 @@ def sweep_gaps(model: BlrModel, gamma: float, steps_list, noise=None) -> np.ndar
     order = np.argsort([s.K for s in steps_list], kind="stable")
     Ks = np.array([steps_list[i].K for i in order])
     etas = np.array([steps_list[i].eta for i in order])
+    # the step maps' inputs as (cells, d): per-mode ones repeated per cell, per-cell ones per mode
+    per_cell = [np.tile(v, (Ks.size, 1)) for v in (lam, prior_shift, data_shift, mode_noise)]
+    cell_Ks, cell_etas = (np.repeat(v, d).reshape(Ks.size, d) for v in (Ks, etas))
     # built for its size check alone: a K whose schedule numpy cannot allocate
     # raises MemoryError here, as on the dense path, instead of starting K steps
     make_linear_schedule(int(Ks[-1]))
-    # Each cell's per-mode state (mu_theta, mu_v, S_tt, S_tv, S_vv) is kept
-    # before refreshment; step maps fold in the previous refreshment.  The
-    # start (mu_p, 0), blockdiag(Sigma_p, I) is its own refreshment.
-    state = np.zeros((5, Ks.size, d))
+    # Each cell's per-mode state (mu_theta, mu_v, S_tt, S_tv, S_vv, 1) is
+    # kept before refreshment; step maps fold in the previous refreshment and,
+    # against the ones, the shift.  The start (mu_p, 0), blockdiag(Sigma_p, I)
+    # is its own refreshment.
+    state = np.zeros((6, Ks.size, d))
     state[0] = model.mu_p @ Q
     state[2] = 1.0 / p
-    state[4] = 1.0
-    energy = np.full(Ks.size, float(d))  # E|v|^2 of the refreshed momentum
+    state[4] = state[5] = 1.0
+    energy = np.full(Ks.size, float(d))  # E|v|^2 of the refreshed momentum: d throughout at gamma = 0
     kinetic = np.zeros(Ks.size)
     ok = np.ones(Ks.size, dtype=bool)
-    # every block's step maps are a view of this buffer; a block of T steps
-    # of m cells fills T * m * d <= max(_BLOCK_MODE_STEPS, m * d) columns
-    map_buffer = np.zeros((5, 5, max(_BLOCK_MODE_STEPS, Ks.size * d)))
+    # a block's step maps (30 columns), states (6) and read-out scratch (1) are
+    # views of these buffers; a block of T steps of m cells fills T * m * d <= size
+    size = max(_BLOCK_MODE_STEPS, Ks.size * d)
+    map_buffer, hat_buffer, scratch = np.zeros((5, 6, size)), np.empty(6 * size), np.empty(size)
 
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while k < Ks[-1]:
             lo = int(np.searchsorted(Ks, k + 1))
             stop = min(int(Ks[lo]), k + max(1, _BLOCK_MODE_STEPS // ((Ks.size - lo) * d)))
-            block_betas = np.arange(k + 1, stop + 1)[:, None] / Ks[lo:]  # beta_k = k / K, as in the schedule
-            maps = map_buffer[:, :, : block_betas.size * d].reshape((5, 5) + block_betas.shape + (d,))
-            shifts = _mode_step_maps(p, lam, prior_shift, data_shift, mode_noise, gamma,
-                                     block_betas, etas[lo:], maps)
-            hats = np.empty_like(shifts)
-            x = state[:, lo:]
-            for t in range(stop - k):
-                x = np.einsum("ijcd,jcd->icd", maps[:, :, t], x, out=hats[t])
-                x += shifts[t]
-            state[:, lo:] = x
-            tt, tv, vv = hats[:, 2], gamma * hats[:, 3], g2 * hats[:, 4] + (1.0 - g2)  # refreshed, as the maps fold it
-            energy_hat = np.sum(hats[:, 1] ** 2 + hats[:, 4], axis=2)
-            energy_refreshed = np.sum((gamma * hats[:, 1]) ** 2 + vv, axis=2)
-            prev = np.concatenate([energy[None, lo:], energy_refreshed[:-1]])
+            block_betas = np.arange(k + 1, stop + 1)[:, None, None] / cell_Ks[lo:]  # beta_k = k / K, as in the schedule
+            shape, n = block_betas.shape, block_betas.size
+            maps = map_buffer[:, :, :n].reshape((5, 6) + shape)
+            _mode_step_maps(p, *(v[lo:] for v in per_cell), gamma, block_betas, cell_etas[lo:], maps)
+            hats = hat_buffer[: 6 * n].reshape(shape[0], 6, -1)  # a step's cells and modes on one axis
+            hats[:, 5] = 1.0
+            x = state[:, lo:].reshape(6, -1)
+            steps = zip(np.moveaxis(maps.reshape(5, 6, shape[0], -1), 2, 0), hats[:, :5], hats)
+            for step_map, out, x_next in steps:
+                np.einsum("ijk,jk->ik", step_map, x, out=out)
+                x = x_next
+            state[:, lo:] = x.reshape(6, -1, d)
+            hats = np.moveaxis(hats.reshape((shape[0], 6) + shape[1:]), 1, 0)
+            mu_v, tt, work = hats[1], hats[2], scratch[:n].reshape(shape)
+            energy_hat = np.sum(np.add(np.multiply(mu_v, mu_v, out=work), hats[4], out=work), axis=2)
+            if gamma:  # refreshed, as the maps fold it
+                tv, vv = gamma * hats[3], g2 * hats[4] + (1.0 - g2)
+                energy_refreshed = np.sum((gamma * mu_v) ** 2 + vv, axis=2)
+                prev = np.concatenate([energy[None, lo:], energy_refreshed[:-1]])
+                energy[lo:] = energy_refreshed[-1]
+                low = 0.5 * (tt + vv) - np.hypot(0.5 * (tt - vv), tv)  # smaller eigenvalue per mode
+            else:  # the refreshed momentum is exactly N(0, I): vv = 1, tv = 0 and E|v|^2 = d
+                prev = energy[lo:]
+                low = 0.5 * (tt + 1.0) - np.abs(0.5 * (tt - 1.0))  # smaller eigenvalue per mode
             kinetic[lo:] += 0.5 * np.sum(prev - energy_hat, axis=0)
-            energy[lo:] = energy_refreshed[-1]
-            low = 0.5 * (tt + vv) - np.hypot(0.5 * (tt - vv), tv)  # smaller eigenvalue per mode
-            ok[lo:] &= np.all(low >= -PSD_TOL, axis=(0, 2))
+            ok[lo:] &= np.all(np.all(low >= -PSD_TOL, axis=0), axis=1)
             k = stop
 
         post, logdet_ratio = posterior_volume(model)

@@ -18,7 +18,8 @@ def check_addressable(*shape) -> None:
 
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    return (type(value) is int or isinstance(value, np.integer)  # the common cases before the abstract check
+            or (isinstance(value, numbers.Integral) and not isinstance(value, bool)))
 
 
 def count(name: str, value, low: int = 1) -> int:

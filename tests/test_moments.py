@@ -140,25 +140,35 @@ def test_sweep_gaps_matches_dense_oracle(gamma, noise_kind):
         assert gap == pytest.approx(dense_gap(model, gamma, s, noise), rel=ENGINE_RTOL, abs=0.0)
 
 
-@pytest.mark.parametrize("gamma,a,K,reason", [
-    (0.0, 90.0, 128, "overflowed"),  # as in the sweep's divergent-cell test
-    (1.0, 3.0, 5, "positive semi-definiteness"),  # finite, but the covariance turns indefinite
+DIVERGENT_CELLS = [  # (gamma, a, K, reason, noise batch size or None)
+    (0.0, 90.0, 128, "overflowed", None),  # as in the sweep's divergent-cell test
+    (1.0, 3.0, 5, "positive semi-definiteness", None),  # finite, but the covariance turns indefinite
     # with damping a moderate step size turns the covariance indefinite before
     # anything overflows; eta = 1e80 overflows the step maps at step 1
-    (0.5, 1e80, 64, "overflowed"),
-    (0.9, 1e80, 4, "overflowed"),
-])
-def test_sweep_gaps_divergent_cell_is_nan(gamma, a, K, reason):
+    (0.5, 1e80, 64, "overflowed", None),
+    (0.9, 1e80, 4, "overflowed", None),
+    # gamma = 0 leaves the damping coefficients and the refreshed momentum's terms unwritten
+    (0.0, 1e80, 64, "overflowed", None),
+    (0.0, 1e80, 4, "overflowed", None),
+    (0.0, 90.0, 128, "overflowed", 10),
+]
+
+
+@pytest.mark.parametrize("gamma,a,K,reason,batch", DIVERGENT_CELLS,
+                         ids=["-".join(map(str, case[:4])) + ("" if case[4] is None else f"-batch{case[4]}")
+                              for case in DIVERGENT_CELLS])
+def test_sweep_gaps_divergent_cell_is_nan(gamma, a, K, reason, batch):
     # the failed cell is nan; the other cells of the same call are unaffected
     model = gen_blr_data(100, 2, 5)
+    noise = None if batch is None else additive_noise_cov(model, batch)
     steps = [make_stepsize_scheme(0.4, 0.25, 16), make_stepsize_scheme(a, 0.0, K),
              make_stepsize_scheme(0.4, 0.25, 256)]
     with pytest.raises(NumericalFailure, match=reason):
-        dense_gap(model, gamma, steps[1])
-    gaps = sweep_gaps(model, gamma, steps)
+        dense_gap(model, gamma, steps[1], noise)
+    gaps = sweep_gaps(model, gamma, steps, noise=noise)
     assert np.isnan(gaps[1])
     for i in (0, 2):
-        assert gaps[i] == pytest.approx(dense_gap(model, gamma, steps[i]), rel=ENGINE_RTOL, abs=0.0)
+        assert gaps[i] == pytest.approx(dense_gap(model, gamma, steps[i], noise), rel=ENGINE_RTOL, abs=0.0)
 
 
 SWEEP_PINNED_DIGEST = "f0f6a0135af4800155e399ed533a1ee1048dc803734f93fd744e55db4fe87d5c"

@@ -1,4 +1,6 @@
+import numbers
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from dais import (
     reversible_forward,
     sample_chains,
 )
-from dais.schedules import count
+from dais.schedules import count, is_integer
 
 
 def test_linear_schedule_quarters():
@@ -121,6 +123,33 @@ def test_numpy_integer_chain_length_is_accepted():
     for c in (0.25, 1):
         assert make_stepsize_scheme(0.3, c, K).eta == make_stepsize_scheme(0.3, c, 8).eta
     assert type(make_linear_schedule(K).K) is type(StepSizeScheme(K, 0.1).K) is int
+
+
+class _RegisteredIntegral:
+    """A user type that declares itself a ``numbers.Integral``."""
+
+
+numbers.Integral.register(_RegisteredIntegral)
+
+
+class _IntSubclass(int):
+    pass
+
+
+NUMPY_INTEGER_TYPES = list(dict.fromkeys(np.dtype(code).type for code in np.typecodes["AllInteger"]))
+IS_INTEGER_TABLE = (
+    [(3, True), (True, False), (np.True_, False)]
+    + [(t(3), True) for t in NUMPY_INTEGER_TYPES]
+    + [(3.0, False), (np.float64(3.0), False), (Fraction(3), False), (_RegisteredIntegral(), True),
+       (_IntSubclass(3), True), ("3", False), (None, False)]
+)
+
+
+@pytest.mark.parametrize("value, expected", IS_INTEGER_TABLE,
+                         ids=[f"{type(value).__module__}.{type(value).__name__}" for value, _ in IS_INTEGER_TABLE])
+def test_is_integer_answers(value, expected):
+    # a Python or numpy integer, or any declared numbers.Integral; never a bool
+    assert is_integer(value) is expected
 
 
 def _chains(n_chains, bound=False):
